@@ -60,7 +60,6 @@ from .decomposition import (
     scaled_coefficient,
 )
 from .fluctuations import (
-    assemble_generator,
     coherent_marginal_error,
     conjugation_identity_residual,
     dynamics_gap,

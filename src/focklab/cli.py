@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: hartree, product-scan, coherent-scan, fluctuation-suite,
-coeff-suite, all.  Each takes --config, --out, --threads and --seed.
+coeff-suite, all.  Each takes --config, --out and --threads.
 
 Exit codes: 0 success; 1 configuration error; 2 capacity error; 3 a
 tolerance violation (flagged rows or recorded probe failures) in a run.
@@ -49,10 +49,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default="out", help="output directory for CSV files")
         p.add_argument("--threads", type=int, default=None, help="parallel worker count")
-        p.add_argument(
-            "--seed", type=int, default=0,
-            help="seed for randomized self-checks (deterministic runs ignore it)",
-        )
     return parser
 
 
@@ -100,7 +96,6 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.threads is not None:
             config.threads = max(1, args.threads)
-        config.seed = args.seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _run(args.command, config, out)

@@ -30,13 +30,11 @@ class ExperimentConfig:
     m_max: int | str = "auto"
     eps_trunc: float = 1e-10
     capacity: int = DEFAULT_CAPACITY
-    k_points: int | None = None
     truncation_loss_tol: float = 1e-6
     propagation_tol: float = 1e-10
     coeff_n_values: list[int] = field(default_factory=lambda: [1, 2, 4, 8, 16, 32, 40])
     remainder_n_values: list[int] = field(default_factory=lambda: [2, 4])
     threads: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         self.phi0 = np.asarray(self.phi0, dtype=complex)
@@ -115,7 +113,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             "time",
             "scan",
             "fock",
-            "quadrature",
             "tolerances",
             "coefficients",
             "parallelism",
@@ -145,10 +142,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(m_max, str):
         m_max = int(m_max)
 
-    quad_spec = raw.get("quadrature", {})
-    _require_keys(quad_spec, {"k_points"}, "quadrature")
-    k_points = quad_spec.get("k_points")
-
     tol_spec = raw.get("tolerances", {})
     _require_keys(tol_spec, {"truncation_loss", "propagation"}, "tolerances")
 
@@ -168,7 +161,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         m_max=m_max,
         eps_trunc=float(fock_spec.get("eps_trunc", 1e-10)),
         capacity=int(fock_spec.get("capacity", DEFAULT_CAPACITY)),
-        k_points=None if k_points is None else int(k_points),
         truncation_loss_tol=float(tol_spec.get("truncation_loss", 1e-6)),
         propagation_tol=float(tol_spec.get("propagation", 1e-10)),
         coeff_n_values=[int(n) for n in coeff_spec.get("n_values", [1, 2, 4, 8, 16, 32, 40])],

@@ -212,7 +212,6 @@ def coefficient_expansion_profile(
 class RemainderProbeReport:
     n: int
     t: float
-    k_points: int
     site_abs: np.ndarray        # |f_N(x)| per site
     total_square: float      # sum_x |f_N(x)|^2
 
@@ -222,7 +221,6 @@ def remainder_probe(
     n: int,
     phi0: np.ndarray,
     t: float,
-    k_points: int,
     basis: OccupationBasis,
     budget: PropagationBudget | None = None,
     hartree_dt: float = 1e-3,
@@ -232,25 +230,19 @@ def remainder_probe(
     f_N(x) = avg_theta < psi(theta), U^theta(0;t) a_x U^theta(t;0) vac >
 
     with U^theta the full fluctuation dynamics along the gauge-rotated
-    Hartree orbital e^{-i theta} phi_t.  The theta average is a K-point
-    trapezoid, exact for the finite Fourier content of the truncated space.
+    Hartree orbital e^{-i theta} phi_t.  Every theta term equals the theta=0
+    term: with G = e^{-i theta N}, psi(theta) = e^{-i theta} G psi(0),
+    U^theta = G U^0 G*, G vac = vac and G* a_x G = e^{-i theta} a_x, and the
+    number cutoff commutes with G.  So the average is its theta=0 term, two
+    evolutions in all.
     """
-    if k_points <= basis.m_max:
-        raise AliasingError(f"K={k_points} must exceed m_max={basis.m_max}")
     if n > basis.m_max:
         raise ValueError("N exceeds the basis cutoff")
     budget = budget or PropagationBudget()
     flow = HartreeFlow(phi0, model, hartree_dt)
-    ops = FluctuationOperators(model, basis)
-    vac = FockVector.vacuum(basis)
-    f_acc = np.zeros(model.d, dtype=complex)
-    for k in range(k_points):
-        theta = 2.0 * pi * k / k_points
-        psi_theta = displaced_product_profile(phi0, n, theta, basis, budget)
-        gen = generator_family(ops, "full", n, flow, phase=-theta)
-        fwd_psi = evolve_timedep(gen, psi_theta, 0.0, t, budget)
-        fwd_vac = evolve_timedep(gen, vac, 0.0, t, budget)
-        for x in range(model.d):
-            f_acc[x] += np.vdot(fwd_psi.amp, basis.annihilator(x) @ fwd_vac.amp)
-    f = f_acc / k_points
-    return RemainderProbeReport(n, t, k_points, np.abs(f), float(np.sum(np.abs(f) ** 2)))
+    gen = generator_family(FluctuationOperators(model, basis), "full", n, flow)
+    psi = displaced_product_profile(phi0, n, 0.0, basis, budget)
+    fwd_psi = evolve_timedep(gen, psi, 0.0, t, budget)
+    fwd_vac = evolve_timedep(gen, FockVector.vacuum(basis), 0.0, t, budget)
+    f = np.array([np.vdot(fwd_psi.amp, basis.annihilator(x) @ fwd_vac.amp) for x in range(model.d)])
+    return RemainderProbeReport(n, t, np.abs(f), float(np.sum(np.abs(f) ** 2)))

@@ -10,13 +10,14 @@ files regardless of the thread count.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .basis import FockVector, build_basis
+from .basis import FockVector, build_basis, number_moment
 from .config import ExperimentConfig
 from .decomposition import (
     scaled_coefficient,
@@ -29,16 +30,15 @@ from .decomposition import (
 from .errors import FockLabError
 from .fluctuations import (
     FluctuationOperators,
-    evolve_fluctuation,
     conjugation_identity_residual,
-    number_growth_probe,
-    parity_defect,
+    fluctuation_trajectory,
+    parity_element,
 )
 from .hartree import HartreeFlow, trajectory_csv_rows
 from .marginals import hs_distance, marginal_from_sector, rank_one, trace_distance
 from .model import build_sector_hamiltonian, embed_product_state
 from .propagate import PropagationBudget, StaticPropagator
-from .weyl import coherent_state, minimal_cutoff, poisson_tail
+from .weyl import coherent_state, displacement_floor, minimal_cutoff, poisson_tail
 
 SLOPE_FLOOR = 1e-13
 
@@ -219,50 +219,58 @@ def _suite_m_max(config: ExperimentConfig) -> int:
 
 def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     """Number-growth moments, full-vs-reduced gaps, parity defects, the
-    conjugation-identity residual, and the limiting-dynamics probe, across
-    the configured N scan.  Individual cell failures are recorded and the
-    suite continues."""
+    conjugation-identity residual with its truncation floor, and the
+    limiting-dynamics gap, across the configured N scan.
+
+    Each (kind, N) trajectory is evolved once from the vacuum through the
+    sample times: full and reduced once per N, limiting once per run.  The
+    limiting state at t_end is taken before the cell pool; the moments, gaps,
+    parity and limiting gaps are reductions over those states.  A failed cell
+    flags every probe it serves, and the suite continues."""
     model = config.model
     m_max = _suite_m_max(config)
     budget = PropagationBudget(tol=config.propagation_tol, dt=config.fluctuation_dt)
     basis = build_basis(model.d, m_max, capacity=config.capacity)
     ops = FluctuationOperators(model, basis)
-    t_end = max(config.t_samples)
-    failures: list[tuple[str, str, str]] = []
+    repeats = Counter(float(t) for t in config.t_samples)
+    t_end = max(repeats)
     tables = {"moments": [], "gaps": [], "parity": [], "conjugation": [], "limiting": []}
+    failures: list[tuple[str, str, str]] = []
 
-    def guarded(probe, label, fn):
+    # the limiting trajectory does not depend on N: evolve it once, before the pool
+    u_lim = None
+    try:
+        flow = HartreeFlow(config.phi0, model, config.hartree_dt)
+        for _, u_lim in fluctuation_trajectory(ops, "limiting", 1, flow, repeats, budget):
+            pass  # only the state at t_end is kept
+    except FockLabError as exc:
+        u_lim = None  # a partial trajectory gives no gap
+        failures.append(("limiting", "scan", f"{type(exc).__name__}: {exc}"))
+
+    def guarded(probe, label, fn, shared=()):
+        """Cell of probe and of the probes that share its work."""
         def run():
             try:
-                return fn()
+                return fn(), []
             except FockLabError as exc:
-                return ("__failure__", probe, label, f"{type(exc).__name__}: {exc}")
+                msg = f"{type(exc).__name__}: {exc}"
+                return {}, [(p, label, msg) for p in (probe, *shared)]
 
         return run
 
-    def moments_cell(n):
-        return number_growth_probe(
-            "full", model, n, config.phi0, 1, config.t_samples,
-            budget, basis=basis, hartree_dt=config.hartree_dt,
-        )
-
-    def gaps_cell(n):
+    def trajectory_cell(n):
         flow = HartreeFlow(config.phi0, model, config.hartree_dt)
-        vac = FockVector.vacuum(basis)
-        out = []
-        psi_f, psi_r, t_prev = vac, vac, 0.0
-        for t in sorted(set(config.t_samples)):
-            psi_f = evolve_fluctuation("full", model, n, flow, psi_f, t_prev, t, budget, ops=ops)
-            psi_r = evolve_fluctuation("reduced", model, n, flow, psi_r, t_prev, t, budget, ops=ops)
-            t_prev = t
-            out.append(("full-vs-reduced", n, "", t, float(np.linalg.norm(psi_f.amp - psi_r.amp))))
-        return out
-
-    def parity_cell(n):
-        val = parity_defect(
-            model, n, config.phi0, t_end, budget, basis=basis, hartree_dt=config.hartree_dt
-        )
-        return [("reduced", n, "", t_end, val)]
+        full = fluctuation_trajectory(ops, "full", n, flow, repeats, budget)
+        reduced = fluctuation_trajectory(ops, "reduced", n, flow, repeats, budget)
+        moments, gaps = [], []
+        for (t, psi_f), (_, psi_r) in zip(full, reduced):
+            moments += [("full", n, 1, t, number_moment(psi_f, 1))] * repeats[t]
+            gaps.append(("full-vs-reduced", n, "", t, float(np.linalg.norm(psi_f.amp - psi_r.amp))))
+        rows = {"moments": moments, "gaps": gaps, "parity": [("reduced", n, "", t_end, parity_element(psi_r))]}
+        if u_lim is not None:
+            gap = float(np.linalg.norm(psi_f.amp - u_lim.amp))
+            rows["limiting"] = [("full-vs-limiting", n, "", t_end, gap)]
+        return rows
 
     def conjugation_cell(n):
         # displaces to amplitude sqrt(N), so this cell sizes its own basis
@@ -273,38 +281,17 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
             hartree_dt=config.hartree_dt,
             basis=build_basis(model.d, m_conj, capacity=config.capacity),
         )
-        return [("conjugation", n, "", t_end, res)]
+        return {"conjugation": [("conjugation", n, "", t_end, res, displacement_floor(n, m_conj))]}
 
-    def limiting_cells():
-        flow = HartreeFlow(config.phi0, model, config.hartree_dt)
-        vac = FockVector.vacuum(basis)
-        u_lim = evolve_fluctuation("limiting", model, 1, flow, vac, 0.0, t_end, budget, ops=ops)
-        out = []
-        for n in config.n_values:
-            u_n = evolve_fluctuation("full", model, n, flow, vac, 0.0, t_end, budget, ops=ops)
-            out.append(("full-vs-limiting", n, "", t_end, float(np.linalg.norm(u_n.amp - u_lim.amp))))
-        return out
-
-    cells = []
-    for n in config.n_values:
-        cells.append(guarded("moments", f"N={n}", lambda n=n: moments_cell(n)))
-        cells.append(guarded("gaps", f"N={n}", lambda n=n: gaps_cell(n)))
-        cells.append(guarded("parity", f"N={n}", lambda n=n: parity_cell(n)))
-        cells.append(guarded("conjugation", f"N={n}", lambda n=n: conjugation_cell(n)))
-    cells.append(guarded("limiting", "scan", limiting_cells))
-
-    for result in _run_cells(cells, config.threads):
-        if isinstance(result, tuple) and result and result[0] == "__failure__":
-            failures.append(result[1:])
-            continue
-        for row in result:
-            probe = {
-                "full-vs-reduced": "gaps",
-                "reduced": "parity",
-                "conjugation": "conjugation",
-                "full-vs-limiting": "limiting",
-            }.get(row[0], "moments")
-            tables[probe].append(row)
+    cells = [
+        guarded("moments", f"N={n}", lambda n=n: trajectory_cell(n), ("gaps", "parity", "limiting"))
+        for n in config.n_values
+    ]
+    cells += [guarded("conjugation", f"N={n}", lambda n=n: conjugation_cell(n)) for n in config.n_values]
+    for rows, failed in _run_cells(cells, config.threads):
+        for table, table_rows in rows.items():
+            tables[table] += table_rows
+        failures += failed
     return SuiteResult(tables, failures)
 
 
@@ -327,7 +314,7 @@ def run_coefficient_suite(config: ExperimentConfig) -> SuiteResult:
 
     m_rec = _suite_m_max(config)
     basis = build_basis(model.d, m_rec, capacity=config.capacity)
-    k_points = config.k_points if config.k_points is not None else basis.m_max + 1
+    k_points = basis.m_max + 1  # the smallest alias-free quadrature
     for n in [n for n in config.n_values if n <= basis.m_max]:
         try:
             _, err = reconstruct_product(config.phi0, n, k_points, basis, config.eps_trunc)
@@ -342,8 +329,7 @@ def run_coefficient_suite(config: ExperimentConfig) -> SuiteResult:
             m_fn = minimal_cutoff(float(n), config.eps_trunc)
             rem_basis = build_basis(model.d, m_fn, capacity=config.capacity)
             rep = remainder_probe(
-                model, n, config.phi0, t_rem, rem_basis.m_max + 1, rem_basis, budget,
-                hartree_dt=config.hartree_dt,
+                model, n, config.phi0, t_rem, rem_basis, budget, hartree_dt=config.hartree_dt
             )
             for x, val in enumerate(rep.site_abs):
                 tables["remainder"].append((n, t_rem, x, float(val), rep.total_square))
@@ -367,7 +353,7 @@ FLUCTUATION_FILES = {
     "moments": ("moments.csv", ["kind", "N", "j", "t", "moment"]),
     "gaps": ("gaps.csv", ["kind", "N", "j", "t", "gap"]),
     "parity": ("parity.csv", ["kind", "N", "j", "t", "defect"]),
-    "conjugation": ("conjugation.csv", ["kind", "N", "j", "t", "residual"]),
+    "conjugation": ("conjugation.csv", ["kind", "N", "j", "t", "residual", "floor"]),
     "limiting": ("limiting.csv", ["kind", "N", "j", "t", "gap"]),
 }
 

@@ -14,7 +14,9 @@ from the instantaneous Hartree orbital phi_t:
 
 The probes below certify algebraic identities (Weyl conjugation of the
 Heisenberg-evolved ladder operator), growth of the number of particles,
-and the gaps between the dynamics, all from the vacuum.
+and the gaps between the dynamics, all from the vacuum.  The vacuum probes
+are reductions over ``fluctuation_trajectory``, which evolves one (kind, N)
+pair once through the sample times.
 """
 
 from __future__ import annotations
@@ -136,17 +138,6 @@ class FluctuationOperators:
         return out.tocsr()
 
 
-def assemble_generator(
-    kind: str,
-    model: LatticeModel,
-    n: int,
-    phi: np.ndarray,
-    basis: OccupationBasis,
-    cutoff: int | None = None,
-) -> csr_matrix:
-    return FluctuationOperators(model, basis).assemble(kind, n, phi, cutoff=cutoff)
-
-
 def generator_family(
     ops: FluctuationOperators,
     kind: str,
@@ -196,13 +187,55 @@ def evolve_fluctuation(
     return out
 
 
+def fluctuation_trajectory(
+    ops: FluctuationOperators,
+    kind: str,
+    n: int,
+    flow: HartreeFlow,
+    times,
+    budget: PropagationBudget | None = None,
+    cutoff: int | None = None,
+):
+    """Yield (t, U(t;0) vacuum) at each distinct sample time, in increasing
+    order.  The state is evolved once, segment by segment, and checked for
+    truncation after each segment; only the current state is held."""
+    gen = generator_family(ops, kind, n, flow, cutoff=cutoff)
+    psi = FockVector.vacuum(ops.basis)
+    t_prev = 0.0
+    for t in sorted(set(float(tt) for tt in times)):
+        if t != t_prev:
+            psi = evolve_timedep(gen, psi, t_prev, t, budget)
+            check_truncation(psi)
+            t_prev = t
+        yield t, psi
+
+
+def parity_element(psi: FockVector) -> float:
+    """max_x |<psi, a_x psi>|; vanishes when psi has definite parity."""
+    return max(
+        abs(complex(np.vdot(psi.amp, psi.basis.annihilator(x) @ psi.amp)))
+        for x in range(psi.basis.d)
+    )
+
+
+def _probe_inputs(model, phi0, m_max, hartree_dt, basis):
+    """Generator blocks and a Hartree flow for a stand-alone probe."""
+    ops = FluctuationOperators(model, basis or build_basis(model.d, m_max))
+    return ops, HartreeFlow(phi0, model, hartree_dt)
+
+
+def _state_at(ops, kind, n, flow, t, budget) -> FockVector:
+    [(_, psi)] = fluctuation_trajectory(ops, kind, n, flow, [t], budget)
+    return psi
+
+
 def conjugation_identity_residual(
     model: LatticeModel,
     n: int,
     phi0: np.ndarray,
     t: float,
     budget: PropagationBudget | None = None,
-    m_max: int = 18,
+    m_max: int | None = None,
     hartree_dt: float = 1e-3,
     basis: OccupationBasis | None = None,
 ) -> float:
@@ -219,11 +252,14 @@ def conjugation_identity_residual(
     sigma_min the smallest singular value of a(phi0) - sqrt(N) on the
     truncated algebra (phi0 normalized), whatever implements the
     displacement.  sigma_min equals that of the single-mode a - sqrt(N) cut
-    at m_max: 7.8e-4 at N=4, m_max=18, 2.1e-9 at m_max=32.  The cutoff must
-    push it well below the accuracy asked of the residual.
+    at m_max (``weyl.displacement_floor``): 7.8e-4 at N=4, m_max=18, 2.1e-9
+    at m_max=32.  The cutoff must push it well below the accuracy asked of
+    the residual, so the caller chooses it: pass ``m_max`` or ``basis``.
     """
-    budget = budget or PropagationBudget()
+    if basis is None and m_max is None:
+        raise ValueError("pass m_max or basis: the cutoff sets the residual's floor")
     basis = basis or build_basis(model.d, m_max)
+    budget = budget or PropagationBudget()
     flow = HartreeFlow(phi0, model, hartree_dt)
     phi_t = flow.at(t)
     f0 = np.sqrt(n) * np.asarray(phi0, dtype=complex)
@@ -256,24 +292,18 @@ def number_growth_probe(
     hartree_dt: float = 1e-3,
     basis: OccupationBasis | None = None,
 ) -> list[tuple[str, int, int, float, float]]:
-    """Rows (kind, N, j, t, <N^j>) along U(t;0) vacuum, moments from sector
-    weights.  Raises TruncationError if the top sector fills beyond 1e-6."""
+    """Rows (kind, N, j, t, <N^j>) along U(t;0) vacuum, one per sample time in
+    sorted order, moments from sector weights.  Raises TruncationError if the
+    top sector fills beyond 1e-6."""
     if j < 1:
         raise ValueError("moment order j must be >= 1")
-    basis = basis or build_basis(model.d, m_max)
-    flow = HartreeFlow(phi0, model, hartree_dt)
-    ops = FluctuationOperators(model, basis)
-    gen = generator_family(ops, kind, n, flow, cutoff=cutoff)
-    psi = FockVector.vacuum(basis)
-    rows = []
-    t_prev = 0.0
-    for t in sorted(float(tt) for tt in times):
-        if t != t_prev:
-            psi = evolve_timedep(gen, psi, t_prev, t, budget)
-            t_prev = t
-        check_truncation(psi)
-        rows.append((kind, n, j, t, number_moment(psi, j)))
-    return rows
+    times = [float(t) for t in times]
+    ops, flow = _probe_inputs(model, phi0, m_max, hartree_dt, basis)
+    return [
+        (kind, n, j, t, number_moment(psi, j))
+        for t, psi in fluctuation_trajectory(ops, kind, n, flow, times, budget, cutoff)
+        for _ in range(times.count(t))
+    ]
 
 
 def dynamics_gap(
@@ -289,12 +319,9 @@ def dynamics_gap(
 ) -> float:
     """|| (U_N(t;0) - U'(t;0)) vacuum || with U' the reduced (default) or
     limiting dynamics."""
-    basis = basis or build_basis(model.d, m_max)
-    flow = HartreeFlow(phi0, model, hartree_dt)
-    ops = FluctuationOperators(model, basis)
-    vac = FockVector.vacuum(basis)
-    u_full = evolve_fluctuation("full", model, n, flow, vac, 0.0, t, budget, ops=ops)
-    u_other = evolve_fluctuation(against, model, n, flow, vac, 0.0, t, budget, ops=ops)
+    ops, flow = _probe_inputs(model, phi0, m_max, hartree_dt, basis)
+    u_full = _state_at(ops, "full", n, flow, t, budget)
+    u_other = _state_at(ops, against, n, flow, t, budget)
     return float(np.linalg.norm(u_full.amp - u_other.amp))
 
 
@@ -310,14 +337,8 @@ def parity_defect(
     basis: OccupationBasis | None = None,
 ) -> float:
     """max_x |<vac, U* a_x U vac>|; vanishes when U conserves parity."""
-    basis = basis or build_basis(model.d, m_max)
-    flow = HartreeFlow(phi0, model, hartree_dt)
-    ops = FluctuationOperators(model, basis)
-    u_vac = evolve_fluctuation(kind, model, n, flow, FockVector.vacuum(basis), 0.0, t, budget, ops=ops)
-    return max(
-        abs(complex(np.vdot(u_vac.amp, basis.annihilator(x) @ u_vac.amp)))
-        for x in range(model.d)
-    )
+    ops, flow = _probe_inputs(model, phi0, m_max, hartree_dt, basis)
+    return parity_element(_state_at(ops, kind, n, flow, t, budget))
 
 
 def coherent_marginal_error(

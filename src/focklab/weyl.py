@@ -34,11 +34,6 @@ def annihilation_of(f: np.ndarray, basis: OccupationBasis) -> csr_matrix:
     return out.tocsr()
 
 
-def creation_of(f: np.ndarray, basis: OccupationBasis) -> csr_matrix:
-    """a*(f) = sum_x f_x a*_x, compressed at the cutoff."""
-    return annihilation_of(f, basis).conj().T.tocsr()
-
-
 def weyl_generator(f: np.ndarray, basis: OccupationBasis) -> csr_matrix:
     """The skew-Hermitian a*(f) - a(f)."""
     a = annihilation_of(f, basis)
@@ -107,6 +102,18 @@ def minimal_cutoff(lam: float, eps: float, hard_cap: int = 400) -> int:
         if poisson_tail(lam, m) < eps:
             return m
     raise TruncationError(f"no cutoff below {hard_cap} reaches tail mass {eps} at lambda={lam}")
+
+
+def displacement_floor(n: int, m_max: int) -> float:
+    """Smallest singular value of a - sqrt(N) on one mode cut at m_max.
+
+    It equals sigma_min(a(phi) - sqrt(N)) on the d-site basis for any unit
+    phi, because a mode rotation preserves the total-number cutoff.  Divided
+    by sum_x |phi(x)| it bounds the conjugation-identity residual at t = 0
+    from below, whatever implements the displacement.
+    """
+    mat = np.diag(np.sqrt(np.arange(1.0, m_max + 1)), 1) - math.sqrt(n) * np.eye(m_max + 1)
+    return float(np.linalg.svd(mat, compute_uv=False)[-1])
 
 
 def coherent_state(

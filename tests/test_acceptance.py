@@ -377,15 +377,15 @@ def test_criterion_11_remainder_boundedness():
     budget = PropagationBudget(tol=1e-9, dt=0.01)
 
     zero_basis = fl.build_basis(3, 12)
-    at_t0 = remainder_probe(model, 2, phi0, 0.0, 13, zero_basis, budget).total_square
+    at_t0 = remainder_probe(model, 2, phi0, 0.0, zero_basis, budget).total_square
     free = fl.LatticeModel(3, Potential.zero(3))
-    at_free = remainder_probe(free, 2, phi0, 0.5, 13, zero_basis, budget).total_square
+    at_free = remainder_probe(free, 2, phi0, 0.5, zero_basis, budget).total_square
 
     totals = {}
     for n in (2, 4):
         m = minimal_cutoff(float(n), 1e-10)
         basis = fl.build_basis(3, m)
-        totals[n] = remainder_probe(model, n, phi0, 0.5, m + 1, basis, budget).total_square
+        totals[n] = remainder_probe(model, n, phi0, 0.5, basis, budget).total_square
     ratio = max(totals.values()) / min(totals.values())
 
     ok = at_t0 < 1e-10 and at_free < 1e-10 and ratio <= 3.0

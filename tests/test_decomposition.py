@@ -22,6 +22,7 @@ from focklab.decomposition import (
 )
 from focklab.model import Potential
 from focklab.propagate import PropagationBudget
+from oracles import remainder_phase_average
 
 
 def test_d_n_closed_forms():
@@ -141,19 +142,34 @@ def test_remainder_probe_zero_cases():
     phi /= np.linalg.norm(phi)
     basis = fl.build_basis(d, 12)
     budget = PropagationBudget(tol=1e-9, dt=0.01)
-    assert remainder_probe(model, 2, phi, 0.0, 13, basis, budget).total_square < 1e-10
+    assert remainder_probe(model, 2, phi, 0.0, basis, budget).total_square < 1e-10
     free = fl.LatticeModel(d, Potential.zero(d))
-    assert remainder_probe(free, 2, phi, 0.4, 13, basis, budget).total_square < 1e-10
+    assert remainder_probe(free, 2, phi, 0.4, basis, budget).total_square < 1e-10
+
+
+def test_remainder_probe_equals_phase_average():
+    # gauge covariance makes every theta node equal the theta=0 node, so the
+    # probe's two evolutions reproduce the K-node average of 2K evolutions
+    d, n = 3, 2
+    model = fl.LatticeModel(d, Potential.contact(d, 1.0))
+    rng = np.random.default_rng(7)
+    phi = (0.6 ** np.arange(d)) * np.exp(2j * np.pi * rng.random(d))
+    phi /= np.linalg.norm(phi)
+    basis = fl.build_basis(d, 12)
+    budget = PropagationBudget(tol=1e-10, dt=0.02)
+    rep = remainder_probe(model, n, phi, 0.4, basis, budget)
+    ref = remainder_phase_average(model, n, phi, 0.4, basis.m_max + 1, basis, budget)
+    assert rep.total_square > 1e-4
+    assert np.max(np.abs(rep.site_abs - np.abs(ref))) < 1e-12
+    assert rep.total_square == pytest.approx(float(np.sum(np.abs(ref) ** 2)), abs=1e-12)
 
 
 def test_remainder_probe_guards():
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     basis = fl.build_basis(3, 8)
     phi = np.array([1.0, 0.0, 0.0], complex)
-    with pytest.raises(fl.AliasingError):
-        remainder_probe(model, 2, phi, 0.1, 5, basis)
     with pytest.raises(ValueError):
-        remainder_probe(model, 20, phi, 0.1, 9, basis)
+        remainder_probe(model, 20, phi, 0.1, basis)
 
 
 def test_invalid_arguments():

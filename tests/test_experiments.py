@@ -17,6 +17,8 @@ from focklab.experiments import (
     write_csv,
 )
 from focklab.model import LatticeModel, Potential
+from focklab.weyl import displacement_floor, minimal_cutoff
+from oracles import fluctuation_probe_rows
 
 
 def _config(**overrides):
@@ -131,7 +133,27 @@ def test_fluctuation_suite_free_model_all_probes_vanish():
     assert all(row[-1] < 1e-12 for row in result.tables["limiting"])
     # the conjugation probe still displaces states, so it sits at the
     # truncation floor of its per-N cutoff rather than at zero
-    assert all(row[-1] < 1e-4 for row in result.tables["conjugation"])
+    assert all(row[4] < 1e-4 for row in result.tables["conjugation"])
+    for _, n, _, _, _, floor in result.tables["conjugation"]:
+        assert floor == displacement_floor(n, minimal_cutoff(float(n), cfg.eps_trunc))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fluctuation_suite_matches_per_probe_evolutions(threads):
+    # the suite evolves each (kind, N) trajectory once; the oracle evolves
+    # every probe's own, as the suite did before.  Moments and gaps take the
+    # same steps in the same order; parity and the limiting gap compare
+    # against single-segment evolutions, whose midpoints differ by rounding
+    cfg = _config(n_values=[2, 3], t_samples=[0.4, 0.0, 0.2], m_max=12, threads=threads)
+    result = run_fluctuation_suite(cfg)
+    assert result.ok
+    ref = fluctuation_probe_rows(cfg)
+    assert result.tables["moments"] == ref["moments"]
+    assert result.tables["gaps"] == ref["gaps"]
+    for table in ("parity", "limiting"):
+        got, want = result.tables[table], ref[table]
+        assert [row[:4] for row in got] == [row[:4] for row in want]
+        assert max(abs(a[4] - b[4]) for a, b in zip(got, want)) < 1e-13
 
 
 def test_coefficient_suite_tables():

@@ -213,6 +213,13 @@ def test_conjugation_residual_decays_with_cutoff():
     assert res[2] < 5e-4
 
 
+def test_conjugation_residual_needs_a_cutoff():
+    # the cutoff sets the residual's floor, so there is no default
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    with pytest.raises(ValueError, match="m_max or basis"):
+        conjugation_identity_residual(model, 4, _phi(3), 0.5)
+
+
 def test_conjugation_residual_truncation_floor_at_t0():
     # exact-algebra value is zero; the measured value is the truncated-Weyl
     # conjugation error, which shrinks with the cutoff

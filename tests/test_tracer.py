@@ -1,0 +1,49 @@
+"""Smoke test of the benchmark tracer (perfbench/tracer.py) on the package.
+
+The tracer wraps package functions by name, so a renamed hook raises
+TraceTargetMissing here rather than only when the benchmark runs.  The
+counts pin the shared work: each fluctuation segment evolved once, and two
+evolutions per remainder probe.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from focklab.cli import main
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_counts_shared_evolutions(tmp_path):
+    n_values, samples, remainder_n = [2, 3], [0.0, 0.15, 0.3], [2]
+    cfg = {
+        "model": {"d": 2, "potential": {"kind": "contact", "strength": 1.0}},
+        "initial_phi": {"preset": "geometric", "ratio": 0.5},
+        "time": {"t_max": 0.3, "dt": 0.002, "samples": samples, "fluctuation_dt": 0.03},
+        "scan": {"n_values": n_values},
+        "coefficients": {"n_values": [1, 2], "remainder_n_values": remainder_n},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()  # raises TraceTargetMissing when a hooked name is gone
+        for suite in ("fluctuation-suite", "coeff-suite"):
+            assert main([suite, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.uninstall()
+    m = tracer.summary()
+    segments = len(samples) - 1  # t=0 needs no evolution
+    # full and reduced per N, limiting once, then the remainder probes
+    expected = (2 * len(n_values) + 1) * segments + 2 * len(remainder_n)
+    assert m["fluctuations.evolutions"] == expected
+    assert m["fluctuations.evolutions_distinct"] == expected
+    assert m["decomposition.remainder_evolutions"] == 2 * len(remainder_n)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import focklab as fl
-from focklab.weyl import creation_loss, minimal_cutoff, poisson_tail
+from focklab.weyl import annihilation_of, creation_loss, displacement_floor, minimal_cutoff, poisson_tail
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +153,16 @@ def test_poisson_tail_and_minimal_cutoff():
     m = minimal_cutoff(6.0, 1e-10)
     assert poisson_tail(6.0, m) < 1e-10
     assert poisson_tail(6.0, m - 1) >= 1e-10
+
+
+def test_displacement_floor():
+    # the single-mode value equals sigma_min(a(phi) - sqrt(N)) on the whole
+    # d-site basis, for any unit phi
+    rng = np.random.default_rng(3)
+    phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    phi /= np.linalg.norm(phi)
+    b = fl.build_basis(3, 6)
+    dense = annihilation_of(phi, b).toarray() - 2.0 * np.eye(b.size)
+    assert displacement_floor(4, 6) == pytest.approx(np.linalg.svd(dense, compute_uv=False)[-1], rel=1e-12)
+    assert displacement_floor(4, 18) == pytest.approx(7.80e-4, rel=1e-3)
+    assert displacement_floor(4, 32) == pytest.approx(2.12e-9, rel=1e-3)
