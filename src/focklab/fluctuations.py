@@ -22,7 +22,7 @@ pair once through the sample times.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import csc_matrix, csr_matrix, diags, identity
 
 from .basis import FockVector, OccupationBasis, annihilate, build_basis, number_moment
 from .errors import TruncationError
@@ -36,11 +36,59 @@ GENERATOR_KINDS = ("full", "reduced", "truncated", "limiting")
 TOP_SECTOR_LIMIT = 1e-6
 
 
-class FluctuationOperators:
-    """Static operator blocks reused across generator evaluations.
+class _Layout:
+    """One CSR sparsity pattern holding a fixed list of terms.
 
-    Assembly enumerates only site pairs coupled by the potential (and the
-    kinetic matrix), so contact interactions stay cheap.
+    ``term_map`` is the (pattern nnz x terms) sparse matrix of the terms'
+    values at their pattern positions, so ``term_map @ c`` is the data of
+    sum_k c_k T_k; ``diagonal`` indexes the diagonal, which is always in
+    the pattern.
+    """
+
+    def __init__(self, terms, dim: int):
+        pattern = identity(dim, format="csr")
+        for term in terms:
+            pattern = pattern + abs(term)
+        pattern.sum_duplicates()  # canonical, so the entry keys are sorted
+        keys = _entry_keys(pattern.tocoo())
+        values, positions = [], []
+        for term in terms:
+            coo = term.tocoo()
+            stored = coo.data != 0  # the pattern sum drops explicit zeros
+            values.append(coo.data[stored].astype(complex))
+            positions.append(np.searchsorted(keys, _entry_keys(coo)[stored]).astype(np.int32))
+        self.indices = pattern.indices
+        self.indptr = pattern.indptr
+        self.shape = (dim, dim)
+        self.diagonal = np.searchsorted(keys, np.arange(dim, dtype=np.int64) * (dim + 1))
+        self.term_map = csc_matrix(
+            (np.concatenate(values), np.concatenate(positions), np.cumsum([0] + [len(v) for v in values])),
+            shape=(pattern.nnz, len(terms)),
+        )
+
+    def fill(self, coefficients: np.ndarray, diagonal: np.ndarray) -> csr_matrix:
+        """sum_k coefficients[k] T_k + diag(diagonal) on the pattern."""
+        data = self.term_map @ coefficients
+        data[self.diagonal] += diagonal
+        return csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _entry_keys(coo) -> np.ndarray:
+    """row * dim + col of each stored entry; sorted for a canonical matrix."""
+    return coo.row.astype(np.int64) * coo.shape[1] + coo.col
+
+
+class FluctuationOperators:
+    """Fixed-pattern generator layouts reused across generator evaluations.
+
+    Every generator is a linear combination of fixed operators (the kinetic
+    term and, per coupled site pair, the exchange, pair and cubic monomials)
+    with coefficients set by phi_t and N, plus a diagonal (mean field and
+    quartic/N).  ``__init__`` lays out one pattern for ``full`` and one
+    shared by ``reduced`` and ``limiting``; an assembly is then one small
+    sparse product into the pattern's data.  Only site pairs coupled by the
+    potential (and the kinetic matrix) are enumerated, so contact
+    interactions stay cheap.
     """
 
     def __init__(self, model: LatticeModel, basis: OccupationBasis):
@@ -68,45 +116,42 @@ class FluctuationOperators:
         self.pairs = [
             (x, y, v[(x - y) % d]) for x in range(d) for y in range(d) if v[(x - y) % d] != 0.0
         ]
-        self.exchange = {}      # (x, y) -> a*_y a_x
-        self.pair_create = {}   # (x, y) -> a*_x a*_y
-        self.cubic_create = {}  # (x, y) -> a*_x a*_y a_x
-        for x, y, _ in self.pairs:
-            lower = a[y] @ a[x]
-            self.exchange[(x, y)] = (ad[y] @ a[x]).tocsr()
-            self.pair_create[(x, y)] = lower.conj().T.tocsr()
-            self.cubic_create[(x, y)] = (ad[x] @ self.exchange[(x, y)]).tocsr()
+        self._x = np.array([x for x, _, _ in self.pairs], dtype=int)
+        self._y = np.array([y for _, y, _ in self.pairs], dtype=int)
+        self._v = np.array([v for _, _, v in self.pairs], dtype=float)
+        # the ladder monomials are real, so each transpose is the adjoint
+        exchange = [ad[y] @ a[x] for x, y, _ in self.pairs]                  # a*_y a_x
+        pair_lower = [a[y] @ a[x] for x, y, _ in self.pairs]                 # a_y a_x
+        cubic = [ad[x] @ ex for (x, _, _), ex in zip(self.pairs, exchange)]  # a*_x a*_y a_x
+        quadratic = [self.kinetic, *exchange, *(m.T for m in pair_lower), *pair_lower]
+        self._reduced = _Layout(quadratic, basis.size)
+        self._full = _Layout(quadratic + cubic + [m.T for m in cubic], basis.size)
 
-    def quadratic(self, phi: np.ndarray) -> csr_matrix:
-        """Kinetic + mean field + exchange + pair creation/annihilation."""
+    def _quadratic_coefficients(self, phi: np.ndarray) -> np.ndarray:
+        """Kinetic, exchange, pair creation and pair annihilation weights."""
+        exchange = self._v * np.conj(phi[self._x]) * phi[self._y]
+        pair = 0.5 * self._v * phi[self._x] * phi[self._y]
+        return np.concatenate([[1.0], exchange, pair, np.conj(pair)])
+
+    def _fill(self, kind: str, n: int, phi: np.ndarray) -> csr_matrix:
         phi = np.asarray(phi, dtype=complex)
-        mean_field = self.model.vmat @ (np.abs(phi) ** 2)
-        out = self.kinetic + diags(self.occupation @ mean_field)
-        pair_half = None
-        for x, y, v in self.pairs:
-            out = out + (v * np.conj(phi[x]) * phi[y]) * self.exchange[(x, y)]
-            term = (0.5 * v * phi[x] * phi[y]) * self.pair_create[(x, y)]
-            pair_half = term if pair_half is None else pair_half + term
-        if pair_half is not None:
-            out = out + pair_half + pair_half.conj().T
-        return out.tocsr()
+        diagonal = self.occupation @ (self.model.vmat @ (np.abs(phi) ** 2))
+        coefficients = self._quadratic_coefficients(phi)
+        if kind == "limiting":
+            return self._reduced.fill(coefficients, diagonal)
+        diagonal = diagonal + self.quartic_diag / n
+        if kind == "reduced":
+            return self._reduced.fill(coefficients, diagonal)
+        cubic = self._v * phi[self._y] / np.sqrt(n)
+        return self._full.fill(np.concatenate([coefficients, cubic, np.conj(cubic)]), diagonal)
 
-    def cubic(self, phi: np.ndarray, n: int, cutoff: int | None = None) -> csr_matrix:
-        """N^{-1/2} sum v(x-y) a*_x (phi(y) a*_y + conj(phi(y)) a_y) a_x,
-        optionally with the chi(N <= cutoff) indicator inserted; the cutoff
-        variant is symmetrized to its Hermitian part (the indicator does not
-        commute through the ladder operators, so symmetry is enforced rather
-        than assumed)."""
+    def cubic(self, phi: np.ndarray, n: int, cutoff: int) -> csr_matrix:
+        """N^{-1/2} sum v(x-y) a*_x (phi(y) a*_y + conj(phi(y)) a_y) a_x with
+        the chi(N <= cutoff) indicator inserted, symmetrized to its Hermitian
+        part (the indicator does not commute through the ladder operators, so
+        symmetry is enforced rather than assumed)."""
         phi = np.asarray(phi, dtype=complex)
         scale = 1.0 / np.sqrt(n)
-        if cutoff is None:
-            half = None
-            for x, y, v in self.pairs:
-                term = (v * phi[y]) * self.cubic_create[(x, y)]
-                half = term if half is None else half + term
-            if half is None:
-                return csr_matrix((self.basis.size, self.basis.size), dtype=complex)
-            return (scale * (half + half.conj().T)).tocsr()
         chi = diags((self.basis.totals <= cutoff).astype(float)).tocsr()
         inserted = None
         for x, y, v in self.pairs:
@@ -125,17 +170,11 @@ class FluctuationOperators:
             raise ValueError(f"unknown generator kind {kind!r}")
         if kind != "limiting" and n < 1:
             raise ValueError("N must be >= 1")
-        out = self.quadratic(phi)
-        if kind == "limiting":
-            return out
-        out = out + diags(self.quartic_diag / n)
-        if kind == "full":
-            out = out + self.cubic(phi, n)
-        elif kind == "truncated":
-            if cutoff is None:
-                raise ValueError("truncated kind requires a cutoff M")
-            out = out + self.cubic(phi, n, cutoff=cutoff)
-        return out.tocsr()
+        if kind != "truncated":
+            return self._fill(kind, n, phi)
+        if cutoff is None:
+            raise ValueError("truncated kind requires a cutoff M")
+        return self._fill("reduced", n, phi) + self.cubic(phi, n, cutoff=cutoff)
 
 
 def generator_family(
@@ -241,10 +280,18 @@ def conjugation_identity_residual(
 ) -> float:
     """Residual of the conjugation identity behind the fluctuation dynamics.
 
-    Side one conjugates (a_x - sqrt(N) phi_t(x)) by the Heisenberg evolution
-    between Weyl displacements of the vacuum; side two routes a_x through
-    U(t;0) = W*(sqrt(N) phi_t) e^{-iHt} W(sqrt(N) phi_0) built factor by
-    factor.  Returns the worst-site norm of the difference on the vacuum.
+    With f_s = sqrt(N) phi_s and U(t;0) = W*(f_t) e^{-iHt} W(f_0), the
+    identity compares U*(t;0) (a_x - f_t(x)) applied to e^{-iHt} W(f_0) vac
+    with U*(t;0) routed factor by factor through a_x.  Both sides end in the
+    same left factor W(-f_0) e^{iHt}, which is unitary, so it is dropped:
+    with psi2 = e^{-iHt} W(f_0) vac this returns
+
+        max_x || (a_x - f_t(x)) psi2 - W(f_t) a_x W(-f_t) psi2 ||.
+
+    The reduction is exact on the truncated space, where W (the exponential
+    of a skew-Hermitian matrix) and e^{-iHt} (H Hermitian) are exactly
+    unitary; their Krylov routes preserve norms to the propagation budget,
+    so the untrimmed two-sided route agrees to within that budget.
 
     The identity is exact only in the untruncated algebra.  At a finite
     cutoff the residual has a floor: at t = 0 every unit vector v obeys
@@ -270,12 +317,9 @@ def conjugation_identity_residual(
     chi_b = weyl_apply(-ft, psi2, budget)
     worst = 0.0
     for x in range(model.d):
-        lhs = annihilate(x, psi2)
-        lhs.amp -= ft[x] * psi2.amp
-        lhs = weyl_apply(-f0, prop.apply(lhs, -t), budget)
-        rhs = weyl_apply(ft, annihilate(x, chi_b), budget)
-        rhs = weyl_apply(-f0, prop.apply(rhs, -t), budget)
-        worst = max(worst, float(np.linalg.norm(lhs.amp - rhs.amp)))
+        lhs = annihilate(x, psi2).amp - ft[x] * psi2.amp
+        rhs = weyl_apply(ft, annihilate(x, chi_b), budget).amp
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
 
 

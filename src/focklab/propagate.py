@@ -78,7 +78,8 @@ def _lanczos_step(matvec, v, t, tol, m_cap, depth=0):
         w -= alpha[j] * vs[j]
         # full reorthogonalization keeps the basis orthonormal to machine
         # precision, which is what makes the step exactly norm-preserving
-        w -= vs[: j + 1].T @ (vs[: j + 1].conj() @ w)
+        # (V conj(w))* equals V* w and does not copy the basis V
+        w -= vs[: j + 1].T @ (vs[: j + 1] @ w.conj()).conj()
         b = np.linalg.norm(w)
         if scale is None:
             scale = max(abs(alpha[0]), b, 1.0)

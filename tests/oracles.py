@@ -3,20 +3,25 @@
 The tensor-grid routines work on the full N-particle grid (d^N amplitudes)
 and are kept deliberately independent of the package's occupation-number
 machinery.  The fluctuation and remainder routines are the direct paths the
-package replaced by exact identities: every probe evolving its own
-trajectories, and the remainder's K-node phase average.
+package replaced by exact identities or faster layouts: generators summed
+term by term with sparse `+`, every probe evolving its own trajectories, the
+conjugation residual routed through both of its sides' shared unitary tail,
+and the remainder's K-node phase average.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix, diags
 
-from focklab.basis import FockVector, _sector_tuples, build_basis, number_moment
+from focklab.basis import FockVector, _sector_tuples, annihilate, build_basis, number_moment
 from focklab.decomposition import displaced_product_profile
 from focklab.fluctuations import FluctuationOperators, evolve_fluctuation, generator_family
 from focklab.hartree import HartreeFlow
-from focklab.propagate import PropagationBudget, evolve_timedep
+from focklab.model import build_fock_hamiltonian
+from focklab.propagate import PropagationBudget, StaticPropagator, evolve_timedep
+from focklab.weyl import weyl_apply
 
 
 def first_quantized_hamiltonian(model, n):
@@ -112,3 +117,75 @@ def remainder_phase_average(model, n, phi0, t, k_points, basis, budget, hartree_
         fwd_vac = evolve_timedep(gen, vac, 0.0, t, budget)
         f += [np.vdot(psi.amp, basis.annihilator(x) @ fwd_vac.amp) for x in range(model.d)]
     return f / k_points
+
+
+def _pair_monomials(ops):
+    """Per coupled pair (x, y, v): a*_y a_x, a*_x a*_y and a*_x a*_y a_x."""
+    a = [ops.basis.annihilator(x) for x in range(ops.basis.d)]
+    ad = [m.conj().T.tocsr() for m in a]
+    for x, y, v in ops.pairs:
+        exchange = (ad[y] @ a[x]).tocsr()
+        yield x, y, v, exchange, (a[y] @ a[x]).conj().T.tocsr(), (ad[x] @ exchange).tocsr()
+
+
+def quadratic(ops, phi):
+    """Kinetic + mean field + exchange + pair creation/annihilation, summed
+    term by term."""
+    phi = np.asarray(phi, dtype=complex)
+    mean_field = ops.model.vmat @ (np.abs(phi) ** 2)
+    out = ops.kinetic + diags(ops.occupation @ mean_field)
+    pair_half = None
+    for x, y, v, exchange, pair_create, _ in _pair_monomials(ops):
+        out = out + (v * np.conj(phi[x]) * phi[y]) * exchange
+        term = (0.5 * v * phi[x] * phi[y]) * pair_create
+        pair_half = term if pair_half is None else pair_half + term
+    if pair_half is not None:
+        out = out + pair_half + pair_half.conj().T
+    return out.tocsr()
+
+
+def cubic(ops, phi, n):
+    """N^{-1/2} sum v(x-y) a*_x (phi(y) a*_y + conj(phi(y)) a_y) a_x, summed
+    term by term."""
+    phi = np.asarray(phi, dtype=complex)
+    scale = 1.0 / np.sqrt(n)
+    half = None
+    for x, y, v, _, _, cubic_create in _pair_monomials(ops):
+        term = (v * phi[y]) * cubic_create
+        half = term if half is None else half + term
+    if half is None:
+        return csr_matrix((ops.basis.size, ops.basis.size), dtype=complex)
+    return (scale * (half + half.conj().T)).tocsr()
+
+
+def assemble_by_terms(ops, kind, n, phi, cutoff=None):
+    """The generator of the requested kind, summed term by term."""
+    out = quadratic(ops, phi)
+    if kind == "limiting":
+        return out
+    out = out + diags(ops.quartic_diag / n)
+    if kind == "full":
+        out = out + cubic(ops, phi, n)
+    elif kind == "truncated":
+        out = out + ops.cubic(phi, n, cutoff=cutoff)
+    return out.tocsr()
+
+
+def conjugation_residual_full_route(model, n, phi0, t, budget, m_max, hartree_dt=1e-3):
+    """The conjugation residual with both sides back-propagated through
+    their shared left factor W(-f_0) e^{iHt}."""
+    basis = build_basis(model.d, m_max)
+    f0 = np.sqrt(n) * np.asarray(phi0, dtype=complex)
+    ft = np.sqrt(n) * HartreeFlow(phi0, model, hartree_dt).at(t)
+    prop = StaticPropagator(build_fock_hamiltonian(model, n, basis).matrix, budget)
+    psi2 = prop.apply(weyl_apply(f0, FockVector.vacuum(basis), budget), t)
+    chi_b = weyl_apply(-ft, psi2, budget)
+    worst = 0.0
+    for x in range(model.d):
+        lhs = annihilate(x, psi2)
+        lhs.amp -= ft[x] * psi2.amp
+        lhs = weyl_apply(-f0, prop.apply(lhs, -t), budget)
+        rhs = weyl_apply(ft, annihilate(x, chi_b), budget)
+        rhs = weyl_apply(-f0, prop.apply(rhs, -t), budget)
+        worst = max(worst, float(np.linalg.norm(lhs.amp - rhs.amp)))
+    return worst

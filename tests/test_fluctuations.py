@@ -15,9 +15,10 @@ from focklab.fluctuations import (
     parity_defect,
 )
 from focklab.hartree import HartreeFlow, energy
-from focklab.model import Potential
+from focklab.model import Potential, kinetic_matrix
 from focklab.propagate import PropagationBudget, StaticPropagator
 from focklab.weyl import weyl_apply
+from oracles import assemble_by_terms, conjugation_residual_full_route
 
 
 def _phi(d, seed=0):
@@ -55,6 +56,36 @@ def test_free_model_all_kinds_are_kinetic(setup):
     for kind, cut in (("full", None), ("reduced", None), ("limiting", None), ("truncated", 3)):
         g = free_ops.assemble(kind, 7, phi, cutoff=cut)
         assert abs(g - free_ops.kinetic).max() == 0.0
+
+
+def _flux_kinetic(d, flux):
+    """Ring Laplacian threaded by a flux: Hermitian with non-real hopping."""
+    t = kinetic_matrix(d).astype(complex)
+    for x in range(d):
+        t[x, (x + 1) % d] *= np.exp(1j * flux)
+        t[(x + 1) % d, x] *= np.exp(-1j * flux)
+    return t
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        fl.LatticeModel(3, Potential.contact(3, 1.0)),
+        # exchange positions overlap the kinetic hopping
+        fl.LatticeModel(3, Potential.soft_coulomb_1d(3, 1.3)),
+        # complex kinetic values make the term map non-real
+        fl.LatticeModel(3, Potential.soft_coulomb_1d(3, 0.7), _flux_kinetic(3, 0.4)),
+    ],
+    ids=["contact", "soft-coulomb", "complex-kinetic"],
+)
+def test_assemble_matches_term_by_term_oracle(model):
+    basis = fl.build_basis(model.d, 9)
+    ops = FluctuationOperators(model, basis)
+    phi = _phi(model.d, 3)
+    for kind, cut in (("full", None), ("reduced", None), ("limiting", None), ("truncated", 5)):
+        got = ops.assemble(kind, 4, phi, cutoff=cut)
+        ref = assemble_by_terms(ops, kind, 4, phi, cutoff=cut)
+        assert abs(got - ref).max() < 1e-13
 
 
 def test_cubic_term_by_term_oracle():
@@ -211,6 +242,18 @@ def test_conjugation_residual_decays_with_cutoff():
     assert res[0] > res[1] > res[2]
     assert res[1] < 5e-3
     assert res[2] < 5e-4
+
+
+@pytest.mark.parametrize("n, m_max, t", [(2, 16, 0.25), (4, 22, 0.5)])
+def test_conjugation_residual_matches_full_route(n, m_max, t):
+    # dropping the shared unitary tail W(-f0) e^{iHt} changes the residual
+    # only by the Krylov routes' deviation from exact unitarity
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    phi = _phi(3)
+    budget = PropagationBudget(tol=1e-10)
+    got = conjugation_identity_residual(model, n, phi, t, budget, m_max=m_max)
+    ref = conjugation_residual_full_route(model, n, phi, t, budget, m_max)
+    assert abs(got - ref) <= 2 * budget.tol
 
 
 def test_conjugation_residual_needs_a_cutoff():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from scipy.linalg import eigh
-from scipy.sparse import csr_matrix, random as sparse_random
+from scipy.linalg import eigh, expm
+from scipy.sparse import csr_matrix, diags, random as sparse_random
 
 import focklab as fl
-from focklab.propagate import PropagationBudget, StaticPropagator, evolve_timedep
+from focklab.propagate import PropagationBudget, StaticPropagator, evolve_timedep, expm_apply
 
 
 def _random_hermitian(dim, seed, density=0.1, scale=1.0):
@@ -38,6 +38,39 @@ def test_krylov_matches_dense_oracle():
     w, u = eigh(h.toarray())
     ref = u @ (np.exp(-1j * w * 1.3) * (u.conj().T @ v))
     assert np.linalg.norm(out - ref) < 1e-9
+
+
+class _CountedMatvec:
+    def __init__(self, h):
+        self.h = h
+        self.calls = 0
+
+    def dot(self, v):
+        self.calls += 1
+        return self.h.dot(v)
+
+
+def test_krylov_complex_hermitian_matches_expm():
+    # every off-diagonal entry is non-real, so the conjugation of the
+    # reorthogonalization coefficients matters; the outlying eigenvalues
+    # +-30 converge early, after which a wrong conjugation leaves the basis
+    # non-orthogonal and the result off by about 1e-5
+    dim, t = 300, 2.0
+    rng = np.random.default_rng(12)
+    m = sparse_random(dim, dim, density=0.05, random_state=rng, format="coo")
+    upper = m.row < m.col
+    rows, cols = m.row[upper], m.col[upper]
+    hop = m.data[upper] * np.exp(1j * rng.uniform(0.3, 2.8, upper.sum()))
+    diagonal = rng.standard_normal(dim)
+    diagonal[:2] = 30.0, -30.0
+    ij = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+    h = csr_matrix((np.concatenate([hop, hop.conj()]), ij), shape=(dim, dim)) + diags(diagonal)
+    assert np.all((h - diags(h.diagonal())).tocoo().data.imag != 0.0)
+    v = _random_vec(dim, 13)
+    counted = _CountedMatvec(h)
+    out = expm_apply(counted, v, t, PropagationBudget(tol=1e-11))
+    assert counted.calls >= 20
+    assert np.linalg.norm(out - expm(-1j * t * h.toarray()) @ v) < 1e-9
 
 
 def test_dense_path_matches_krylov_path():
