@@ -25,7 +25,6 @@ from .errors import (
 from .hartree import (
     EnergyReport,
     HartreeFlow,
-    HartreeState,
     energy,
     evolve_hartree,
     hartree_rhs,
@@ -66,7 +65,7 @@ from .fluctuations import (
     evolve_fluctuation,
     number_growth_probe,
 )
-from .propagate import PropagationBudget, StaticPropagator, evolve_static, evolve_timedep
+from .propagate import PropagationBudget, StaticPropagator, evolve_timedep
 from .weyl import coherent_state, minimal_cutoff, phi_apply, poisson_tail, weyl_apply
 
 __version__ = "0.1.0"

@@ -34,10 +34,10 @@ from .fluctuations import (
     fluctuation_trajectory,
     parity_element,
 )
-from .hartree import HartreeFlow, trajectory_csv_rows
-from .marginals import hs_distance, marginal_from_sector, rank_one, trace_distance
-from .model import build_sector_hamiltonian, embed_product_state
-from .propagate import PropagationBudget, StaticPropagator
+from .hartree import HartreeFlow, evolve_hartree, trajectory_csv_rows
+from .marginals import hs_distance, marginal_from_fock, marginal_from_sector, rank_one, trace_distance
+from .model import build_fock_hamiltonian, build_sector_hamiltonian, embed_product_state
+from .propagate import PropagationBudget, StaticPropagator, through_times
 from .weyl import coherent_state, displacement_floor, minimal_cutoff, poisson_tail
 
 SLOPE_FLOOR = 1e-13
@@ -128,77 +128,75 @@ def _attach_slopes(rows: list[RateScanRow], t_samples) -> list[RateScanRow]:
     return rows
 
 
+def _rate_scan(config: ExperimentConfig, start) -> list[RateScanRow]:
+    """Evolve each N's initial state once through the sorted sample times and
+    compare its one-particle marginal with the Hartree projector.
+
+    ``start(n)`` returns the state at t = 0, its ``StaticPropagator``, the
+    map from an evolved state to its marginal, and the truncation loss and
+    flag every row of that N carries.  Rows follow ``config.t_samples`` in
+    order and multiplicity."""
+    flow = HartreeFlow(config.phi0, config.model, config.hartree_dt)
+    targets = {t: rank_one(_unit(flow.at(t))) for t in config.t_samples}
+
+    def cell(n):
+        def run():
+            psi, prop, marginal, loss, flagged = start(n)
+            distances = {}
+            for t, psi_t in through_times(lambda psi, s, t: prop.apply(psi, t - s), psi, config.t_samples):
+                gamma = marginal(psi_t)
+                td = trace_distance(gamma, targets[t])
+                hd = hs_distance(gamma, targets[t])
+                _check_remark3(td, hd)
+                distances[t] = (td, hd)
+            return [RateScanRow(n, t, *distances[t], None, loss, flagged) for t in config.t_samples]
+
+        return run
+
+    results = _run_cells([cell(n) for n in config.n_values], config.threads)
+    rows = [r for chunk in results for r in chunk]
+    return _attach_slopes(rows, config.t_samples)
+
+
 def run_product_rate_scan(config: ExperimentConfig) -> list[RateScanRow]:
     """Evolve embedded product states sector by sector and compare their
     one-particle marginals with the Hartree projector."""
     model = config.model
     budget = PropagationBudget(tol=config.propagation_tol)
-    flow = HartreeFlow(config.phi0, model, config.hartree_dt)
-    targets = {t: rank_one(_unit(flow.at(t))) for t in config.t_samples}
 
-    def cell(n):
-        def run():
-            basis = build_basis(model.d, n, capacity=config.capacity)
-            psi = embed_product_state(config.phi0, n, basis)
-            sector = build_sector_hamiltonian(model, n, capacity=config.capacity)
-            prop = StaticPropagator(sector.matrix, budget)
-            sl = basis.sector_slice(n)
-            out = []
-            for t in config.t_samples:
-                amp = np.zeros(basis.size, dtype=complex)
-                amp[sl] = prop.apply(psi.amp[sl], t)
-                gamma = marginal_from_sector(FockVector(basis, amp))
-                td = trace_distance(gamma, targets[t])
-                hd = hs_distance(gamma, targets[t])
-                _check_remark3(td, hd)
-                out.append(RateScanRow(n, t, td, hd, None, 0.0))
-            return out
+    def start(n):
+        basis = build_basis(model.d, n, capacity=config.capacity)
+        sl = basis.sector_slice(n)
+        sector = build_sector_hamiltonian(model, n, capacity=config.capacity)
 
-        return run
+        def marginal(amp_sector):
+            amp = np.zeros(basis.size, dtype=complex)
+            amp[sl] = amp_sector
+            return marginal_from_sector(FockVector(basis, amp))
 
-    results = _run_cells([cell(n) for n in config.n_values], config.threads)
-    rows = [r for chunk in results for r in chunk]
-    return _attach_slopes(rows, config.t_samples)
+        psi = embed_product_state(config.phi0, n, basis).amp[sl]
+        return psi, StaticPropagator(sector.matrix, budget), marginal, 0.0, False
+
+    return _rate_scan(config, start)
 
 
 def run_coherent_rate_scan(config: ExperimentConfig) -> list[RateScanRow]:
     """Evolve coherent states of amplitude sqrt(N) phi0 under the full
     Hamiltonian and compare marginals with the Hartree projector."""
-    from .marginals import marginal_from_fock
-    from .model import build_fock_hamiltonian
-
     model = config.model
     budget = PropagationBudget(tol=config.propagation_tol)
-    m_max = config.m_max
-    if isinstance(m_max, str):
-        m_max = minimal_cutoff(float(max(config.n_values)), config.eps_trunc)
+    m_max = _suite_m_max(config)
     basis = build_basis(model.d, m_max, capacity=config.capacity)
     for x in range(model.d):
         basis.annihilator(x)  # warm the shared ladder cache before the pool
-    flow = HartreeFlow(config.phi0, model, config.hartree_dt)
-    targets = {t: rank_one(_unit(flow.at(t))) for t in config.t_samples}
 
-    def cell(n):
-        def run():
-            psi = coherent_state(np.sqrt(n) * config.phi0, basis, config.eps_trunc)
-            prop = StaticPropagator(build_fock_hamiltonian(model, n, basis).matrix, budget)
-            loss = poisson_tail(float(n), m_max)
-            out = []
-            for t in config.t_samples:
-                gamma = marginal_from_fock(prop.apply(psi, t))
-                td = trace_distance(gamma, targets[t])
-                hd = hs_distance(gamma, targets[t])
-                _check_remark3(td, hd)
-                out.append(
-                    RateScanRow(n, t, td, hd, None, loss, flagged=loss >= config.truncation_loss_tol)
-                )
-            return out
+    def start(n):
+        psi = coherent_state(np.sqrt(n) * config.phi0, basis, config.eps_trunc)
+        prop = StaticPropagator(build_fock_hamiltonian(model, n, basis).matrix, budget)
+        loss = poisson_tail(float(n), m_max)
+        return psi, prop, marginal_from_fock, loss, loss >= config.truncation_loss_tol
 
-        return run
-
-    results = _run_cells([cell(n) for n in config.n_values], config.threads)
-    rows = [r for chunk in results for r in chunk]
-    return _attach_slopes(rows, config.t_samples)
+    return _rate_scan(config, start)
 
 
 @dataclass
@@ -339,8 +337,6 @@ def run_coefficient_suite(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_hartree_trajectory(config: ExperimentConfig):
-    from .hartree import evolve_hartree
-
     t_end = max(config.t_samples)
     return evolve_hartree(
         config.phi0, config.model, t_end, config.hartree_dt, sample_times=config.t_samples

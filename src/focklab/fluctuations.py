@@ -29,7 +29,7 @@ from .errors import TruncationError
 from .hartree import HartreeFlow, phase_rotate
 from .marginals import marginal_from_fock, rank_one, trace_distance
 from .model import LatticeModel, build_fock_hamiltonian, interaction_diagonal
-from .propagate import PropagationBudget, StaticPropagator, evolve_timedep
+from .propagate import PropagationBudget, StaticPropagator, evolve_timedep, through_times
 from .weyl import coherent_state, minimal_cutoff, weyl_apply
 
 GENERATOR_KINDS = ("full", "reduced", "truncated", "limiting")
@@ -239,14 +239,13 @@ def fluctuation_trajectory(
     order.  The state is evolved once, segment by segment, and checked for
     truncation after each segment; only the current state is held."""
     gen = generator_family(ops, kind, n, flow, cutoff=cutoff)
-    psi = FockVector.vacuum(ops.basis)
-    t_prev = 0.0
-    for t in sorted(set(float(tt) for tt in times)):
-        if t != t_prev:
-            psi = evolve_timedep(gen, psi, t_prev, t, budget)
-            check_truncation(psi)
-            t_prev = t
-        yield t, psi
+
+    def advance(psi, s, t):
+        psi = evolve_timedep(gen, psi, s, t, budget)
+        check_truncation(psi)
+        return psi
+
+    yield from through_times(advance, FockVector.vacuum(ops.basis), times)
 
 
 def parity_element(psi: FockVector) -> float:

@@ -30,12 +30,6 @@ class EnergyReport:
 
 
 @dataclass
-class HartreeState:
-    t: float
-    phi: np.ndarray
-
-
-@dataclass
 class TrajectorySample:
     t: float
     phi: np.ndarray
@@ -121,12 +115,6 @@ class HartreeFlow:
         bisect.insort(self._times, t)
         self._points[t] = phi
         return phi
-
-    def samples(self, times) -> list[np.ndarray]:
-        # visit in time order first so each checkpoint extends the previous one
-        for t in sorted(set(float(t) for t in times)):
-            self.at(t)
-        return [self.at(float(t)) for t in times]
 
 
 def evolve_hartree(

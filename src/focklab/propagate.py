@@ -1,13 +1,16 @@
 """Unitary propagation engines.
 
-Two entry points:
+Two engines and one sampling policy:
 
-* ``evolve_static`` applies exp(-i H t) for a fixed sparse Hermitian H, via a
-  cached dense eigendecomposition below ``dense_cutoff`` and a Lanczos/Krylov
-  approximation with full reorthogonalization and adaptive substeps above it.
+* ``StaticPropagator`` applies exp(-i H t) for a fixed sparse Hermitian H, via
+  a cached dense eigendecomposition below ``dense_cutoff`` and a
+  Lanczos/Krylov approximation with full reorthogonalization and adaptive
+  substeps above it.
 * ``evolve_timedep`` integrates a time-dependent generator family with the
   midpoint exponential rule (second-order Magnus): one Krylov exponential of
   gen(t + dt/2) per step.  Steps may run backward (t1 < t0).
+* ``through_times`` walks one trajectory through a set of sample times,
+  evolving each segment between consecutive distinct times once.
 """
 
 from __future__ import annotations
@@ -97,6 +100,8 @@ def _lanczos_step(matvec, v, t, tol, m_cap, depth=0):
                 if np.linalg.norm(diff) * beta0 <= tol:
                     return (y * beta0) @ vs[: j + 1]
             y_prev = y
+    # release the basis before bisecting, so the recursion holds one at a time
+    del vs
     half = _lanczos_step(matvec, v, t / 2, tol / 2, m_cap, depth + 1)
     return _lanczos_step(matvec, half, t / 2, tol / 2, m_cap, depth + 1)
 
@@ -135,11 +140,6 @@ class StaticPropagator:
         return _wrap(out, basis)
 
 
-def evolve_static(h_sparse, psi, t: float, budget: PropagationBudget | None = None):
-    """exp(-i H t) psi for sparse Hermitian H; accepts FockVector or ndarray."""
-    return StaticPropagator(h_sparse, budget).apply(psi, t)
-
-
 def evolve_timedep(
     gen: Callable[[float], "object"],
     psi,
@@ -161,3 +161,20 @@ def evolve_timedep(
         g = gen(tm)
         amp = _lanczos_step(g.dot, amp, h, tol_local, budget.krylov_dim)
     return _wrap(amp, basis)
+
+
+def through_times(advance: Callable, psi, times):
+    """Yield (t, state) at each distinct time in increasing order, starting
+    from ``psi`` at t = 0.
+
+    ``advance(state, s, t)`` carries a state from s to t.  It runs once per
+    segment between consecutive distinct times (never for t = 0), and only
+    the current state is held.  Each segment is held to its own error
+    budget, so the error at a time is bounded by the sum over the segments
+    before it.
+    """
+    s = 0.0
+    for t in sorted(set(float(t) for t in times)):
+        if t != s:
+            psi, s = advance(psi, s, t), t
+        yield t, psi

@@ -6,7 +6,8 @@ machinery.  The fluctuation and remainder routines are the direct paths the
 package replaced by exact identities or faster layouts: generators summed
 term by term with sparse `+`, every probe evolving its own trajectories, the
 conjugation residual routed through both of its sides' shared unitary tail,
-and the remainder's K-node phase average.
+the remainder's K-node phase average, and rate scans evolving every sample
+time from t = 0.
 """
 
 import itertools
@@ -19,9 +20,10 @@ from focklab.basis import FockVector, _sector_tuples, annihilate, build_basis, n
 from focklab.decomposition import displaced_product_profile
 from focklab.fluctuations import FluctuationOperators, evolve_fluctuation, generator_family
 from focklab.hartree import HartreeFlow
-from focklab.model import build_fock_hamiltonian
+from focklab.marginals import hs_distance, marginal_from_fock, marginal_from_sector, rank_one, trace_distance
+from focklab.model import build_fock_hamiltonian, build_sector_hamiltonian, embed_product_state
 from focklab.propagate import PropagationBudget, StaticPropagator, evolve_timedep
-from focklab.weyl import weyl_apply
+from focklab.weyl import coherent_state, minimal_cutoff, poisson_tail, weyl_apply
 
 
 def first_quantized_hamiltonian(model, n):
@@ -100,6 +102,43 @@ def fluctuation_probe_rows(config):
     for n in config.n_values:
         u_n = evolve("full", n, hartree, vac, 0.0, t_end)
         rows["limiting"].append(("full-vs-limiting", n, "", t_end, float(np.linalg.norm(u_n.amp - u_lim.amp))))
+    return rows
+
+
+def rate_rows_from_zero(config, kind):
+    """Rows (N, t, trace distance, HS distance, truncation loss, flagged) of
+    the product or coherent rate scan, every sample time evolved from t = 0
+    in config order."""
+    model = config.model
+    budget = PropagationBudget(tol=config.propagation_tol)
+    flow = HartreeFlow(config.phi0, model, config.hartree_dt)
+    targets = {t: rank_one(flow.at(t) / np.linalg.norm(flow.at(t))) for t in config.t_samples}
+    if kind == "coherent":
+        m_max = config.m_max
+        if isinstance(m_max, str):
+            m_max = minimal_cutoff(float(max(config.n_values)), config.eps_trunc)
+        fock = build_basis(model.d, m_max, capacity=config.capacity)
+    rows = []
+    for n in config.n_values:
+        if kind == "product":
+            basis = build_basis(model.d, n, capacity=config.capacity)
+            psi = embed_product_state(config.phi0, n, basis)
+            prop = StaticPropagator(build_sector_hamiltonian(model, n, capacity=config.capacity).matrix, budget)
+            sl = basis.sector_slice(n)
+            loss = 0.0
+        else:
+            psi = coherent_state(np.sqrt(n) * config.phi0, fock, config.eps_trunc)
+            prop = StaticPropagator(build_fock_hamiltonian(model, n, fock).matrix, budget)
+            loss = poisson_tail(float(n), m_max)
+        for t in config.t_samples:
+            if kind == "product":
+                amp = np.zeros(basis.size, dtype=complex)
+                amp[sl] = prop.apply(psi.amp[sl], t)
+                gamma = marginal_from_sector(FockVector(basis, amp))
+            else:
+                gamma = marginal_from_fock(prop.apply(psi, t))
+            flagged = kind == "coherent" and loss >= config.truncation_loss_tol
+            rows.append((n, t, trace_distance(gamma, targets[t]), hs_distance(gamma, targets[t]), loss, flagged))
     return rows
 
 

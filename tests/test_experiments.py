@@ -18,7 +18,7 @@ from focklab.experiments import (
 )
 from focklab.model import LatticeModel, Potential
 from focklab.weyl import displacement_floor, minimal_cutoff
-from oracles import fluctuation_probe_rows
+from oracles import fluctuation_probe_rows, rate_rows_from_zero
 
 
 def _config(**overrides):
@@ -94,6 +94,25 @@ def test_coherent_scan_reports_truncation_loss():
     assert all(r.trace_distance < 1e-8 for r in at0)
     assert all(0.0 <= r.truncation_loss < 1e-10 for r in rows)
     assert not any(r.flagged for r in rows)
+
+
+@pytest.mark.parametrize("kind, tol", [("product", 1e-12), ("coherent", 1e-9)])
+def test_rate_scans_match_per_sample_evolutions(kind, tol):
+    # each N walks once through the sorted sample times; the oracle evolves
+    # every sample from t = 0.  The coherent space (dimension 969) takes the
+    # Krylov route; eps_trunc admits its states up to N=4, whose Poisson tail
+    # at m_max=16 (1.1e-6) flags its rows.  The product sectors take the
+    # dense route
+    cfg = _config(t_samples=[0.4, 0.0, 0.2, 0.4], m_max=16, eps_trunc=1e-5)
+    scan = run_product_rate_scan if kind == "product" else run_coherent_rate_scan
+    rows = scan(cfg)
+    ref = rate_rows_from_zero(cfg, kind)
+    assert [(r.n, r.t) for r in rows] == [row[:2] for row in ref]
+    assert [(r.truncation_loss, r.flagged) for r in rows] == [row[4:] for row in ref]
+    assert any(r.flagged for r in rows) == (kind == "coherent")
+    for r, row in zip(rows, ref):
+        assert abs(r.trace_distance - row[2]) < tol
+        assert abs(r.hs_distance - row[3]) < tol
 
 
 def test_fluctuation_suite_records_failures_and_continues():

@@ -4,7 +4,7 @@ from scipy.linalg import eigh, expm
 from scipy.sparse import csr_matrix, diags, random as sparse_random
 
 import focklab as fl
-from focklab.propagate import PropagationBudget, StaticPropagator, evolve_timedep, expm_apply
+from focklab.propagate import PropagationBudget, StaticPropagator, evolve_timedep, expm_apply, through_times
 
 
 def _random_hermitian(dim, seed, density=0.1, scale=1.0):
@@ -24,7 +24,7 @@ def _random_vec(dim, seed):
 def test_zero_time_is_identity():
     h = _random_hermitian(50, 0)
     v = _random_vec(50, 1)
-    out = fl.evolve_static(h, v, 0.0)
+    out = StaticPropagator(h).apply(v, 0.0)
     assert np.array_equal(out, v)
 
 
@@ -34,7 +34,7 @@ def test_krylov_matches_dense_oracle():
     h = _random_hermitian(dim, 2, scale=3.0)
     v = _random_vec(dim, 3)
     budget = PropagationBudget(tol=1e-11, dense_cutoff=0)
-    out = fl.evolve_static(h, v, 1.3, budget)
+    out = StaticPropagator(h, budget).apply(v, 1.3)
     w, u = eigh(h.toarray())
     ref = u @ (np.exp(-1j * w * 1.3) * (u.conj().T @ v))
     assert np.linalg.norm(out - ref) < 1e-9
@@ -77,8 +77,8 @@ def test_dense_path_matches_krylov_path():
     dim = 120
     h = _random_hermitian(dim, 7, scale=2.0)
     v = _random_vec(dim, 8)
-    dense = fl.evolve_static(h, v, 0.7, PropagationBudget())
-    krylov = fl.evolve_static(h, v, 0.7, PropagationBudget(tol=1e-12, dense_cutoff=0))
+    dense = StaticPropagator(h, PropagationBudget()).apply(v, 0.7)
+    krylov = StaticPropagator(h, PropagationBudget(tol=1e-12, dense_cutoff=0)).apply(v, 0.7)
     assert np.linalg.norm(dense - krylov) < 1e-10
 
 
@@ -86,7 +86,7 @@ def test_unitarity_and_energy_conservation():
     dim = 700  # above the dense cutoff
     h = _random_hermitian(dim, 4, scale=5.0)
     v = _random_vec(dim, 5)
-    out = fl.evolve_static(h, v, 2.0, PropagationBudget(tol=1e-11))
+    out = StaticPropagator(h, PropagationBudget(tol=1e-11)).apply(v, 2.0)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10
     e0 = np.vdot(v, h @ v).real
     e1 = np.vdot(out, h @ out).real
@@ -107,9 +107,21 @@ def test_fockvector_roundtrip():
     model = fl.LatticeModel(2, fl.Potential.contact(2, 1.0))
     h = fl.build_fock_hamiltonian(model, 2, basis).matrix
     psi = fl.embed_product_state(np.array([0.6, 0.8]), 3, basis)
-    out = fl.evolve_static(h, psi, 0.5)
+    out = StaticPropagator(h).apply(psi, 0.5)
     assert isinstance(out, fl.FockVector)
     assert abs(out.norm() - 1.0) < 1e-12
+
+
+def test_through_times_walks_each_segment_once():
+    segments = []
+
+    def advance(state, s, t):
+        segments.append((s, t))
+        return state + [t]
+
+    walked = list(through_times(advance, [], [0.4, 0.0, 0.2, 0.4, 0.1]))
+    assert segments == [(0.0, 0.1), (0.1, 0.2), (0.2, 0.4)]
+    assert walked == [(0.0, []), (0.1, [0.1]), (0.2, [0.1, 0.2]), (0.4, [0.1, 0.2, 0.4])]
 
 
 def test_timedep_constant_generator_matches_static():
@@ -118,7 +130,7 @@ def test_timedep_constant_generator_matches_static():
     v = _random_vec(dim, 11)
     budget = PropagationBudget(tol=1e-11, dt=0.02)
     out = evolve_timedep(lambda t: h, v, 0.0, 1.1, budget)
-    ref = fl.evolve_static(h, v, 1.1, PropagationBudget(tol=1e-12, dense_cutoff=0))
+    ref = StaticPropagator(h, PropagationBudget(tol=1e-12, dense_cutoff=0)).apply(v, 1.1)
     assert np.linalg.norm(out - ref) < 1e-9
 
 

@@ -2,8 +2,8 @@
 
 The tracer wraps package functions by name, so a renamed hook raises
 TraceTargetMissing here rather than only when the benchmark runs.  The
-counts pin the shared work: each fluctuation segment evolved once, and two
-evolutions per remainder probe.
+counts pin the shared work: each fluctuation segment evolved once, two
+evolutions per remainder probe, and one static apply per rate-scan segment.
 """
 
 import importlib.util
@@ -22,8 +22,7 @@ def _tracer_module():
     return module
 
 
-def test_tracer_installs_and_counts_shared_evolutions(tmp_path):
-    n_values, samples, remainder_n = [2, 3], [0.0, 0.15, 0.3], [2]
+def _write_config(tmp_path, n_values, samples, remainder_n):
     cfg = {
         "model": {"d": 2, "potential": {"kind": "contact", "strength": 1.0}},
         "initial_phi": {"preset": "geometric", "ratio": 0.5},
@@ -33,17 +32,37 @@ def test_tracer_installs_and_counts_shared_evolutions(tmp_path):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def _traced(path, out, suites):
     tracer = _tracer_module().Tracer()
     try:
         tracer.install()  # raises TraceTargetMissing when a hooked name is gone
-        for suite in ("fluctuation-suite", "coeff-suite"):
-            assert main([suite, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        for suite in suites:
+            assert main([suite, "--config", str(path), "--out", str(out)]) == 0
     finally:
         tracer.uninstall()
-    m = tracer.summary()
+    return tracer.summary()
+
+
+def test_tracer_installs_and_counts_shared_evolutions(tmp_path):
+    n_values, samples, remainder_n = [2, 3], [0.0, 0.15, 0.3], [2]
+    path = _write_config(tmp_path, n_values, samples, remainder_n)
+    m = _traced(path, tmp_path / "out", ("fluctuation-suite", "coeff-suite"))
     segments = len(samples) - 1  # t=0 needs no evolution
     # full and reduced per N, limiting once, then the remainder probes
     expected = (2 * len(n_values) + 1) * segments + 2 * len(remainder_n)
     assert m["fluctuations.evolutions"] == expected
     assert m["fluctuations.evolutions_distinct"] == expected
     assert m["decomposition.remainder_evolutions"] == 2 * len(remainder_n)
+
+
+def test_tracer_names_rate_cells_and_counts_one_apply_per_segment(tmp_path):
+    n_values, samples = [2, 3], [0.0, 0.15, 0.3]
+    path = _write_config(tmp_path, n_values, samples, [2])
+    m = _traced(path, tmp_path / "out", ("product-scan", "coherent-scan"))
+    assert m["experiments.cell_s.product"] > 0
+    assert m["experiments.cell_s.coherent"] > 0
+    segments = len(samples) - 1  # t=0 needs no apply
+    assert m["propagate.static_applies"] == 2 * len(n_values) * segments
