@@ -44,8 +44,10 @@ def _sector_tuples(d: int, n: int) -> Iterator[tuple[int, ...]]:
 class OccupationBasis:
     """Occupation tuples (n_0, ..., n_{d-1}) with sum(n) <= m_max.
 
-    Holds the two-way index maps and caches the per-site annihilation
-    matrices, from which every composite operator in the package is built.
+    A tuple's position is a combinatorial rank (``indices_of``), so no
+    tuple -> index map is stored.  The per-site annihilation matrices, from
+    which every composite operator in the package is built, are built here
+    from that rank, so a basis is read-only once constructed.
     """
 
     def __init__(self, d: int, m_max: int, capacity: int = DEFAULT_CAPACITY):
@@ -70,11 +72,39 @@ class OccupationBasis:
         self.size = len(states)
         self.sector_offsets = np.array(offsets, dtype=np.int64)
         self.totals = self.states.sum(axis=1)
-        self.index = {tuple(s): i for i, s in enumerate(states)}
+        # _ranks[j, r]: the tuples of j sites with sum < r; all below size, so exact
+        self._ranks = np.array(
+            [[comb(r + j - 1, j) if r else 0 for r in range(m_max + 1)] for j in range(d + 1)],
+            dtype=np.int64,
+        )
         self._annihilators: dict[int, csr_matrix] = {}
+        for x in range(d):
+            src = np.nonzero(self.states[:, x] > 0)[0]
+            occ = self.states[src].copy()
+            occ[:, x] -= 1
+            vals = np.sqrt(self.states[src, x].astype(float))
+            self._annihilators[x] = csr_matrix(
+                (vals, (self.indices_of(occ), src)), shape=(self.size, self.size)
+            )
+
+    def indices_of(self, occ) -> np.ndarray:
+        """Basis positions of the occupation tuples in the rows of ``occ``.
+
+        Sectors come in order of the total, and among tuples that agree on
+        the sites before x a larger n_x comes first.  So the rank adds the
+        lower sectors and, for each site x, the tuples with a larger n_x:
+        those whose sites after x hold fewer particles than ``occ`` does.
+        """
+        occ = np.asarray(occ, dtype=np.int64)
+        if occ.ndim != 2 or occ.shape[1] != self.d:
+            raise ValueError(f"occupation tuples must have {self.d} entries")
+        tails = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]  # tails[:, x] = sum_{y >= x} n_y
+        if occ.size and (occ.min() < 0 or tails[:, 0].max() > self.m_max):
+            raise ValueError(f"occupation tuple outside the basis (entries >= 0, sum <= {self.m_max})")
+        return self._ranks[np.arange(self.d, 0, -1), tails].sum(axis=1)
 
     def index_of(self, occ) -> int:
-        return self.index[tuple(int(n) for n in occ)]
+        return int(self.indices_of([occ])[0])
 
     def state_of(self, i: int) -> tuple[int, ...]:
         return tuple(int(n) for n in self.states[i])
@@ -91,19 +121,6 @@ class OccupationBasis:
         """Sparse matrix of a_x: maps |n> to sqrt(n_x) |n - e_x>."""
         if not 0 <= x < self.d:
             raise ValueError(f"site {x} outside 0..{self.d - 1}")
-        if x not in self._annihilators:
-            src = np.nonzero(self.states[:, x] > 0)[0]
-            occ = self.states[src].copy()
-            occ[:, x] -= 1
-            rows = np.fromiter(
-                (self.index[tuple(t)] for t in map(tuple, occ)),
-                dtype=np.int64,
-                count=len(src),
-            )
-            vals = np.sqrt(self.states[src, x].astype(float))
-            self._annihilators[x] = csr_matrix(
-                (vals, (rows, src)), shape=(self.size, self.size)
-            )
         return self._annihilators[x]
 
     def creator(self, x: int) -> csr_matrix:

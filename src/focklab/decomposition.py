@@ -27,7 +27,7 @@ from .basis import FockVector, OccupationBasis
 from .errors import AliasingError
 from .fluctuations import FluctuationOperators, generator_family
 from .hartree import HartreeFlow
-from .model import LatticeModel, embed_product_state
+from .model import embed_product_state
 from .propagate import PropagationBudget, evolve_timedep
 from .weyl import coherent_state, weyl_apply
 
@@ -217,15 +217,14 @@ class RemainderProbeReport:
 
 
 def remainder_probe(
-    model: LatticeModel,
+    flow: HartreeFlow,
     n: int,
-    phi0: np.ndarray,
     t: float,
     basis: OccupationBasis,
     budget: PropagationBudget | None = None,
-    hartree_dt: float = 1e-3,
 ) -> RemainderProbeReport:
-    """The one-particle remainder of the product-state phase average:
+    """The one-particle remainder of the product-state phase average along
+    the Hartree flow ``flow`` (which carries the model and phi_0):
 
     f_N(x) = avg_theta < psi(theta), U^theta(0;t) a_x U^theta(t;0) vac >
 
@@ -239,10 +238,9 @@ def remainder_probe(
     if n > basis.m_max:
         raise ValueError("N exceeds the basis cutoff")
     budget = budget or PropagationBudget()
-    flow = HartreeFlow(phi0, model, hartree_dt)
-    gen = generator_family(FluctuationOperators(model, basis), "full", n, flow)
-    psi = displaced_product_profile(phi0, n, 0.0, basis, budget)
+    gen = generator_family(FluctuationOperators(flow.model, basis), "full", n, flow)
+    psi = displaced_product_profile(flow.at(0.0), n, 0.0, basis, budget)
     fwd_psi = evolve_timedep(gen, psi, 0.0, t, budget)
     fwd_vac = evolve_timedep(gen, FockVector.vacuum(basis), 0.0, t, budget)
-    f = np.array([np.vdot(fwd_psi.amp, basis.annihilator(x) @ fwd_vac.amp) for x in range(model.d)])
+    f = np.array([np.vdot(fwd_psi.amp, basis.annihilator(x) @ fwd_vac.amp) for x in range(basis.d)])
     return RemainderProbeReport(n, t, np.abs(f), float(np.sum(np.abs(f) ** 2)))

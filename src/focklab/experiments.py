@@ -182,18 +182,20 @@ def run_product_rate_scan(config: ExperimentConfig) -> list[RateScanRow]:
 
 def run_coherent_rate_scan(config: ExperimentConfig) -> list[RateScanRow]:
     """Evolve coherent states of amplitude sqrt(N) phi0 under the full
-    Hamiltonian and compare marginals with the Hartree projector."""
+    Hamiltonian and compare marginals with the Hartree projector.
+
+    An N's Poisson tail beyond the cutoff is its rows' truncation loss: the
+    scan builds the state whatever that tail is, reports it, and flags the
+    rows when it reaches ``tolerances.truncation_loss``."""
     model = config.model
     budget = PropagationBudget(tol=config.propagation_tol)
     m_max = _suite_m_max(config)
     basis = build_basis(model.d, m_max, capacity=config.capacity)
-    for x in range(model.d):
-        basis.annihilator(x)  # warm the shared ladder cache before the pool
 
     def start(n):
-        psi = coherent_state(np.sqrt(n) * config.phi0, basis, config.eps_trunc)
-        prop = StaticPropagator(build_fock_hamiltonian(model, n, basis).matrix, budget)
         loss = poisson_tail(float(n), m_max)
+        psi = coherent_state(np.sqrt(n) * config.phi0, basis, eps_trunc=1.0)  # any tail: the rows report and flag it
+        prop = StaticPropagator(build_fock_hamiltonian(model, n, basis).matrix, budget)
         return psi, prop, marginal_from_fock, loss, loss >= config.truncation_loss_tol
 
     return _rate_scan(config, start)
@@ -221,15 +223,17 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     limiting-dynamics gap, across the configured N scan.
 
     Each (kind, N) trajectory is evolved once from the vacuum through the
-    sample times: full and reduced once per N, limiting once per run.  The
-    limiting state at t_end is taken before the cell pool; the moments, gaps,
-    parity and limiting gaps are reductions over those states.  A failed cell
-    flags every probe it serves, and the suite continues."""
+    sample times: full and reduced once per N, limiting once per run, all
+    along one shared Hartree flow.  The limiting state at t_end is taken
+    before the cell pool; the moments, gaps, parity and limiting gaps are
+    reductions over those states.  A failed cell flags every probe it
+    serves, and the suite continues."""
     model = config.model
     m_max = _suite_m_max(config)
     budget = PropagationBudget(tol=config.propagation_tol, dt=config.fluctuation_dt)
     basis = build_basis(model.d, m_max, capacity=config.capacity)
     ops = FluctuationOperators(model, basis)
+    flow = HartreeFlow(config.phi0, model, config.hartree_dt)
     repeats = Counter(float(t) for t in config.t_samples)
     t_end = max(repeats)
     tables = {"moments": [], "gaps": [], "parity": [], "conjugation": [], "limiting": []}
@@ -238,7 +242,6 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     # the limiting trajectory does not depend on N: evolve it once, before the pool
     u_lim = None
     try:
-        flow = HartreeFlow(config.phi0, model, config.hartree_dt)
         for _, u_lim in fluctuation_trajectory(ops, "limiting", 1, flow, repeats, budget):
             pass  # only the state at t_end is kept
     except FockLabError as exc:
@@ -257,7 +260,6 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
         return run
 
     def trajectory_cell(n):
-        flow = HartreeFlow(config.phi0, model, config.hartree_dt)
         full = fluctuation_trajectory(ops, "full", n, flow, repeats, budget)
         reduced = fluctuation_trajectory(ops, "reduced", n, flow, repeats, budget)
         moments, gaps = [], []
@@ -274,9 +276,8 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
         # displaces to amplitude sqrt(N), so this cell sizes its own basis
         m_conj = minimal_cutoff(float(n), config.eps_trunc)
         res = conjugation_identity_residual(
-            model, n, config.phi0, t_end,
+            flow, n, t_end,
             PropagationBudget(tol=config.propagation_tol),
-            hartree_dt=config.hartree_dt,
             basis=build_basis(model.d, m_conj, capacity=config.capacity),
         )
         return {"conjugation": [("conjugation", n, "", t_end, res, displacement_floor(n, m_conj))]}
@@ -322,13 +323,12 @@ def run_coefficient_suite(config: ExperimentConfig) -> SuiteResult:
 
     budget = PropagationBudget(tol=config.propagation_tol, dt=config.fluctuation_dt)
     t_rem = max(config.t_samples)
+    flow = HartreeFlow(config.phi0, model, config.hartree_dt)
     for n in config.remainder_n_values:
         try:
             m_fn = minimal_cutoff(float(n), config.eps_trunc)
             rem_basis = build_basis(model.d, m_fn, capacity=config.capacity)
-            rep = remainder_probe(
-                model, n, config.phi0, t_rem, rem_basis, budget, hartree_dt=config.hartree_dt
-            )
+            rep = remainder_probe(flow, n, t_rem, rem_basis, budget)
             for x, val in enumerate(rep.site_abs):
                 tables["remainder"].append((n, t_rem, x, float(val), rep.total_square))
         except FockLabError as exc:

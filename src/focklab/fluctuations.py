@@ -268,22 +268,21 @@ def _state_at(ops, kind, n, flow, t, budget) -> FockVector:
 
 
 def conjugation_identity_residual(
-    model: LatticeModel,
+    flow: HartreeFlow,
     n: int,
-    phi0: np.ndarray,
     t: float,
     budget: PropagationBudget | None = None,
     m_max: int | None = None,
-    hartree_dt: float = 1e-3,
     basis: OccupationBasis | None = None,
 ) -> float:
     """Residual of the conjugation identity behind the fluctuation dynamics.
 
-    With f_s = sqrt(N) phi_s and U(t;0) = W*(f_t) e^{-iHt} W(f_0), the
-    identity compares U*(t;0) (a_x - f_t(x)) applied to e^{-iHt} W(f_0) vac
-    with U*(t;0) routed factor by factor through a_x.  Both sides end in the
-    same left factor W(-f_0) e^{iHt}, which is unitary, so it is dropped:
-    with psi2 = e^{-iHt} W(f_0) vac this returns
+    The model and phi_s come from ``flow``.  With f_s = sqrt(N) phi_s and
+    U(t;0) = W*(f_t) e^{-iHt} W(f_0), the identity compares U*(t;0)
+    (a_x - f_t(x)) applied to e^{-iHt} W(f_0) vac with U*(t;0) routed
+    factor by factor through a_x.  Both sides end in the same left factor
+    W(-f_0) e^{iHt}, which is unitary, so it is dropped: with
+    psi2 = e^{-iHt} W(f_0) vac this returns
 
         max_x || (a_x - f_t(x)) psi2 - W(f_t) a_x W(-f_t) psi2 ||.
 
@@ -304,12 +303,11 @@ def conjugation_identity_residual(
     """
     if basis is None and m_max is None:
         raise ValueError("pass m_max or basis: the cutoff sets the residual's floor")
+    model = flow.model
     basis = basis or build_basis(model.d, m_max)
     budget = budget or PropagationBudget()
-    flow = HartreeFlow(phi0, model, hartree_dt)
-    phi_t = flow.at(t)
-    f0 = np.sqrt(n) * np.asarray(phi0, dtype=complex)
-    ft = np.sqrt(n) * phi_t
+    f0 = np.sqrt(n) * flow.at(0.0)
+    ft = np.sqrt(n) * flow.at(t)
     prop = StaticPropagator(build_fock_hamiltonian(model, n, basis).matrix, budget)
     psi2 = prop.apply(weyl_apply(f0, FockVector.vacuum(basis), budget), t)
     # second side inner displacement, shared across sites

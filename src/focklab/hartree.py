@@ -7,9 +7,9 @@ The mean-field term is computed directly (O(d^2)); d is small throughout.
 
 from __future__ import annotations
 
-import bisect
+import threading
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, floor
 
 import numpy as np
 
@@ -65,6 +65,12 @@ def _rk4_step(phi: np.ndarray, h: float, model: LatticeModel) -> np.ndarray:
     return phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _check_mass(phi: np.ndarray):
+    drift = abs(np.linalg.norm(phi) - 1.0)
+    if not drift <= MASS_BLOWUP:  # also catches NaN from a diverged step
+        raise BlowUpError(f"mass drift {drift:.2e} exceeds {MASS_BLOWUP:.0e}")
+
+
 def _integrate(phi: np.ndarray, t_span: float, dt: float, model: LatticeModel) -> np.ndarray:
     """Advance by t_span (either sign) in equal RK4 steps of size <= dt."""
     if t_span == 0.0:
@@ -75,18 +81,19 @@ def _integrate(phi: np.ndarray, t_span: float, dt: float, model: LatticeModel) -
     with np.errstate(invalid="ignore", over="ignore"):  # divergence is caught below
         for _ in range(n_steps):
             out = _rk4_step(out, h, model)
-    drift = abs(np.linalg.norm(out) - 1.0)
-    if not drift <= MASS_BLOWUP:  # also catches NaN from a diverged step
-        raise BlowUpError(f"mass drift {drift:.2e} exceeds {MASS_BLOWUP:.0e}")
+    _check_mass(out)
     return out
 
 
 class HartreeFlow:
-    """Checkpointed Hartree flow supplying phi_t at arbitrary times.
+    """The Hartree flow phi_t as a pure function of t.
 
-    Intermediate times are always reached by re-integrating from the nearest
-    checkpoint with substeps no larger than dt, never by interpolation, so
-    every consumer sees a single accuracy budget.
+    RK4 runs at the fixed step dt on the grid k dt, extended outward from 0
+    on demand in either direction; an off-grid t is reached by one partial
+    step from the grid point floor(t/dt).  phi_t therefore does not depend
+    on which times were asked for before, so one flow can be shared by
+    every consumer (and every thread) of a suite.  Intermediate times are
+    never interpolated, so every consumer sees a single accuracy budget.
     """
 
     def __init__(self, phi0: np.ndarray, model: LatticeModel, dt: float = 1e-3):
@@ -97,24 +104,26 @@ class HartreeFlow:
             raise ValueError("dt must be positive")
         self.model = model
         self.dt = dt
-        self._times = [0.0]
-        self._points = {0.0: phi0.copy()}
+        # phi at +k dt and at -k dt for k = 0, 1, ...; both lists only grow
+        self._forward = [phi0.copy()]
+        self._backward = [phi0.copy()]
+        self._lock = threading.Lock()
+
+    def _node(self, k: int) -> np.ndarray:
+        nodes, i, h = (self._forward, k, self.dt) if k >= 0 else (self._backward, -k, -self.dt)
+        if i >= len(nodes):
+            with self._lock, np.errstate(invalid="ignore", over="ignore"):
+                while len(nodes) <= i:
+                    phi = _rk4_step(nodes[-1], h, self.model)
+                    _check_mass(phi)
+                    nodes.append(phi)
+        return nodes[i]
 
     def at(self, t: float) -> np.ndarray:
+        """phi_t, as a fresh array the caller may modify."""
         t = float(t)
-        if t in self._points:
-            return self._points[t]
-        pos = bisect.bisect_left(self._times, t)
-        candidates = []
-        if pos > 0:
-            candidates.append(self._times[pos - 1])
-        if pos < len(self._times):
-            candidates.append(self._times[pos])
-        t0 = min(candidates, key=lambda c: abs(t - c))
-        phi = _integrate(self._points[t0], t - t0, self.dt, self.model)
-        bisect.insort(self._times, t)
-        self._points[t] = phi
-        return phi
+        k = floor(t / self.dt)
+        return _integrate(self._node(k), t - k * self.dt, self.dt, self.model)
 
 
 def evolve_hartree(

@@ -66,14 +66,12 @@ def marginal_from_sector(psi: FockVector) -> DensityMatrix:
     if n == 0:
         raise ValueError("the vacuum has no one-particle marginal")
     basis = psi.basis
-    d = basis.d
     lower = basis.sector_states(n - 1)
-    w = np.zeros((len(lower), d), dtype=complex)
-    for i, m in enumerate(lower):
-        for x in range(d):
-            occ = m.copy()
-            occ[x] += 1
-            w[i, x] = np.sqrt(m[x] + 1.0) * psi.amp[basis.index[tuple(occ)]]
+    w = np.empty((len(lower), basis.d), dtype=complex)
+    for x in range(basis.d):
+        occ = lower.copy()
+        occ[:, x] += 1
+        w[:, x] = np.sqrt(lower[:, x] + 1.0) * psi.amp[basis.indices_of(occ)]
     gamma = (w.T @ w.conj()) / n
     return DensityMatrix(gamma)
 

@@ -26,13 +26,13 @@ from .basis import FockVector
 from .errors import ConvergenceError
 
 _BREAKDOWN = 1e-13
+KRYLOV_DIM = 40  # Krylov subspace cap per substep
 
 
 @dataclass
 class PropagationBudget:
     tol: float = 1e-10        # target error for a whole evolve call
     dt: float = 0.01          # step size for time-dependent generators
-    krylov_dim: int = 40      # Krylov subspace cap per substep
     dense_cutoff: int = 600   # below this dimension, diagonalize instead
 
     def __post_init__(self):
@@ -109,7 +109,7 @@ def _lanczos_step(matvec, v, t, tol, m_cap, depth=0):
 def expm_apply(h_sparse, v: np.ndarray, t: float, budget: PropagationBudget) -> np.ndarray:
     """exp(-i h_sparse t) v for Hermitian h_sparse, Krylov route."""
     matvec = h_sparse.dot
-    return _lanczos_step(matvec, np.asarray(v, dtype=complex), t, budget.tol, budget.krylov_dim)
+    return _lanczos_step(matvec, np.asarray(v, dtype=complex), t, budget.tol, KRYLOV_DIM)
 
 
 class StaticPropagator:
@@ -159,7 +159,7 @@ def evolve_timedep(
     for k in range(n_steps):
         tm = t0 + (k + 0.5) * h
         g = gen(tm)
-        amp = _lanczos_step(g.dot, amp, h, tol_local, budget.krylov_dim)
+        amp = _lanczos_step(g.dot, amp, h, tol_local, KRYLOV_DIM)
     return _wrap(amp, basis)
 
 

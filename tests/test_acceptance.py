@@ -239,7 +239,7 @@ def test_criterion_6_conjugation_identity():
     assert floor < 1e-8, f"criterion 6: truncation floor {floor:.3e} at m_max={m_max} is not below 1e-2 x 1e-6"
     model = _contact_model(3, 1.0)
     residual = conjugation_identity_residual(
-        model, 4, _geometric(3), 0.5, PropagationBudget(tol=1e-11), m_max=m_max
+        HartreeFlow(_geometric(3), model), 4, 0.5, PropagationBudget(tol=1e-11), m_max=m_max
     )
     elapsed = time.monotonic() - start
     ok = residual < 1e-6 and elapsed < 300.0
@@ -377,15 +377,15 @@ def test_criterion_11_remainder_boundedness():
     budget = PropagationBudget(tol=1e-9, dt=0.01)
 
     zero_basis = fl.build_basis(3, 12)
-    at_t0 = remainder_probe(model, 2, phi0, 0.0, zero_basis, budget).total_square
+    at_t0 = remainder_probe(HartreeFlow(phi0, model), 2, 0.0, zero_basis, budget).total_square
     free = fl.LatticeModel(3, Potential.zero(3))
-    at_free = remainder_probe(free, 2, phi0, 0.5, zero_basis, budget).total_square
+    at_free = remainder_probe(HartreeFlow(phi0, free), 2, 0.5, zero_basis, budget).total_square
 
     totals = {}
     for n in (2, 4):
         m = minimal_cutoff(float(n), 1e-10)
         basis = fl.build_basis(3, m)
-        totals[n] = remainder_probe(model, n, phi0, 0.5, basis, budget).total_square
+        totals[n] = remainder_probe(HartreeFlow(phi0, model), n, 0.5, basis, budget).total_square
     ratio = max(totals.values()) / min(totals.values())
 
     ok = at_t0 < 1e-10 and at_free < 1e-10 and ratio <= 3.0

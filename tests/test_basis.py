@@ -44,6 +44,19 @@ def test_index_maps_invertible():
         assert b.index_of(b.state_of(i)) == i
 
 
+@pytest.mark.parametrize("d, m_max", [(2, 9), (3, 8), (4, 6), (5, 5), (6, 4), (50, 2)])
+def test_rank_reproduces_enumeration_order(d, m_max):
+    b = fl.build_basis(d, m_max)
+    assert np.array_equal(b.indices_of(b.states), np.arange(b.size))
+
+
+@pytest.mark.parametrize("occ", [(1, 0), (1, 0, 0, 0), (2, -1, 0), (3, 1, 1), (6, 0, 0)])
+def test_index_of_rejects_tuples_outside_the_basis(occ):
+    b = fl.build_basis(3, 4)
+    with pytest.raises(ValueError):
+        b.index_of(occ)
+
+
 def test_capacity_error():
     with pytest.raises(fl.CapacityError):
         fl.build_basis(6, 30, capacity=1000)

@@ -20,6 +20,7 @@ from focklab.decomposition import (
     coeff_binomial_form,
     reconstruct_product,
 )
+from focklab.hartree import HartreeFlow
 from focklab.model import Potential
 from focklab.propagate import PropagationBudget
 from oracles import remainder_phase_average
@@ -142,9 +143,9 @@ def test_remainder_probe_zero_cases():
     phi /= np.linalg.norm(phi)
     basis = fl.build_basis(d, 12)
     budget = PropagationBudget(tol=1e-9, dt=0.01)
-    assert remainder_probe(model, 2, phi, 0.0, basis, budget).total_square < 1e-10
+    assert remainder_probe(HartreeFlow(phi, model), 2, 0.0, basis, budget).total_square < 1e-10
     free = fl.LatticeModel(d, Potential.zero(d))
-    assert remainder_probe(free, 2, phi, 0.4, basis, budget).total_square < 1e-10
+    assert remainder_probe(HartreeFlow(phi, free), 2, 0.4, basis, budget).total_square < 1e-10
 
 
 def test_remainder_probe_equals_phase_average():
@@ -157,7 +158,7 @@ def test_remainder_probe_equals_phase_average():
     phi /= np.linalg.norm(phi)
     basis = fl.build_basis(d, 12)
     budget = PropagationBudget(tol=1e-10, dt=0.02)
-    rep = remainder_probe(model, n, phi, 0.4, basis, budget)
+    rep = remainder_probe(HartreeFlow(phi, model), n, 0.4, basis, budget)
     ref = remainder_phase_average(model, n, phi, 0.4, basis.m_max + 1, basis, budget)
     assert rep.total_square > 1e-4
     assert np.max(np.abs(rep.site_abs - np.abs(ref))) < 1e-12
@@ -169,7 +170,7 @@ def test_remainder_probe_guards():
     basis = fl.build_basis(3, 8)
     phi = np.array([1.0, 0.0, 0.0], complex)
     with pytest.raises(ValueError):
-        remainder_probe(model, 20, phi, 0.1, basis)
+        remainder_probe(HartreeFlow(phi, model), 20, 0.1, basis)
 
 
 def test_invalid_arguments():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focklab as fl
+from focklab.cli import main
 from focklab.config import ExperimentConfig, config_from_dict, load_config
 from focklab.experiments import (
     RateScanRow,
@@ -17,7 +18,7 @@ from focklab.experiments import (
     write_csv,
 )
 from focklab.model import LatticeModel, Potential
-from focklab.weyl import displacement_floor, minimal_cutoff
+from focklab.weyl import displacement_floor, minimal_cutoff, poisson_tail
 from oracles import fluctuation_probe_rows, rate_rows_from_zero
 
 
@@ -94,6 +95,30 @@ def test_coherent_scan_reports_truncation_loss():
     assert all(r.trace_distance < 1e-8 for r in at0)
     assert all(0.0 <= r.truncation_loss < 1e-10 for r in rows)
     assert not any(r.flagged for r in rows)
+
+
+def test_coherent_scan_flags_instead_of_aborting(tmp_path):
+    # with an integer cutoff every N's state is built and the rows whose
+    # Poisson tail reaches tolerances.truncation_loss (1e-6) are flagged: at
+    # m_max=16 the tails are 5.6e-11, 2.2e-8 and 1.13e-6 for N=2, 3, 4, the
+    # last two beyond eps_trunc (1e-10)
+    rows = run_coherent_rate_scan(_config(m_max=16))
+    assert [(r.n, r.t) for r in rows] == [(n, t) for n in (2, 3, 4) for t in (0.0, 0.3)]
+    for r in rows:
+        assert r.truncation_loss == poisson_tail(float(r.n), 16)
+        assert r.flagged == (r.n == 4)
+    cfg = {
+        "model": {"d": 3, "potential": {"kind": "contact", "strength": 1.0}},
+        "initial_phi": {"preset": "geometric", "ratio": 0.6},
+        "time": {"t_max": 0.3, "samples": [0.0, 0.3]},
+        "scan": {"n_values": [2, 3, 4]},
+        "fock": {"m_max": 16},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["coherent-scan", "--config", str(path), "--out", str(out)]) == 3
+    assert len((out / "coherent_rate.csv").read_text().splitlines()) == 1 + 6
 
 
 @pytest.mark.parametrize("kind, tol", [("product", 1e-12), ("coherent", 1e-9)])

@@ -238,7 +238,7 @@ def test_conjugation_residual_decays_with_cutoff():
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     phi = _phi(3)
     budget = PropagationBudget(tol=1e-11)
-    res = [conjugation_identity_residual(model, 4, phi, 0.5, budget, m_max=m) for m in (14, 18, 22)]
+    res = [conjugation_identity_residual(HartreeFlow(phi, model), 4, 0.5, budget, m_max=m) for m in (14, 18, 22)]
     assert res[0] > res[1] > res[2]
     assert res[1] < 5e-3
     assert res[2] < 5e-4
@@ -251,7 +251,7 @@ def test_conjugation_residual_matches_full_route(n, m_max, t):
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     phi = _phi(3)
     budget = PropagationBudget(tol=1e-10)
-    got = conjugation_identity_residual(model, n, phi, t, budget, m_max=m_max)
+    got = conjugation_identity_residual(HartreeFlow(phi, model), n, t, budget, m_max=m_max)
     ref = conjugation_residual_full_route(model, n, phi, t, budget, m_max)
     assert abs(got - ref) <= 2 * budget.tol
 
@@ -260,7 +260,7 @@ def test_conjugation_residual_needs_a_cutoff():
     # the cutoff sets the residual's floor, so there is no default
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     with pytest.raises(ValueError, match="m_max or basis"):
-        conjugation_identity_residual(model, 4, _phi(3), 0.5)
+        conjugation_identity_residual(HartreeFlow(_phi(3), model), 4, 0.5)
 
 
 def test_conjugation_residual_truncation_floor_at_t0():
@@ -268,7 +268,7 @@ def test_conjugation_residual_truncation_floor_at_t0():
     # conjugation error, which shrinks with the cutoff
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     phi = _phi(3)
-    small = conjugation_identity_residual(model, 2, phi, 0.0, m_max=20)
+    small = conjugation_identity_residual(HartreeFlow(phi, model), 2, 0.0, m_max=20)
     assert small < 1e-6
 
 
@@ -277,7 +277,7 @@ def test_conjugation_residual_free_case():
     # small t is again the cutoff floor of the displaced states
     free = fl.LatticeModel(3, Potential.zero(3))
     phi = _phi(3)
-    res = conjugation_identity_residual(free, 2, phi, 0.2, m_max=20)
+    res = conjugation_identity_residual(HartreeFlow(phi, free), 2, 0.2, m_max=20)
     assert res < 1e-6
 
 

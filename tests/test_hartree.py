@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,44 @@ def test_reversibility():
     fwd = flow.at(1.0)
     back = HartreeFlow(fwd / np.linalg.norm(fwd), model, dt=1e-3).at(-1.0)
     assert np.linalg.norm(back - phi) < 1e-8
+
+
+def test_flow_is_a_pure_function_of_time():
+    # phi_t does not depend on which times the flow was asked for before,
+    # and each call returns a fresh array, so one flow can be shared
+    model = _model(4, "contact", 1.1)
+    phi = _bump(4, 11)
+    flow = HartreeFlow(phi, model, dt=1e-3)
+    flow.at(0.5)
+    for t in (0.3, -0.2, 0.30025):
+        assert np.array_equal(flow.at(t), HartreeFlow(phi, model, dt=1e-3).at(t))
+    got = flow.at(0.3)
+    got[:] = 0.0
+    assert np.array_equal(flow.at(0.3), HartreeFlow(phi, model, dt=1e-3).at(0.3))
+    assert np.array_equal(flow.at(0.0), phi)
+
+
+def test_shared_flow_under_threads():
+    model = _model(4, "contact", 1.1)
+    phi = _bump(4, 12)
+    times = [[0.41, -0.13, 0.9, 0.0505], [0.9005, 0.07, -0.3, 0.41]]
+    serial = HartreeFlow(phi, model, dt=1e-3)
+    expected = [[serial.at(t) for t in ts] for ts in times]
+    shared = HartreeFlow(phi, model, dt=1e-3)
+    got = [None, None]
+    start = threading.Barrier(2)
+
+    def query(i):
+        start.wait()
+        got[i] = [shared.at(t) for t in times[i]]
+
+    threads = [threading.Thread(target=query, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    for g, e in zip(got, expected):
+        assert all(np.array_equal(a, b) for a, b in zip(g, e))
 
 
 def test_energy_h1_two_sided_control():

@@ -56,6 +56,9 @@ def test_tracer_installs_and_counts_shared_evolutions(tmp_path):
     assert m["fluctuations.evolutions"] == expected
     assert m["fluctuations.evolutions_distinct"] == expected
     assert m["decomposition.remainder_evolutions"] == 2 * len(remainder_n)
+    # one Hartree flow per suite, and every ladder built with its basis
+    assert m["hartree.flows"] == 2
+    assert m["basis.ladder_builds"] == 0
 
 
 def test_tracer_names_rate_cells_and_counts_one_apply_per_segment(tmp_path):
