@@ -57,6 +57,13 @@ class ExperimentConfig:
                 raise ConfigError("fock.m_max must be an integer or 'auto'")
         elif any(n > self.m_max for n in self.n_values):
             raise ConfigError("every scanned N must be <= fock.m_max")
+        for key, value in (
+            ("fock.eps_trunc", self.eps_trunc),
+            ("tolerances.truncation_loss", self.truncation_loss_tol),
+            ("tolerances.propagation", self.propagation_tol),
+        ):
+            if not value > 0:
+                raise ConfigError(f"{key} must be positive, got {value}")
         if self.threads < 1:
             raise ConfigError("parallelism.threads must be >= 1")
 

@@ -16,13 +16,13 @@ The probes below certify algebraic identities (Weyl conjugation of the
 Heisenberg-evolved ladder operator), growth of the number of particles,
 and the gaps between the dynamics, all from the vacuum.  The vacuum probes
 are reductions over ``fluctuation_trajectory``, which evolves one (kind, N)
-pair once through the sample times.
+pair once through the sample times, on the leading sectors it occupies.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix, diags, identity
+from scipy.sparse import csr_matrix, diags, identity
 
 from .basis import FockVector, OccupationBasis, annihilate, build_basis, number_moment
 from .errors import TruncationError
@@ -34,15 +34,19 @@ from .weyl import coherent_state, minimal_cutoff, weyl_apply
 
 GENERATOR_KINDS = ("full", "reduced", "truncated", "limiting")
 TOP_SECTOR_LIMIT = 1e-6
+WINDOW_STEP = 4  # a trajectory's first window top, and the sectors each growth adds
 
 
 class _Layout:
     """One CSR sparsity pattern holding a fixed list of terms.
 
-    ``term_map`` is the (pattern nnz x terms) sparse matrix of the terms'
-    values at their pattern positions, so ``term_map @ c`` is the data of
-    sum_k c_k T_k; ``diagonal`` indexes the diagonal, which is always in
-    the pattern.
+    ``term_map`` is the (pattern nnz x terms) CSR matrix of the terms' values
+    at their pattern positions, so ``term_map @ c`` is the data of
+    sum_k c_k T_k.  Its rows are the pattern's entries in order, so the
+    pattern's first r rows are filled by the first ``indptr[r]`` rows of
+    ``term_map``, and both are read through views.  ``diagonal`` indexes
+    the diagonal, which is always in the pattern; ``span[r - 1]`` is one
+    past the largest column in the first r rows.
     """
 
     def __init__(self, terms, dim: int):
@@ -51,26 +55,74 @@ class _Layout:
             pattern = pattern + abs(term)
         pattern.sum_duplicates()  # canonical, so the entry keys are sorted
         keys = _entry_keys(pattern.tocoo())
-        values, positions = [], []
-        for term in terms:
-            coo = term.tocoo()
-            stored = coo.data != 0  # the pattern sum drops explicit zeros
-            values.append(coo.data[stored].astype(complex))
-            positions.append(np.searchsorted(keys, _entry_keys(coo)[stored]).astype(np.int32))
         self.indices = pattern.indices
         self.indptr = pattern.indptr
         self.shape = (dim, dim)
         self.diagonal = np.searchsorted(keys, np.arange(dim, dtype=np.int64) * (dim + 1))
-        self.term_map = csc_matrix(
-            (np.concatenate(values), np.concatenate(positions), np.cumsum([0] + [len(v) for v in values])),
-            shape=(pattern.nnz, len(terms)),
-        )
+        self.span = np.maximum.accumulate(pattern.indices[pattern.indptr[1:] - 1]) + 1
+        # a counting sort by position lays the map out in CSR, each entry's
+        # terms in ascending order; placing every term twice (count, then
+        # fill) holds no copy of the values besides the map itself
+        rows = np.zeros(pattern.nnz + 1, dtype=np.int32)
+        for term in terms:
+            rows[_placed(term, keys)[1] + 1] += 1  # a term holds each position once
+        rows = np.cumsum(rows, dtype=np.int32)
+        free = rows[:-1].copy()
+        data = np.empty(rows[-1], dtype=complex)
+        cols = np.empty(rows[-1], dtype=np.int32)
+        for k, term in enumerate(terms):
+            values, positions = _placed(term, keys)
+            slots = free[positions]
+            data[slots] = values
+            cols[slots] = k
+            free[positions] += 1
+        self.term_map = csr_matrix((data, cols, rows), shape=(pattern.nnz, len(terms)))
 
     def fill(self, coefficients: np.ndarray, diagonal: np.ndarray) -> csr_matrix:
-        """sum_k coefficients[k] T_k + diag(diagonal) on the pattern."""
-        data = self.term_map @ coefficients
-        data[self.diagonal] += diagonal
-        return csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        """sum_k coefficients[k] T_k + diag(diagonal) on the pattern's first
+        len(diagonal) rows, as a (rows x span) CSR matrix."""
+        rows = len(diagonal)
+        end = int(self.indptr[rows])
+        term_map = self.term_map
+        if rows < self.shape[0]:
+            cut = term_map.indptr[end]
+            term_map = csr_matrix(
+                (term_map.data[:cut], term_map.indices[:cut], term_map.indptr[: end + 1]),
+                shape=(end, term_map.shape[1]),
+            )
+        data = term_map @ coefficients
+        data[self.diagonal[:rows]] += diagonal
+        return csr_matrix(
+            (data, self.indices[:end], self.indptr[: rows + 1]), shape=(rows, int(self.span[rows - 1]))
+        )
+
+
+class _LeadingBlock:
+    """The leading (dim x dim) block of a matrix, held as the matrix's first
+    dim rows (``rows``, a dim x span CSR matrix).  A product pads its input
+    with zeros up to the span, so the entries right of the block act on
+    zeros and the product costs the block's rows only."""
+
+    def __init__(self, rows: csr_matrix):
+        self.rows = rows
+        self.shape = (rows.shape[0], rows.shape[0])
+        # the CSR arrays of the rows, which every product reads
+        self.nnz, self.data, self.indices = rows.nnz, rows.data, rows.indices
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        padded = np.zeros(self.rows.shape[1], dtype=complex)
+        padded[: self.shape[0]] = v
+        return self.rows @ padded
+
+
+def _placed(term, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A term's stored values and their positions among the sorted entry keys
+    of a pattern that holds it.  Sums and products of ladder matrices store
+    each entry once; the pattern sum drops explicit zeros, so they are
+    skipped."""
+    coo = term.tocoo()
+    stored = coo.data != 0
+    return coo.data[stored], np.searchsorted(keys, _entry_keys(coo)[stored])
 
 
 def _entry_keys(coo) -> np.ndarray:
@@ -133,13 +185,14 @@ class FluctuationOperators:
         pair = 0.5 * self._v * phi[self._x] * phi[self._y]
         return np.concatenate([[1.0], exchange, pair, np.conj(pair)])
 
-    def _fill(self, kind: str, n: int, phi: np.ndarray) -> csr_matrix:
+    def _fill(self, kind: str, n: int, phi: np.ndarray, rows: int) -> csr_matrix:
+        """The generator's first ``rows`` rows (see ``_Layout.fill``)."""
         phi = np.asarray(phi, dtype=complex)
-        diagonal = self.occupation @ (self.model.vmat @ (np.abs(phi) ** 2))
+        diagonal = self.occupation[:rows] @ (self.model.vmat @ (np.abs(phi) ** 2))
         coefficients = self._quadratic_coefficients(phi)
         if kind == "limiting":
             return self._reduced.fill(coefficients, diagonal)
-        diagonal = diagonal + self.quartic_diag / n
+        diagonal = diagonal + self.quartic_diag[:rows] / n
         if kind == "reduced":
             return self._reduced.fill(coefficients, diagonal)
         cubic = self._v * phi[self._y] / np.sqrt(n)
@@ -163,18 +216,30 @@ class FluctuationOperators:
         return (0.5 * scale * (inserted + inserted.conj().T)).tocsr()
 
     def assemble(
-        self, kind: str, n: int, phi: np.ndarray, cutoff: int | None = None
-    ) -> csr_matrix:
-        """The generator of the requested kind at Hartree orbital phi."""
+        self, kind: str, n: int, phi: np.ndarray, cutoff: int | None = None, top: int | None = None
+    ):
+        """The generator of the requested kind at Hartree orbital phi.
+
+        With ``top`` below the basis cutoff, the generator on the sectors
+        [0, top] only: the leading block of the whole generator, which is
+        the generator on the basis cut at ``top`` (see ``SectorWindow``).
+        The ``full``, ``reduced`` and ``limiting`` kinds fill only the
+        block's rows and return a ``_LeadingBlock``; ``truncated`` is cut
+        from its whole matrix."""
         if kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {kind!r}")
         if kind != "limiting" and n < 1:
             raise ValueError("N must be >= 1")
+        rows = self.basis.size
+        if top is not None and top < self.basis.m_max:
+            rows = int(self.basis.sector_offsets[top + 1])
         if kind != "truncated":
-            return self._fill(kind, n, phi)
+            gen = self._fill(kind, n, phi, rows)
+            return gen if rows == self.basis.size else _LeadingBlock(gen)
         if cutoff is None:
             raise ValueError("truncated kind requires a cutoff M")
-        return self._fill("reduced", n, phi) + self.cubic(phi, n, cutoff=cutoff)
+        gen = self._fill("reduced", n, phi, self.basis.size) + self.cubic(phi, n, cutoff=cutoff)
+        return gen if rows == self.basis.size else gen[:rows, :rows]
 
 
 def generator_family(
@@ -184,16 +249,61 @@ def generator_family(
     flow: HartreeFlow,
     cutoff: int | None = None,
     phase: float = 0.0,
+    window: "SectorWindow | None" = None,
 ):
-    """t -> generator matrix, with phi_t optionally gauge-rotated by e^{i phase}."""
+    """t -> generator matrix, with phi_t optionally gauge-rotated by e^{i phase},
+    on the sectors of ``window`` as they are when it is called."""
 
     def gen(t: float):
         phi = flow.at(t)
         if phase != 0.0:
             phi = phase_rotate(phi, phase)
-        return ops.assemble(kind, n, phi, cutoff=cutoff)
+        return ops.assemble(kind, n, phi, cutoff=cutoff, top=None if window is None else window.top)
 
     return gen
+
+
+class SectorWindow:
+    """The leading sectors [0, top] of ``basis`` a trajectory is evolved on.
+
+    Every generator term is normal ordered (a*a, aa, a*a*, a*a*a, a*aa and
+    occupation diagonals), so no factor of a matrix element passes through a
+    sector above both of its ends: the generator on the basis cut at m is
+    exactly the leading block of the generator on ``basis``.  A state held
+    on [0, top] therefore evolves exactly as on the basis cut at top.  The
+    window starts at [0, WINDOW_STEP]; ``widen`` is the per-step hook of
+    ``evolve_timedep`` that grows it.
+    """
+
+    def __init__(self, basis: OccupationBasis, tol: float):
+        self.basis = basis
+        self.tol = tol
+        self.top = min(WINDOW_STEP, basis.m_max)
+
+    @property
+    def dim(self) -> int:
+        return int(self.basis.sector_offsets[self.top + 1])
+
+    def widen(self, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+        """None to accept a step from ``start`` to ``end``.  If ``end`` holds
+        more than tol**2 of its squared norm in the top sector, and the
+        window is not yet the whole basis, grow the window by WINDOW_STEP
+        sectors and return ``start`` zero-padded to it, to redo the step."""
+        if self.top == self.basis.m_max:
+            return None
+        top = end[self.basis.sector_offsets[self.top]:]
+        if np.vdot(top, top).real <= self.tol**2 * np.vdot(end, end).real:
+            return None
+        self.top = min(self.top + WINDOW_STEP, self.basis.m_max)
+        grown = np.zeros(self.dim, dtype=complex)
+        grown[: len(start)] = start
+        return grown
+
+    def embed(self, amp: np.ndarray) -> FockVector:
+        """A window state as a vector on the whole basis."""
+        out = np.zeros(self.basis.size, dtype=complex)
+        out[: len(amp)] = amp
+        return FockVector(self.basis, out)
 
 
 def check_truncation(psi: FockVector, limit: float = TOP_SECTOR_LIMIT):
@@ -236,12 +346,24 @@ def fluctuation_trajectory(
     cutoff: int | None = None,
 ):
     """Yield (t, U(t;0) vacuum) at each distinct sample time, in increasing
-    order.  The state is evolved once, segment by segment, and checked for
-    truncation after each segment; only the current state is held."""
-    gen = generator_family(ops, kind, n, flow, cutoff=cutoff)
+    order.  The state is evolved once, segment by segment, and only the
+    current state is held.
+
+    Each segment is one ``evolve_timedep`` call on the leading sectors the
+    state occupies (``SectorWindow``).  The window grows whenever a step
+    leaves more than ``budget.tol**2`` of the squared norm in its top
+    sector, and that step is redone from its zero-padded start; so the
+    window's top sector never holds an amplitude above ``budget.tol``.  Once
+    the window is the whole basis, every segment is checked for truncation
+    (``TOP_SECTOR_LIMIT``) as on a fixed cutoff.  ``evolve_fluctuation``
+    evolves on the whole basis throughout and is the oracle."""
+    budget = budget or PropagationBudget()
+    window = SectorWindow(ops.basis, budget.tol)
+    gen = generator_family(ops, kind, n, flow, cutoff=cutoff, window=window)
 
     def advance(psi, s, t):
-        psi = evolve_timedep(gen, psi, s, t, budget)
+        amp = evolve_timedep(gen, psi.amp[: window.dim], s, t, budget, widen=window.widen)
+        psi = window.embed(amp)
         check_truncation(psi)
         return psi
 

@@ -8,7 +8,8 @@ Two engines and one sampling policy:
   substeps above it.
 * ``evolve_timedep`` integrates a time-dependent generator family with the
   midpoint exponential rule (second-order Magnus): one Krylov exponential of
-  gen(t + dt/2) per step.  Steps may run backward (t1 < t0).
+  gen(t + dt/2) per step.  Steps may run backward (t1 < t0).  An optional
+  per-step hook may widen the space a step acts on and have it redone.
 * ``through_times`` walks one trajectory through a set of sample times,
   evolving each segment between consecutive distinct times once.
 """
@@ -146,8 +147,14 @@ def evolve_timedep(
     t0: float,
     t1: float,
     budget: PropagationBudget | None = None,
+    widen: Callable | None = None,
 ):
-    """Midpoint-exponential integration of i d/dt psi = gen(t) psi from t0 to t1."""
+    """Midpoint-exponential integration of i d/dt psi = gen(t) psi from t0 to t1.
+
+    ``widen(start, end)``, when given, is called after every step.  It
+    returns None to accept the step, or a new start state (``start`` in a
+    larger space, on which ``gen`` now acts) from which the step is redone;
+    ``psi`` is then a plain amplitude array, as is the result."""
     budget = budget or PropagationBudget()
     amp, basis = _as_array(psi)
     if t1 == t0:
@@ -158,8 +165,11 @@ def evolve_timedep(
     tol_local = budget.tol / n_steps
     for k in range(n_steps):
         tm = t0 + (k + 0.5) * h
-        g = gen(tm)
-        amp = _lanczos_step(g.dot, amp, h, tol_local, KRYLOV_DIM)
+        step = _lanczos_step(gen(tm).dot, amp, h, tol_local, KRYLOV_DIM)
+        while widen is not None and (grown := widen(amp, step)) is not None:
+            amp = grown
+            step = _lanczos_step(gen(tm).dot, amp, h, tol_local, KRYLOV_DIM)
+        amp = step
     return _wrap(amp, basis)
 
 

@@ -108,7 +108,9 @@ def fluctuation_probe_rows(config):
 def rate_rows_from_zero(config, kind):
     """Rows (N, t, trace distance, HS distance, truncation loss, flagged) of
     the product or coherent rate scan, every sample time evolved from t = 0
-    in config order."""
+    in config order.  As in the scan, every coherent state is built whatever
+    its Poisson tail, which is each row's truncation loss and flags the row
+    from tolerances.truncation_loss on."""
     model = config.model
     budget = PropagationBudget(tol=config.propagation_tol)
     flow = HartreeFlow(config.phi0, model, config.hartree_dt)
@@ -127,7 +129,7 @@ def rate_rows_from_zero(config, kind):
             sl = basis.sector_slice(n)
             loss = 0.0
         else:
-            psi = coherent_state(np.sqrt(n) * config.phi0, fock, config.eps_trunc)
+            psi = coherent_state(np.sqrt(n) * config.phi0, fock, eps_trunc=1.0)
             prop = StaticPropagator(build_fock_hamiltonian(model, n, fock).matrix, budget)
             loss = poisson_tail(float(n), m_max)
         for t in config.t_samples:

@@ -63,6 +63,32 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["hartree", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "group, key",
+    [("tolerances", "propagation"), ("fock", "eps_trunc"), ("tolerances", "truncation_loss")],
+)
+@pytest.mark.parametrize("value", [0.0, -1e-10])
+def test_cli_rejects_non_positive_tolerances(tiny_config, tmp_path, capsys, group, key, value):
+    # a tolerance must be positive; zero or less is a config error (exit 1),
+    # not a traceback, a cutoff search that runs out, or every row flagged
+    cfg = json.loads(tiny_config.read_text())
+    cfg.setdefault(group, {})[key] = value
+    tiny_config.write_text(json.dumps(cfg))
+    assert main(["fluctuation-suite", "--config", str(tiny_config), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {group}.{key} must be positive" in capsys.readouterr().err
+
+
+def test_cli_fluctuation_csvs_identical_across_threads(tiny_config, tmp_path):
+    # every trajectory grows its own sector window, so a thread pool
+    # changes nothing in the written numbers
+    outs = [tmp_path / f"out{threads}" for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        args = ["--config", str(tiny_config), "--out", str(out), "--threads", str(threads)]
+        assert main(["fluctuation-suite", *args]) == 0
+    for name in ("moments.csv", "gaps.csv", "parity.csv", "conjugation.csv", "limiting.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_cli_capacity_error_exit_code(tmp_path):
     cfg = {
         "model": {"d": 5, "potential": {"kind": "contact"}},

@@ -121,20 +121,29 @@ def test_coherent_scan_flags_instead_of_aborting(tmp_path):
     assert len((out / "coherent_rate.csv").read_text().splitlines()) == 1 + 6
 
 
-@pytest.mark.parametrize("kind, tol", [("product", 1e-12), ("coherent", 1e-9)])
-def test_rate_scans_match_per_sample_evolutions(kind, tol):
+@pytest.mark.parametrize(
+    "kind, tol, eps_trunc",
+    [
+        pytest.param("product", 1e-12, 1e-5, id="product-1e-12"),
+        pytest.param("coherent", 1e-9, 1e-5, id="coherent-1e-09"),
+        pytest.param("coherent", 1e-9, 1e-10, id="coherent-eps_trunc-1e-10"),
+    ],
+)
+def test_rate_scans_match_per_sample_evolutions(kind, tol, eps_trunc):
     # each N walks once through the sorted sample times; the oracle evolves
     # every sample from t = 0.  The coherent space (dimension 969) takes the
-    # Krylov route; eps_trunc admits its states up to N=4, whose Poisson tail
-    # at m_max=16 (1.1e-6) flags its rows.  The product sectors take the
-    # dense route
-    cfg = _config(t_samples=[0.4, 0.0, 0.2, 0.4], m_max=16, eps_trunc=1e-5)
+    # Krylov route; scan and oracle build every N's state whatever its
+    # Poisson tail, and eps_trunc does not enter: only N=4, whose tail at
+    # m_max=16 (1.1e-6) reaches tolerances.truncation_loss, is flagged, also
+    # where eps_trunc (1e-10) is below the tails of N=3 and 4.  The product
+    # sectors take the dense route
+    cfg = _config(t_samples=[0.4, 0.0, 0.2, 0.4], m_max=16, eps_trunc=eps_trunc)
     scan = run_product_rate_scan if kind == "product" else run_coherent_rate_scan
     rows = scan(cfg)
     ref = rate_rows_from_zero(cfg, kind)
     assert [(r.n, r.t) for r in rows] == [row[:2] for row in ref]
     assert [(r.truncation_loss, r.flagged) for r in rows] == [row[4:] for row in ref]
-    assert any(r.flagged for r in rows) == (kind == "coherent")
+    assert {r.n for r in rows if r.flagged} == ({4} if kind == "coherent" else set())
     for r, row in zip(rows, ref):
         assert abs(r.trace_distance - row[2]) < tol
         assert abs(r.hs_distance - row[3]) < tol

@@ -7,8 +7,10 @@ from focklab.fluctuations import (
     FluctuationOperators,
     coherent_marginal_error,
     dynamics_gap,
+    WINDOW_STEP,
     evolve_fluctuation,
     conjugation_identity_residual,
+    fluctuation_trajectory,
     hermiticity_defect,
     number_growth_probe,
     parity_commutator_norm,
@@ -67,7 +69,7 @@ def _flux_kinetic(d, flux):
     return t
 
 
-@pytest.mark.parametrize(
+MODELS = pytest.mark.parametrize(
     "model",
     [
         fl.LatticeModel(3, Potential.contact(3, 1.0)),
@@ -78,6 +80,9 @@ def _flux_kinetic(d, flux):
     ],
     ids=["contact", "soft-coulomb", "complex-kinetic"],
 )
+
+
+@MODELS
 def test_assemble_matches_term_by_term_oracle(model):
     basis = fl.build_basis(model.d, 9)
     ops = FluctuationOperators(model, basis)
@@ -86,6 +91,56 @@ def test_assemble_matches_term_by_term_oracle(model):
         got = ops.assemble(kind, 4, phi, cutoff=cut)
         ref = assemble_by_terms(ops, kind, 4, phi, cutoff=cut)
         assert abs(got - ref).max() < 1e-13
+
+
+@MODELS
+def test_windowed_assembly_is_the_generator_at_the_window_cutoff(model):
+    # every term is normal ordered, so the generator on the sectors [0, m]
+    # is the generator of the basis cut at m, entry for entry (its products
+    # with the unit vectors are its columns), and so is its product with
+    # any vector
+    m_max, n = 8, 4
+    ops = FluctuationOperators(model, fl.build_basis(model.d, m_max))
+    phi = _phi(model.d, 3)
+    rng = np.random.default_rng(4)
+    kinds = (("full", None), ("reduced", None), ("limiting", None), ("truncated", 5))
+    for m in range(m_max):
+        cut_ops = FluctuationOperators(model, fl.build_basis(model.d, m))
+        dim = cut_ops.basis.size
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        for kind, cutoff in kinds:
+            got = ops.assemble(kind, n, phi, cutoff=cutoff, top=m)
+            want = cut_ops.assemble(kind, n, phi, cutoff=cutoff)
+            assert got.shape == want.shape == (dim, dim)
+            columns = np.column_stack([got.dot(e) for e in np.eye(dim, dtype=complex)])
+            assert np.array_equal(columns, want.toarray())
+            assert np.array_equal(got.dot(v), want.dot(v))
+    for kind, cutoff in kinds:
+        whole = ops.assemble(kind, n, phi, cutoff=cutoff)
+        assert abs(ops.assemble(kind, n, phi, cutoff=cutoff, top=m_max) - whole).max() == 0.0
+
+
+def _top_occupied_sector(psi) -> int:
+    return int(np.nonzero(psi.sector_weights())[0].max())
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced", "limiting"])
+def test_windowed_trajectory_matches_whole_basis_evolution(kind):
+    # the trajectory grows its window from WINDOW_STEP sectors, and the
+    # sectors beyond it hold exact zeros; the whole-basis evolution agrees
+    # to within the amplitude the window rule leaves in its top sector
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    phi, n, m_max, times = _phi(3), 3, 30, [0.02, 0.1]
+    ops = FluctuationOperators(model, fl.build_basis(3, m_max))
+    flow = HartreeFlow(phi, model, 1e-3)
+    budget = PropagationBudget(tol=1e-10, dt=0.02)
+    vac = fl.FockVector.vacuum(ops.basis)
+    tops = []
+    for t, psi in fluctuation_trajectory(ops, kind, n, flow, times, budget):
+        ref = evolve_fluctuation(kind, model, n, flow, vac, 0.0, t, budget, ops=ops)
+        assert np.linalg.norm(psi.amp - ref.amp) < 1e-9
+        tops.append(_top_occupied_sector(psi))
+    assert WINDOW_STEP < tops[0] < tops[1] < m_max
 
 
 def test_cubic_term_by_term_oracle():
