@@ -95,7 +95,9 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.threads is not None:
-            config.threads = max(1, args.threads)
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+            config.threads = args.threads
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _run(args.command, config, out)

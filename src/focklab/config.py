@@ -111,6 +111,31 @@ def _build_potential(spec: dict, d: int) -> Potential:
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
+def _ints(values) -> list[int]:
+    return [int(v) for v in values]
+
+
+def _cutoff(value) -> int | str:
+    return value if isinstance(value, str) else int(value)
+
+
+# (group, key, ExperimentConfig field, conversion) of every key whose default
+# lives on the dataclass: a file that leaves the key out keeps that default
+_FIELDS = (
+    ("time", "dt", "hartree_dt", float),
+    ("time", "fluctuation_dt", "fluctuation_dt", float),
+    ("scan", "n_values", "n_values", _ints),
+    ("fock", "m_max", "m_max", _cutoff),
+    ("fock", "eps_trunc", "eps_trunc", float),
+    ("fock", "capacity", "capacity", int),
+    ("tolerances", "truncation_loss", "truncation_loss_tol", float),
+    ("tolerances", "propagation", "propagation_tol", float),
+    ("coefficients", "n_values", "coeff_n_values", _ints),
+    ("coefficients", "remainder_n_values", "remainder_n_values", _ints),
+    ("parallelism", "threads", "threads", int),
+)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     _require_keys(
         raw,
@@ -133,47 +158,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     phi0 = _build_phi(raw.get("initial_phi", {"preset": "geometric"}), d)
 
-    time_spec = raw.get("time", {})
+    specs = {group: raw.get(group, {}) for group, _, _, _ in _FIELDS}
+    time_spec = specs["time"]
     _require_keys(time_spec, {"t_max", "dt", "samples", "fluctuation_dt"}, "time")
     t_max = float(time_spec.get("t_max", 1.0))
     samples = [float(t) for t in time_spec.get("samples", [0.25, 0.5, 1.0])]
     if any(t > t_max + 1e-12 for t in samples):
         raise ConfigError("sample times must not exceed time.t_max")
 
-    scan_spec = raw.get("scan", {})
-    _require_keys(scan_spec, {"n_values"}, "scan")
+    for group in ("scan", "fock", "tolerances", "coefficients", "parallelism"):
+        _require_keys(specs[group], {key for g, key, _, _ in _FIELDS if g == group}, group)
 
-    fock_spec = raw.get("fock", {})
-    _require_keys(fock_spec, {"m_max", "eps_trunc", "capacity"}, "fock")
-    m_max = fock_spec.get("m_max", "auto")
-    if not isinstance(m_max, str):
-        m_max = int(m_max)
-
-    tol_spec = raw.get("tolerances", {})
-    _require_keys(tol_spec, {"truncation_loss", "propagation"}, "tolerances")
-
-    coeff_spec = raw.get("coefficients", {})
-    _require_keys(coeff_spec, {"n_values", "remainder_n_values"}, "coefficients")
-
-    par_spec = raw.get("parallelism", {})
-    _require_keys(par_spec, {"threads"}, "parallelism")
-
-    return ExperimentConfig(
-        model=model,
-        phi0=phi0,
-        t_samples=samples,
-        hartree_dt=float(time_spec.get("dt", 1e-3)),
-        fluctuation_dt=float(time_spec.get("fluctuation_dt", 0.01)),
-        n_values=[int(n) for n in scan_spec.get("n_values", [2, 3, 4, 6, 8, 12])],
-        m_max=m_max,
-        eps_trunc=float(fock_spec.get("eps_trunc", 1e-10)),
-        capacity=int(fock_spec.get("capacity", DEFAULT_CAPACITY)),
-        truncation_loss_tol=float(tol_spec.get("truncation_loss", 1e-6)),
-        propagation_tol=float(tol_spec.get("propagation", 1e-10)),
-        coeff_n_values=[int(n) for n in coeff_spec.get("n_values", [1, 2, 4, 8, 16, 32, 40])],
-        remainder_n_values=[int(n) for n in coeff_spec.get("remainder_n_values", [2, 4])],
-        threads=int(par_spec.get("threads", 1)),
-    )
+    settings = {
+        name: convert(specs[group][key]) for group, key, name, convert in _FIELDS if key in specs[group]
+    }
+    return ExperimentConfig(model=model, phi0=phi0, t_samples=samples, **settings)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -24,7 +24,7 @@ import mpmath
 import numpy as np
 
 from .basis import FockVector, OccupationBasis
-from .errors import AliasingError
+from .errors import AliasingError, TruncationError
 from .fluctuations import FluctuationOperators, generator_family
 from .hartree import HartreeFlow
 from .model import embed_product_state
@@ -236,7 +236,7 @@ def remainder_probe(
     evolutions in all.
     """
     if n > basis.m_max:
-        raise ValueError("N exceeds the basis cutoff")
+        raise TruncationError(f"N={n} exceeds the basis cutoff m_max={basis.m_max}")
     budget = budget or PropagationBudget()
     gen = generator_family(FluctuationOperators(flow.model, basis), "full", n, flow)
     psi = displaced_product_profile(flow.at(0.0), n, 0.0, basis, budget)

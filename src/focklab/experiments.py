@@ -118,6 +118,31 @@ def _run_cells(cells, threads: int):
         return [f.result() for f in futures]
 
 
+def _guarded(probe: str, label: str, fn, shared=()):
+    """Suite cell of ``probe`` and of the probes that share its work: it
+    returns (fn's rows by table, []), or ({}, one failure per probe) when fn
+    raises a package error."""
+    def run():
+        try:
+            return fn(), []
+        except FockLabError as exc:
+            msg = f"{type(exc).__name__}: {exc}"
+            return {}, [(p, label, msg) for p in (probe, *shared)]
+
+    return run
+
+
+def _merge_cells(tables: dict, cells, threads: int) -> list[tuple[str, str, str]]:
+    """Run guarded cells, append their rows to ``tables`` in cell order, and
+    return their failures in the same order."""
+    failures = []
+    for rows, failed in _run_cells(cells, threads):
+        for table, table_rows in rows.items():
+            tables[table] += table_rows
+        failures += failed
+    return failures
+
+
 def _attach_slopes(rows: list[RateScanRow], t_samples) -> list[RateScanRow]:
     for t in t_samples:
         at_t = [r for r in rows if r.t == t]
@@ -237,27 +262,16 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     repeats = Counter(float(t) for t in config.t_samples)
     t_end = max(repeats)
     tables = {"moments": [], "gaps": [], "parity": [], "conjugation": [], "limiting": []}
-    failures: list[tuple[str, str, str]] = []
 
-    # the limiting trajectory does not depend on N: evolve it once, before the pool
-    u_lim = None
-    try:
+    def limiting_state():
         for _, u_lim in fluctuation_trajectory(ops, "limiting", 1, flow, repeats, budget):
             pass  # only the state at t_end is kept
-    except FockLabError as exc:
-        u_lim = None  # a partial trajectory gives no gap
-        failures.append(("limiting", "scan", f"{type(exc).__name__}: {exc}"))
+        return {"u_lim": u_lim}
 
-    def guarded(probe, label, fn, shared=()):
-        """Cell of probe and of the probes that share its work."""
-        def run():
-            try:
-                return fn(), []
-            except FockLabError as exc:
-                msg = f"{type(exc).__name__}: {exc}"
-                return {}, [(p, label, msg) for p in (probe, *shared)]
-
-        return run
+    # the limiting trajectory does not depend on N: evolve it once, before the
+    # pool; a partial trajectory gives no gap
+    lim, failures = _guarded("limiting", "scan", limiting_state)()
+    u_lim = lim.get("u_lim")
 
     def trajectory_cell(n):
         full = fluctuation_trajectory(ops, "full", n, flow, repeats, budget)
@@ -283,22 +297,20 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
         return {"conjugation": [("conjugation", n, "", t_end, res, displacement_floor(n, m_conj))]}
 
     cells = [
-        guarded("moments", f"N={n}", lambda n=n: trajectory_cell(n), ("gaps", "parity", "limiting"))
+        _guarded("moments", f"N={n}", lambda n=n: trajectory_cell(n), ("gaps", "parity", "limiting"))
         for n in config.n_values
     ]
-    cells += [guarded("conjugation", f"N={n}", lambda n=n: conjugation_cell(n)) for n in config.n_values]
-    for rows, failed in _run_cells(cells, config.threads):
-        for table, table_rows in rows.items():
-            tables[table] += table_rows
-        failures += failed
+    cells += [_guarded("conjugation", f"N={n}", lambda n=n: conjugation_cell(n)) for n in config.n_values]
+    failures += _merge_cells(tables, cells, config.threads)
     return SuiteResult(tables, failures)
 
 
 def run_coefficient_suite(config: ExperimentConfig) -> SuiteResult:
     """Coefficient tables, the partial-sum identity, product-state
-    reconstruction by phase quadrature, and the one-particle remainder."""
+    reconstruction by phase quadrature, and the one-particle remainder.
+    Each reconstruction and remainder N is one cell; a failed cell flags
+    its probe, and the suite continues."""
     model = config.model
-    failures: list[tuple[str, str, str]] = []
     tables = {"coefficients": [], "parseval": [], "reconstruction": [], "remainder": []}
 
     for n in config.coeff_n_values:
@@ -314,26 +326,26 @@ def run_coefficient_suite(config: ExperimentConfig) -> SuiteResult:
     m_rec = _suite_m_max(config)
     basis = build_basis(model.d, m_rec, capacity=config.capacity)
     k_points = basis.m_max + 1  # the smallest alias-free quadrature
-    for n in [n for n in config.n_values if n <= basis.m_max]:
-        try:
-            _, err = reconstruct_product(config.phi0, n, k_points, basis, config.eps_trunc)
-            tables["reconstruction"].append((n, k_points, err))
-        except FockLabError as exc:
-            failures.append(("reconstruction", f"N={n}", f"{type(exc).__name__}: {exc}"))
-
     budget = PropagationBudget(tol=config.propagation_tol, dt=config.fluctuation_dt)
     t_rem = max(config.t_samples)
     flow = HartreeFlow(config.phi0, model, config.hartree_dt)
-    for n in config.remainder_n_values:
-        try:
-            m_fn = minimal_cutoff(float(n), config.eps_trunc)
-            rem_basis = build_basis(model.d, m_fn, capacity=config.capacity)
-            rep = remainder_probe(flow, n, t_rem, rem_basis, budget)
-            for x, val in enumerate(rep.site_abs):
-                tables["remainder"].append((n, t_rem, x, float(val), rep.total_square))
-        except FockLabError as exc:
-            failures.append(("remainder", f"N={n}", f"{type(exc).__name__}: {exc}"))
-    return SuiteResult(tables, failures)
+
+    def reconstruction_cell(n):
+        _, err = reconstruct_product(config.phi0, n, k_points, basis, config.eps_trunc)
+        return {"reconstruction": [(n, k_points, err)]}
+
+    def remainder_cell(n):
+        m_fn = minimal_cutoff(float(n), config.eps_trunc)
+        rep = remainder_probe(flow, n, t_rem, build_basis(model.d, m_fn, capacity=config.capacity), budget)
+        return {"remainder": [(n, t_rem, x, float(val), rep.total_square) for x, val in enumerate(rep.site_abs)]}
+
+    cells = [
+        _guarded("reconstruction", f"N={n}", lambda n=n: reconstruction_cell(n))
+        for n in config.n_values
+        if n <= basis.m_max
+    ]
+    cells += [_guarded("remainder", f"N={n}", lambda n=n: remainder_cell(n)) for n in config.remainder_n_values]
+    return SuiteResult(tables, _merge_cells(tables, cells, config.threads))
 
 
 def run_hartree_trajectory(config: ExperimentConfig):

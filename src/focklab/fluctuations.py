@@ -8,8 +8,9 @@ from the instantaneous Hartree orbital phi_t:
                   N^{-1} quartic term;
 * ``reduced``   — full without the cubic term (parity conserving);
 * ``truncated`` — full with a particle-number indicator chi(N <= M) inserted
-                  in the cubic term; assembled as the Hermitian part of that
-                  insertion;
+                  in the cubic term: a*_x chi a*_y a_x and its adjoint
+                  a*_x a_y chi a_x, so the full cubic term with its entries
+                  between sectors s and s + 1 kept only where s <= M;
 * ``limiting``  — the quadratic lines only; independent of N.
 
 The probes below certify algebraic identities (Weyl conjugation of the
@@ -28,7 +29,7 @@ from .basis import FockVector, OccupationBasis, annihilate, build_basis, number_
 from .errors import TruncationError
 from .hartree import HartreeFlow, phase_rotate
 from .marginals import marginal_from_fock, rank_one, trace_distance
-from .model import LatticeModel, build_fock_hamiltonian, interaction_diagonal
+from .model import LatticeModel, build_fock_hamiltonian, hopping, interaction_diagonal
 from .propagate import PropagationBudget, StaticPropagator, evolve_timedep, through_times
 from .weyl import coherent_state, minimal_cutoff, weyl_apply
 
@@ -136,11 +137,11 @@ class FluctuationOperators:
     Every generator is a linear combination of fixed operators (the kinetic
     term and, per coupled site pair, the exchange, pair and cubic monomials)
     with coefficients set by phi_t and N, plus a diagonal (mean field and
-    quartic/N).  ``__init__`` lays out one pattern for ``full`` and one
-    shared by ``reduced`` and ``limiting``; an assembly is then one small
-    sparse product into the pattern's data.  Only site pairs coupled by the
-    potential (and the kinetic matrix) are enumerated, so contact
-    interactions stay cheap.
+    quartic/N).  ``__init__`` lays out one pattern shared by ``full`` and
+    ``truncated`` and one shared by ``reduced`` and ``limiting``; an
+    assembly is then one small sparse product into the pattern's data.
+    Only site pairs coupled by the potential (and the kinetic matrix) are
+    enumerated, so contact interactions stay cheap.
     """
 
     def __init__(self, model: LatticeModel, basis: OccupationBasis):
@@ -150,18 +151,8 @@ class FluctuationOperators:
         self.basis = basis
         d = model.d
         a = [basis.annihilator(x) for x in range(d)]
-        ad = [m.conj().T.tocsr() for m in a]
-        self._a = a
-        self._ad = ad
-        t = model.kinetic
-        kin = None
-        for x in range(d):
-            for y in range(d):
-                if t[x, y] == 0.0:
-                    continue
-                term = t[x, y] * (ad[x] @ a[y])
-                kin = term if kin is None else kin + term
-        self.kinetic = kin.tocsr()
+        ad = [basis.creator(x) for x in range(d)]
+        self.kinetic = hopping(model, basis)
         self.quartic_diag = interaction_diagonal(basis.states, model)
         self.occupation = basis.states.astype(float)
         v = model.potential.values
@@ -185,7 +176,7 @@ class FluctuationOperators:
         pair = 0.5 * self._v * phi[self._x] * phi[self._y]
         return np.concatenate([[1.0], exchange, pair, np.conj(pair)])
 
-    def _fill(self, kind: str, n: int, phi: np.ndarray, rows: int) -> csr_matrix:
+    def _fill(self, kind: str, n: int, phi: np.ndarray, rows: int, cutoff: int | None) -> csr_matrix:
         """The generator's first ``rows`` rows (see ``_Layout.fill``)."""
         phi = np.asarray(phi, dtype=complex)
         diagonal = self.occupation[:rows] @ (self.model.vmat @ (np.abs(phi) ** 2))
@@ -196,24 +187,14 @@ class FluctuationOperators:
         if kind == "reduced":
             return self._reduced.fill(coefficients, diagonal)
         cubic = self._v * phi[self._y] / np.sqrt(n)
-        return self._full.fill(np.concatenate([coefficients, cubic, np.conj(cubic)]), diagonal)
-
-    def cubic(self, phi: np.ndarray, n: int, cutoff: int) -> csr_matrix:
-        """N^{-1/2} sum v(x-y) a*_x (phi(y) a*_y + conj(phi(y)) a_y) a_x with
-        the chi(N <= cutoff) indicator inserted, symmetrized to its Hermitian
-        part (the indicator does not commute through the ladder operators, so
-        symmetry is enforced rather than assumed)."""
-        phi = np.asarray(phi, dtype=complex)
-        scale = 1.0 / np.sqrt(n)
-        chi = diags((self.basis.totals <= cutoff).astype(float)).tocsr()
-        inserted = None
-        for x, y, v in self.pairs:
-            term = (v * np.conj(phi[y])) * (self._ad[x] @ (self._a[y] @ (chi @ self._a[x])))
-            term = term + (v * phi[y]) * (self._ad[x] @ (chi @ (self._ad[y] @ self._a[x])))
-            inserted = term if inserted is None else inserted + term
-        if inserted is None:
-            return csr_matrix((self.basis.size, self.basis.size), dtype=complex)
-        return (0.5 * scale * (inserted + inserted.conj().T)).tocsr()
+        gen = self._full.fill(np.concatenate([coefficients, cubic, np.conj(cubic)]), diagonal)
+        if kind == "truncated":
+            # only cubic entries join sectors s and s + 1 (an odd sum); chi(N <= cutoff)
+            # keeps them where s <= cutoff, i.e. where the sum is at most 2 cutoff + 1
+            sectors = self.basis.totals
+            total = np.repeat(sectors[:rows], np.diff(gen.indptr)) + sectors[gen.indices]
+            gen.data[(total % 2 == 1) & (total > 2 * cutoff + 1)] = 0.0
+        return gen
 
     def assemble(
         self, kind: str, n: int, phi: np.ndarray, cutoff: int | None = None, top: int | None = None
@@ -222,24 +203,20 @@ class FluctuationOperators:
 
         With ``top`` below the basis cutoff, the generator on the sectors
         [0, top] only: the leading block of the whole generator, which is
-        the generator on the basis cut at ``top`` (see ``SectorWindow``).
-        The ``full``, ``reduced`` and ``limiting`` kinds fill only the
-        block's rows and return a ``_LeadingBlock``; ``truncated`` is cut
-        from its whole matrix."""
+        the generator on the basis cut at ``top`` (see ``SectorWindow``):
+        only the block's rows are filled, and a ``_LeadingBlock`` is
+        returned.  ``cutoff`` is the M of the ``truncated`` kind."""
         if kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {kind!r}")
         if kind != "limiting" and n < 1:
             raise ValueError("N must be >= 1")
+        if kind == "truncated" and cutoff is None:
+            raise ValueError("truncated kind requires a cutoff M")
         rows = self.basis.size
         if top is not None and top < self.basis.m_max:
             rows = int(self.basis.sector_offsets[top + 1])
-        if kind != "truncated":
-            gen = self._fill(kind, n, phi, rows)
-            return gen if rows == self.basis.size else _LeadingBlock(gen)
-        if cutoff is None:
-            raise ValueError("truncated kind requires a cutoff M")
-        gen = self._fill("reduced", n, phi, self.basis.size) + self.cubic(phi, n, cutoff=cutoff)
-        return gen if rows == self.basis.size else gen[:rows, :rows]
+        gen = self._fill(kind, n, phi, rows, cutoff)
+        return gen if rows == self.basis.size else _LeadingBlock(gen)
 
 
 def generator_family(

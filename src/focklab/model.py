@@ -135,21 +135,24 @@ def interaction_diagonal(states: np.ndarray, model: LatticeModel) -> np.ndarray:
     return 0.5 * (quad - model.potential.values[0] * occ.sum(axis=1))
 
 
+def hopping(model: LatticeModel, basis: OccupationBasis) -> csr_matrix:
+    """sum_{x,y} t_xy a*_x a_y on the truncated basis (zero for zero t)."""
+    t = model.kinetic
+    hop = csr_matrix((basis.size, basis.size), dtype=t.dtype)
+    for x in range(model.d):
+        adx = basis.creator(x)
+        for y in range(model.d):
+            if t[x, y] != 0.0:
+                hop = hop + t[x, y] * (adx @ basis.annihilator(y))
+    return hop
+
+
 def build_fock_hamiltonian(model: LatticeModel, n: int, basis: OccupationBasis) -> FockHamiltonian:
     if n < 1:
         raise ValueError("coupling parameter N must be >= 1")
     if basis.d != model.d:
         raise ValueError("basis and model disagree on d")
-    t = model.kinetic
-    hop = None
-    for x in range(model.d):
-        adx = basis.creator(x)
-        for y in range(model.d):
-            if t[x, y] == 0.0:
-                continue
-            term = t[x, y] * (adx @ basis.annihilator(y))
-            hop = term if hop is None else hop + term
-    mat = hop + diags(interaction_diagonal(basis.states, model) / n)
+    mat = hopping(model, basis) + diags(interaction_diagonal(basis.states, model) / n)
     return FockHamiltonian(n, mat.tocsr(), basis)
 
 

@@ -3,7 +3,7 @@
 Two engines and one sampling policy:
 
 * ``StaticPropagator`` applies exp(-i H t) for a fixed sparse Hermitian H, via
-  a cached dense eigendecomposition below ``dense_cutoff`` and a
+  a cached dense eigendecomposition up to ``DENSE_CUTOFF`` and a
   Lanczos/Krylov approximation with full reorthogonalization and adaptive
   substeps above it.
 * ``evolve_timedep`` integrates a time-dependent generator family with the
@@ -28,13 +28,13 @@ from .errors import ConvergenceError
 
 _BREAKDOWN = 1e-13
 KRYLOV_DIM = 40  # Krylov subspace cap per substep
+DENSE_CUTOFF = 600  # up to this dimension, StaticPropagator diagonalizes instead
 
 
 @dataclass
 class PropagationBudget:
     tol: float = 1e-10        # target error for a whole evolve call
     dt: float = 0.01          # step size for time-dependent generators
-    dense_cutoff: int = 600   # below this dimension, diagonalize instead
 
     def __post_init__(self):
         if self.tol <= 0 or self.dt <= 0:
@@ -125,7 +125,7 @@ class StaticPropagator:
         self.h = h_sparse
         self.dim = h_sparse.shape[0]
         self._dense = None
-        if self.dim <= self.budget.dense_cutoff:
+        if self.dim <= DENSE_CUTOFF:
             w, u = eigh(np.asarray(h_sparse.todense()))
             self._dense = (w, u)
 

@@ -19,6 +19,8 @@ from .basis import FockVector, OccupationBasis
 from .errors import TruncationError
 from .propagate import PropagationBudget, expm_apply
 
+CUTOFF_CAP = 400  # the largest cutoff minimal_cutoff tries
+
 
 def annihilation_of(f: np.ndarray, basis: OccupationBasis) -> csr_matrix:
     """a(f) = sum_x conj(f_x) a_x (antilinear in f)."""
@@ -96,12 +98,12 @@ def poisson_tail(lam: float, m_max: int) -> float:
     return float(max(0.0, 1.0 - np.exp(logs).sum()))
 
 
-def minimal_cutoff(lam: float, eps: float, hard_cap: int = 400) -> int:
-    """Smallest m_max whose Poisson(lam) tail mass is below eps."""
-    for m in range(hard_cap + 1):
+def minimal_cutoff(lam: float, eps: float) -> int:
+    """Smallest m_max up to CUTOFF_CAP whose Poisson(lam) tail mass is below eps."""
+    for m in range(CUTOFF_CAP + 1):
         if poisson_tail(lam, m) < eps:
             return m
-    raise TruncationError(f"no cutoff below {hard_cap} reaches tail mass {eps} at lambda={lam}")
+    raise TruncationError(f"no cutoff below {CUTOFF_CAP} reaches tail mass {eps} at lambda={lam}")
 
 
 def displacement_floor(n: int, m_max: int) -> float:

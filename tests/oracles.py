@@ -4,10 +4,11 @@ The tensor-grid routines work on the full N-particle grid (d^N amplitudes)
 and are kept deliberately independent of the package's occupation-number
 machinery.  The fluctuation and remainder routines are the direct paths the
 package replaced by exact identities or faster layouts: generators summed
-term by term with sparse `+`, every probe evolving its own trajectories, the
-conjugation residual routed through both of its sides' shared unitary tail,
-the remainder's K-node phase average, and rate scans evolving every sample
-time from t = 0.
+term by term with sparse `+` (the truncated kind with its particle-number
+indicator inserted between ladder factors), every probe evolving its own
+trajectories, the conjugation residual routed through both of its sides'
+shared unitary tail, the remainder's K-node phase average, and rate scans
+evolving every sample time from t = 0.
 """
 
 import itertools
@@ -160,10 +161,14 @@ def remainder_phase_average(model, n, phi0, t, k_points, basis, budget, hartree_
     return f / k_points
 
 
+def _ladders(basis):
+    a = [basis.annihilator(x) for x in range(basis.d)]
+    return a, [m.conj().T.tocsr() for m in a]
+
+
 def _pair_monomials(ops):
     """Per coupled pair (x, y, v): a*_y a_x, a*_x a*_y and a*_x a*_y a_x."""
-    a = [ops.basis.annihilator(x) for x in range(ops.basis.d)]
-    ad = [m.conj().T.tocsr() for m in a]
+    a, ad = _ladders(ops.basis)
     for x, y, v in ops.pairs:
         exchange = (ad[y] @ a[x]).tocsr()
         yield x, y, v, exchange, (a[y] @ a[x]).conj().T.tocsr(), (ad[x] @ exchange).tocsr()
@@ -174,7 +179,11 @@ def quadratic(ops, phi):
     term by term."""
     phi = np.asarray(phi, dtype=complex)
     mean_field = ops.model.vmat @ (np.abs(phi) ** 2)
-    out = ops.kinetic + diags(ops.occupation @ mean_field)
+    out = diags(ops.occupation @ mean_field).astype(complex)
+    a, ad = _ladders(ops.basis)
+    t = ops.model.kinetic
+    for x, y in zip(*np.nonzero(t)):
+        out = out + t[x, y] * (ad[x] @ a[y])
     pair_half = None
     for x, y, v, exchange, pair_create, _ in _pair_monomials(ops):
         out = out + (v * np.conj(phi[x]) * phi[y]) * exchange
@@ -199,6 +208,20 @@ def cubic(ops, phi, n):
     return (scale * (half + half.conj().T)).tocsr()
 
 
+def truncated_cubic(ops, phi, n, cutoff):
+    """N^{-1/2} sum v(x-y) a*_x (phi(y) chi a*_y + conj(phi(y)) a_y chi) a_x
+    with chi = chi(N <= cutoff), summed term by term.  The two inserted
+    terms are each other's adjoints, so the sum is Hermitian as it stands."""
+    phi = np.asarray(phi, dtype=complex)
+    a, ad = _ladders(ops.basis)
+    chi = diags((ops.basis.totals <= cutoff).astype(float)).tocsr()
+    out = csr_matrix((ops.basis.size, ops.basis.size), dtype=complex)
+    for x, y, v in ops.pairs:
+        out = out + (v * phi[y]) * (ad[x] @ (chi @ (ad[y] @ a[x])))
+        out = out + (v * np.conj(phi[y])) * (ad[x] @ (a[y] @ (chi @ a[x])))
+    return (out / np.sqrt(n)).tocsr()
+
+
 def assemble_by_terms(ops, kind, n, phi, cutoff=None):
     """The generator of the requested kind, summed term by term."""
     out = quadratic(ops, phi)
@@ -208,7 +231,7 @@ def assemble_by_terms(ops, kind, n, phi, cutoff=None):
     if kind == "full":
         out = out + cubic(ops, phi, n)
     elif kind == "truncated":
-        out = out + ops.cubic(phi, n, cutoff=cutoff)
+        out = out + truncated_cubic(ops, phi, n, cutoff)
     return out.tocsr()
 
 

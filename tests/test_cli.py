@@ -79,14 +79,41 @@ def test_cli_rejects_non_positive_tolerances(tiny_config, tmp_path, capsys, grou
 
 
 def test_cli_fluctuation_csvs_identical_across_threads(tiny_config, tmp_path):
-    # every trajectory grows its own sector window, so a thread pool
-    # changes nothing in the written numbers
+    # every trajectory grows its own sector window, and every coefficient
+    # suite cell evolves its own states, so a thread pool changes nothing in
+    # the written numbers
     outs = [tmp_path / f"out{threads}" for threads in (1, 2)]
     for threads, out in zip((1, 2), outs):
         args = ["--config", str(tiny_config), "--out", str(out), "--threads", str(threads)]
         assert main(["fluctuation-suite", *args]) == 0
-    for name in ("moments.csv", "gaps.csv", "parity.csv", "conjugation.csv", "limiting.csv"):
+        assert main(["coeff-suite", *args]) == 0
+    for name in (
+        "moments.csv", "gaps.csv", "parity.csv", "conjugation.csv", "limiting.csv",
+        "coefficients.csv", "parseval.csv", "reconstruction.csv", "remainder.csv",
+    ):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_rejects_non_positive_threads(tiny_config, tmp_path, capsys, threads):
+    # the flag follows the rule of parallelism.threads: a config error
+    args = ["--config", str(tiny_config), "--out", str(tmp_path / "out"), "--threads", threads]
+    assert main(["hartree", *args]) == 1
+    assert f"config error: --threads must be >= 1, got {threads}" in capsys.readouterr().err
+
+
+def test_cli_remainder_cutoff_below_n_is_recorded(tiny_config, tmp_path, capsys):
+    # eps_trunc 0.9 sizes the remainder basis for N=2 at m_max=0, below N:
+    # the cell records a TruncationError, the CSVs are written, exit 3
+    cfg = json.loads(tiny_config.read_text())
+    cfg["fock"]["eps_trunc"] = 0.9
+    tiny_config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["coeff-suite", "--config", str(tiny_config), "--out", str(out)]) == 3
+    assert "FLAG [remainder N=2]: TruncationError" in capsys.readouterr().err
+    for name in ("coefficients.csv", "parseval.csv", "reconstruction.csv", "remainder.csv"):
+        assert (out / name).exists()
+    assert (out / "remainder.csv").read_text().strip() == "N,t,site,abs_value,total_square"
 
 
 def test_cli_capacity_error_exit_code(tmp_path):

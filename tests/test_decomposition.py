@@ -169,7 +169,7 @@ def test_remainder_probe_guards():
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     basis = fl.build_basis(3, 8)
     phi = np.array([1.0, 0.0, 0.0], complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(fl.TruncationError):
         remainder_probe(HartreeFlow(phi, model), 20, 0.1, basis)
 
 

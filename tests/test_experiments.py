@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -249,6 +250,17 @@ def test_config_unknown_keys_rejected():
         config_from_dict({"model": {"d": 3, "potentail": {}}})
     with pytest.raises(fl.ConfigError, match="unknown key"):
         config_from_dict({"time": {"dtt": 0.1}})
+
+
+def test_config_from_empty_dict_takes_dataclass_defaults():
+    # each default is written once, on ExperimentConfig
+    cfg = config_from_dict({})
+    defaulted = [f for f in dataclasses.fields(ExperimentConfig) if f.init and (
+        f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING)]
+    assert len(defaulted) == 11
+    for f in defaulted:
+        want = f.default if f.default is not dataclasses.MISSING else f.default_factory()
+        assert getattr(cfg, f.name) == want, f.name
 
 
 def test_config_validation_rules():

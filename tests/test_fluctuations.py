@@ -17,7 +17,7 @@ from focklab.fluctuations import (
     parity_defect,
 )
 from focklab.hartree import HartreeFlow, energy
-from focklab.model import Potential, kinetic_matrix
+from focklab.model import Potential, build_sector_hamiltonian, kinetic_matrix
 from focklab.propagate import PropagationBudget, StaticPropagator
 from focklab.weyl import weyl_apply
 from oracles import assemble_by_terms, conjugation_residual_full_route
@@ -94,6 +94,42 @@ def test_assemble_matches_term_by_term_oracle(model):
 
 
 @MODELS
+def test_truncated_matches_chi_insertion_oracle(model):
+    # the kind is the full cubic term cut to its entries between sectors
+    # s and s + 1 with s <= M; the oracle inserts chi(N <= M) between the
+    # ladder factors, on the whole basis and on each window's cut basis
+    m_max, n = 9, 4
+    ops = FluctuationOperators(model, fl.build_basis(model.d, m_max))
+    phi = _phi(model.d, 3)
+    for cutoff in range(-1, m_max + 2):
+        ref = assemble_by_terms(ops, "truncated", n, phi, cutoff=cutoff)
+        assert abs(ops.assemble("truncated", n, phi, cutoff=cutoff) - ref).max() < 1e-13
+        for top in (2, 5, 7):
+            cut_ops = FluctuationOperators(model, fl.build_basis(model.d, top))
+            ref = assemble_by_terms(cut_ops, "truncated", n, phi, cutoff=cutoff).toarray()
+            got = ops.assemble("truncated", n, phi, cutoff=cutoff, top=top)
+            columns = np.column_stack([got.dot(e) for e in np.eye(len(ref), dtype=complex)])
+            assert np.max(np.abs(columns - ref)) < 1e-13
+
+
+def test_zero_hopping_builds_both_operators():
+    # a zero kinetic matrix makes the hopping term an empty sum
+    d, m_max, n = 3, 6, 4
+    model = fl.LatticeModel(d, Potential.soft_coulomb_1d(d, 1.3), np.zeros((d, d)))
+    basis = fl.build_basis(d, m_max)
+    h = fl.build_fock_hamiltonian(model, n, basis).matrix
+    for sector in range(1, m_max + 1):
+        sl = basis.sector_slice(sector)
+        ref = build_sector_hamiltonian(model, sector).matrix.toarray() * sector / n
+        assert np.max(np.abs(h[sl, sl].toarray() - ref)) < 1e-13
+    ops = FluctuationOperators(model, basis)
+    phi = _phi(d, 3)
+    for kind, cutoff in (("full", None), ("reduced", None), ("limiting", None), ("truncated", 3)):
+        ref = assemble_by_terms(ops, kind, n, phi, cutoff=cutoff)
+        assert abs(ops.assemble(kind, n, phi, cutoff=cutoff) - ref).max() < 1e-13
+
+
+@MODELS
 def test_windowed_assembly_is_the_generator_at_the_window_cutoff(model):
     # every term is normal ordered, so the generator on the sectors [0, m]
     # is the generator of the basis cut at m, entry for entry (its products
@@ -124,23 +160,30 @@ def _top_occupied_sector(psi) -> int:
     return int(np.nonzero(psi.sector_weights())[0].max())
 
 
-@pytest.mark.parametrize("kind", ["full", "reduced", "limiting"])
+@pytest.mark.parametrize("kind", ["full", "reduced", "limiting", "truncated"])
 def test_windowed_trajectory_matches_whole_basis_evolution(kind):
     # the trajectory grows its window from WINDOW_STEP sectors, and the
     # sectors beyond it hold exact zeros; the whole-basis evolution agrees
-    # to within the amplitude the window rule leaves in its top sector
+    # to within the amplitude the window rule leaves in its top sector.
+    # The truncated kind's cutoff lies below the window's final top, so
+    # its cut acts inside the window
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     phi, n, m_max, times = _phi(3), 3, 30, [0.02, 0.1]
+    cutoff = 6 if kind == "truncated" else None
     ops = FluctuationOperators(model, fl.build_basis(3, m_max))
     flow = HartreeFlow(phi, model, 1e-3)
     budget = PropagationBudget(tol=1e-10, dt=0.02)
     vac = fl.FockVector.vacuum(ops.basis)
     tops = []
-    for t, psi in fluctuation_trajectory(ops, kind, n, flow, times, budget):
-        ref = evolve_fluctuation(kind, model, n, flow, vac, 0.0, t, budget, ops=ops)
+    for t, psi in fluctuation_trajectory(ops, kind, n, flow, times, budget, cutoff):
+        ref = evolve_fluctuation(kind, model, n, flow, vac, 0.0, t, budget, cutoff=cutoff, ops=ops)
         assert np.linalg.norm(psi.amp - ref.amp) < 1e-9
         tops.append(_top_occupied_sector(psi))
     assert WINDOW_STEP < tops[0] < tops[1] < m_max
+    if kind == "truncated":
+        assert cutoff < tops[1]
+        full = evolve_fluctuation("full", model, n, flow, vac, 0.0, times[-1], budget, ops=ops)
+        assert np.linalg.norm(psi.amp - full.amp) > 1e-6
 
 
 def test_cubic_term_by_term_oracle():

@@ -29,12 +29,13 @@ def test_zero_time_is_identity():
 
 
 def test_krylov_matches_dense_oracle():
-    # force the Krylov path and compare against a dense eigendecomposition
+    # the Krylov path (StaticPropagator's above DENSE_CUTOFF) against a
+    # dense eigendecomposition
     dim = 400
     h = _random_hermitian(dim, 2, scale=3.0)
     v = _random_vec(dim, 3)
-    budget = PropagationBudget(tol=1e-11, dense_cutoff=0)
-    out = StaticPropagator(h, budget).apply(v, 1.3)
+    budget = PropagationBudget(tol=1e-11)
+    out = expm_apply(h, v, 1.3, budget)
     w, u = eigh(h.toarray())
     ref = u @ (np.exp(-1j * w * 1.3) * (u.conj().T @ v))
     assert np.linalg.norm(out - ref) < 1e-9
@@ -78,7 +79,7 @@ def test_dense_path_matches_krylov_path():
     h = _random_hermitian(dim, 7, scale=2.0)
     v = _random_vec(dim, 8)
     dense = StaticPropagator(h, PropagationBudget()).apply(v, 0.7)
-    krylov = StaticPropagator(h, PropagationBudget(tol=1e-12, dense_cutoff=0)).apply(v, 0.7)
+    krylov = expm_apply(h, v, 0.7, PropagationBudget(tol=1e-12))
     assert np.linalg.norm(dense - krylov) < 1e-10
 
 
@@ -130,7 +131,7 @@ def test_timedep_constant_generator_matches_static():
     v = _random_vec(dim, 11)
     budget = PropagationBudget(tol=1e-11, dt=0.02)
     out = evolve_timedep(lambda t: h, v, 0.0, 1.1, budget)
-    ref = StaticPropagator(h, PropagationBudget(tol=1e-12, dense_cutoff=0)).apply(v, 1.1)
+    ref = expm_apply(h, v, 1.1, PropagationBudget(tol=1e-12))
     assert np.linalg.norm(out - ref) < 1e-9
 
 
