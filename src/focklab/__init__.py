@@ -6,9 +6,6 @@ from .basis import (
     annihilate,
     basis_dimension,
     build_basis,
-    create,
-    number_apply,
-    number_expectation,
     number_moment,
     sector_dimension,
 )
@@ -51,7 +48,6 @@ from .model import (
 from .config import ExperimentConfig, load_config
 from .decomposition import (
     expansion_coefficient,
-    laguerre_crosscheck,
     parseval_identity_check,
     product_norm_constant,
     reconstruct_product,
@@ -59,13 +55,12 @@ from .decomposition import (
     scaled_coefficient,
 )
 from .fluctuations import (
-    coherent_marginal_error,
     conjugation_identity_residual,
     dynamics_gap,
     evolve_fluctuation,
     number_growth_probe,
 )
 from .propagate import PropagationBudget, StaticPropagator, evolve_timedep
-from .weyl import coherent_state, minimal_cutoff, phi_apply, poisson_tail, weyl_apply
+from .weyl import coherent_state, minimal_cutoff, poisson_tail, weyl_apply
 
 __version__ = "0.1.0"

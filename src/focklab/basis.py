@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import CapacityError, NormalizationError
+from .errors import CapacityError
 
 DEFAULT_CAPACITY = 500_000
 
@@ -187,32 +187,6 @@ class FockVector:
 def annihilate(x: int, psi: FockVector) -> FockVector:
     """a_x psi; sends n_x = 0 components to zero."""
     return FockVector(psi.basis, psi.basis.annihilator(x) @ psi.amp)
-
-
-def create(x: int, psi: FockVector) -> tuple[FockVector, float]:
-    """a*_x psi within the cutoff, plus the norm of the dropped top part.
-
-    Components that would land beyond m_max are compressed away; the second
-    return value reports their norm so callers can monitor truncation loss.
-    """
-    basis = psi.basis
-    out = FockVector(basis, basis.creator(x) @ psi.amp)
-    top = psi.amp[basis.sector_slice(basis.m_max)]
-    occ = basis.sector_states(basis.m_max)[:, x].astype(float)
-    dropped = float(np.sqrt(np.sum((occ + 1.0) * np.abs(top) ** 2)))
-    return out, dropped
-
-
-def number_apply(psi: FockVector) -> FockVector:
-    return FockVector(psi.basis, psi.basis.number_diagonal() * psi.amp)
-
-
-def number_expectation(psi: FockVector) -> float:
-    """<psi, N psi> / <psi, psi>."""
-    nrm2 = float(np.vdot(psi.amp, psi.amp).real)
-    if nrm2 == 0.0:
-        raise NormalizationError("number expectation of the zero vector is undefined")
-    return float(np.sum(psi.basis.number_diagonal() * np.abs(psi.amp) ** 2) / nrm2)
 
 
 def number_moment(psi: FockVector, j: int) -> float:

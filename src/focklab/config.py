@@ -41,6 +41,8 @@ class ExperimentConfig:
         if self.phi0.shape != (self.model.d,):
             raise ConfigError("initial_phi length must equal the site count d")
         nrm = float(np.linalg.norm(self.phi0))
+        if not np.isfinite(nrm):
+            raise ConfigError("initial_phi must be finite")
         if nrm == 0.0:
             raise ConfigError("initial_phi must be nonzero")
         self.phi0 = self.phi0 / nrm
@@ -48,7 +50,7 @@ class ExperimentConfig:
             raise ConfigError("time.samples must be nonempty")
         if any(t < 0 for t in self.t_samples):
             raise ConfigError("sample times must be nonnegative")
-        if self.hartree_dt <= 0 or self.fluctuation_dt <= 0:
+        if not (self.hartree_dt > 0 and self.fluctuation_dt > 0):  # NaN included
             raise ConfigError("time steps must be positive")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ConfigError("scan.n_values must be positive integers")
@@ -69,6 +71,8 @@ class ExperimentConfig:
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -137,6 +141,15 @@ _FIELDS = (
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """The config a parsed file describes; a value that does not convert, or
+    that the model or the dataclass rejects, is a ConfigError."""
+    try:
+        return _config_from_dict(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid value: {exc}") from exc
+
+
+def _config_from_dict(raw: dict) -> ExperimentConfig:
     _require_keys(
         raw,
         {
@@ -183,6 +196,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return config_from_dict(raw)

@@ -8,11 +8,17 @@ The identity behind the whole module: for a unit one-particle amplitude phi,
 with d_N^2 = N! e^N / N^N.  Discretizing the circle with K >= m_max + 1
 points makes the average an exact sector projection within the truncated
 space (discrete Fourier orthogonality), so quadrature introduces no error of
-its own.  The coefficient sequence R_m is computed in exact integer
-arithmetic through two independent closed forms, and is tied to generalized
-Laguerre polynomials evaluated in their oscillatory regime (the connection is
-checked in absolute value; the sign conventions differ for odd m, and only
-R_m^2 enters the identities used downstream).
+its own.  Gauge covariance, e^{-i theta N} W(f) e^{i theta N} = W(e^{-i theta} f)
+with N vac = 0, makes every node's coherent state the theta=0 state times
+e^{-i theta N}; so the reconstruction builds one coherent state and weights
+each sector m by its K-node sum (1/K) sum_k e^{i theta_k (N - m)}.  The sum
+of K coherent states is kept as the test oracle ``reconstruct_by_nodes`` in
+tests/oracles.py.  The coefficient sequence R_m
+is computed in exact integer arithmetic through two independent closed
+forms, and is tied to generalized Laguerre polynomials evaluated in their
+oscillatory regime (the connection holds in absolute value; the sign
+conventions differ for odd m, and only R_m^2 enters the identities used
+downstream).
 """
 
 from __future__ import annotations
@@ -112,21 +118,6 @@ def laguerre_times_factorial(n: int, m: int) -> int:
 
 
 @dataclass
-class LaguerreReport:
-    n: int
-    m: int
-    r_value: int
-    laguerre_value: int
-    abs_match: bool
-
-
-def laguerre_crosscheck(n: int, m: int) -> LaguerreReport:
-    r = expansion_coefficient(n, m)
-    lag = laguerre_times_factorial(n, m)
-    return LaguerreReport(n, m, r, lag, abs(r) == abs(lag))
-
-
-@dataclass
 class ParsevalReport:
     n: int
     m_reached: int
@@ -159,21 +150,24 @@ def reconstruct_product(
     k_points: int,
     basis: OccupationBasis,
     eps_trunc: float = 1e-10,
-    allow_aliasing: bool = False,
 ) -> tuple[FockVector, float]:
-    """Trapezoidal phase average of coherent states against the embedded
-    product state; K >= m_max + 1 prevents sector aliasing."""
-    if k_points <= basis.m_max and not allow_aliasing:
+    """The K-node trapezoidal phase average of coherent states against the
+    embedded product state; K >= m_max + 1 prevents sector aliasing.
+
+    By gauge covariance the node-theta coherent state is the theta=0 state
+    with each sector-m amplitude times e^{-i theta m}.  So the average is one
+    coherent state with sector m weighted by (1/K) sum_k e^{i theta_k (N - m)}:
+    1 on sector N and, up to rounding, 0 on the others.
+    """
+    if k_points <= basis.m_max:
         raise AliasingError(
             f"K={k_points} <= m_max={basis.m_max} aliases sectors congruent mod K"
         )
     dn = product_norm_constant(n)
-    acc = np.zeros(basis.size, dtype=complex)
-    for k in range(k_points):
-        theta = 2.0 * pi * k / k_points
-        cs = coherent_state(np.exp(-1j * theta) * sqrt(n) * np.asarray(phi, complex), basis, eps_trunc)
-        acc += np.exp(1j * theta * n) * cs.amp
-    rec = FockVector(basis, dn.value * acc / k_points)
+    cs = coherent_state(sqrt(n) * np.asarray(phi, complex), basis, eps_trunc)
+    theta = 2.0 * pi * np.arange(k_points) / k_points
+    weights = np.exp(1j * np.outer(n - np.arange(basis.m_max + 1), theta)).mean(axis=1)
+    rec = FockVector(basis, dn.value * weights[basis.totals] * cs.amp)
     target = embed_product_state(phi, n, basis)
     return rec, float(np.linalg.norm(rec.amp - target.amp))
 
@@ -191,21 +185,6 @@ def displaced_product_profile(
     base = embed_product_state(phi, n - 1, basis)
     shifted = weyl_apply(-np.exp(-1j * theta) * sqrt(n) * np.asarray(phi, complex), base, budget)
     return FockVector(basis, dn.value * np.exp(-1j * theta * n) * shifted.amp)
-
-
-def coefficient_expansion_profile(
-    phi: np.ndarray,
-    n: int,
-    theta: float,
-    basis: OccupationBasis,
-) -> FockVector:
-    """The same psi(theta) through the sector expansion
-    sum_m A_m e^{-i theta (m+1)} phi^{x m}, truncated at the basis cutoff."""
-    acc = np.zeros(basis.size, dtype=complex)
-    for m in range(basis.m_max + 1):
-        c = scaled_coefficient(n, m) * np.exp(-1j * theta * (m + 1))
-        acc += c * embed_product_state(phi, m, basis).amp
-    return FockVector(basis, acc)
 
 
 @dataclass

@@ -57,10 +57,10 @@ class SlopeFit:
     points_used: int
 
 
-def fit_loglog_slope(points, floor: float = SLOPE_FLOOR) -> SlopeFit:
-    """Least squares on (log N, log value); values at or below the floor are
-    excluded, and an all-floor series is reported as exact rather than fit."""
-    usable = [(n, v) for n, v in points if v > floor]
+def fit_loglog_slope(points) -> SlopeFit:
+    """Least squares on (log N, log value); values at or below SLOPE_FLOOR
+    are excluded, and an all-floor series is reported as exact rather than fit."""
+    usable = [(n, v) for n, v in points if v > SLOPE_FLOOR]
     if not usable:
         return SlopeFit(None, None, None, True, 0)
     if len(usable) < 3:

@@ -23,15 +23,14 @@ pair once through the sample times, on the leading sectors it occupies.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, identity
+from scipy.sparse import csr_matrix, identity
 
 from .basis import FockVector, OccupationBasis, annihilate, build_basis, number_moment
 from .errors import TruncationError
 from .hartree import HartreeFlow, phase_rotate
-from .marginals import marginal_from_fock, rank_one, trace_distance
 from .model import LatticeModel, build_fock_hamiltonian, hopping, interaction_diagonal
 from .propagate import PropagationBudget, StaticPropagator, evolve_timedep, through_times
-from .weyl import coherent_state, minimal_cutoff, weyl_apply
+from .weyl import weyl_apply
 
 GENERATOR_KINDS = ("full", "reduced", "truncated", "limiting")
 TOP_SECTOR_LIMIT = 1e-6
@@ -283,12 +282,12 @@ class SectorWindow:
         return FockVector(self.basis, out)
 
 
-def check_truncation(psi: FockVector, limit: float = TOP_SECTOR_LIMIT):
+def check_truncation(psi: FockVector):
     top = psi.top_sector_weight()
     total = float(np.vdot(psi.amp, psi.amp).real)
-    if top > limit * total:
+    if top > TOP_SECTOR_LIMIT * total:
         raise TruncationError(
-            f"top-sector occupancy {top:.3e} exceeds {limit:.0e} of the norm; raise m_max"
+            f"top-sector occupancy {top:.3e} exceeds {TOP_SECTOR_LIMIT:.0e} of the norm; raise m_max"
         )
 
 
@@ -302,12 +301,11 @@ def evolve_fluctuation(
     t: float,
     budget: PropagationBudget | None = None,
     cutoff: int | None = None,
-    phase: float = 0.0,
     ops: FluctuationOperators | None = None,
 ) -> FockVector:
     """U(t;s) psi for the requested generator kind (time-ordered midpoint rule)."""
     ops = ops or FluctuationOperators(model, psi.basis)
-    gen = generator_family(ops, kind, n, flow, cutoff=cutoff, phase=phase)
+    gen = generator_family(ops, kind, n, flow, cutoff=cutoff)
     out = evolve_timedep(gen, psi, s, t, budget)
     check_truncation(out)
     return out
@@ -455,14 +453,12 @@ def dynamics_gap(
     m_max: int = 16,
     hartree_dt: float = 1e-3,
     basis: OccupationBasis | None = None,
-    against: str = "reduced",
 ) -> float:
-    """|| (U_N(t;0) - U'(t;0)) vacuum || with U' the reduced (default) or
-    limiting dynamics."""
+    """|| (U_N(t;0) - U'(t;0)) vacuum || with U' the reduced dynamics."""
     ops, flow = _probe_inputs(model, phi0, m_max, hartree_dt, basis)
     u_full = _state_at(ops, "full", n, flow, t, budget)
-    u_other = _state_at(ops, against, n, flow, t, budget)
-    return float(np.linalg.norm(u_full.amp - u_other.amp))
+    u_reduced = _state_at(ops, "reduced", n, flow, t, budget)
+    return float(np.linalg.norm(u_full.amp - u_reduced.amp))
 
 
 def parity_defect(
@@ -473,48 +469,9 @@ def parity_defect(
     budget: PropagationBudget | None = None,
     m_max: int = 16,
     hartree_dt: float = 1e-3,
-    kind: str = "reduced",
     basis: OccupationBasis | None = None,
 ) -> float:
-    """max_x |<vac, U* a_x U vac>|; vanishes when U conserves parity."""
+    """max_x |<vac, U* a_x U vac>| along the reduced dynamics U; it
+    vanishes because U conserves parity."""
     ops, flow = _probe_inputs(model, phi0, m_max, hartree_dt, basis)
-    return parity_element(_state_at(ops, kind, n, flow, t, budget))
-
-
-def coherent_marginal_error(
-    model: LatticeModel,
-    n: int,
-    phi0: np.ndarray,
-    t: float,
-    budget: PropagationBudget | None = None,
-    m_max: int | None = None,
-    eps_trunc: float = 1e-10,
-    hartree_dt: float = 1e-3,
-    basis: OccupationBasis | None = None,
-    propagator: StaticPropagator | None = None,
-) -> float:
-    """Trace distance between the one-particle marginal of the evolved
-    coherent state psi(sqrt(N) phi0) and the Hartree projector at time t."""
-    if basis is None:
-        m = m_max if m_max is not None else minimal_cutoff(float(n), eps_trunc)
-        basis = build_basis(model.d, m)
-    psi = coherent_state(np.sqrt(n) * np.asarray(phi0, dtype=complex), basis, eps_trunc)
-    prop = propagator or StaticPropagator(build_fock_hamiltonian(model, n, basis).matrix, budget)
-    psi_t = prop.apply(psi, t)
-    gamma = marginal_from_fock(psi_t)
-    flow = HartreeFlow(phi0, model, hartree_dt)
-    phi_t = flow.at(t)
-    return trace_distance(gamma, rank_one(phi_t / np.linalg.norm(phi_t)))
-
-
-def parity_commutator_norm(gen: csr_matrix, basis: OccupationBasis) -> float:
-    """max |P G P - G| entry for the sector parity P = (-1)^N."""
-    p = basis.parity_diagonal()
-    conj = diags(p) @ gen @ diags(p)
-    diff = (conj - gen).tocoo()
-    return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
-
-
-def hermiticity_defect(gen) -> float:
-    diff = (gen - gen.conj().T).tocoo()
-    return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+    return parity_element(_state_at(ops, "reduced", n, flow, t, budget))

@@ -42,11 +42,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def csv_rows(self):
-        for x in range(self.dim):
-            for y in range(self.dim):
-                yield (x, y, self.mat[x, y].real, self.mat[x, y].imag)
-
 
 def _single_sector(psi: FockVector) -> int:
     w = psi.sector_weights()
@@ -110,28 +105,3 @@ def hs_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Frobenius norm of a - b."""
     _check_dims(a, b)
     return float(np.linalg.norm(a.mat - b.mat))
-
-
-@dataclass
-class RankOneComparison:
-    trace_of_difference: float
-    negative_eigenvalues: int
-    trace_norm: float
-    twice_most_negative: float
-
-
-def compare_to_rank_one(gamma: DensityMatrix, proj: DensityMatrix) -> RankOneComparison:
-    """Spectral bookkeeping for gamma - P with P a rank-one projector: the
-    difference has zero trace and at most one negative eigenvalue, so its
-    trace norm equals twice the most negative eigenvalue in absolute value."""
-    _check_dims(gamma, proj)
-    diff = gamma.mat - proj.mat
-    ev = np.linalg.eigvalsh(diff)
-    scale = max(1.0, float(np.max(np.abs(ev))))
-    negative = int(np.sum(ev < -1e-12 * scale))
-    return RankOneComparison(
-        trace_of_difference=float(np.trace(diff).real),
-        negative_eigenvalues=negative,
-        trace_norm=float(np.sum(np.abs(ev))),
-        twice_most_negative=float(2.0 * abs(min(ev.min(), 0.0))),
-    )

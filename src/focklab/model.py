@@ -46,10 +46,10 @@ class Potential:
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         d = len(v)
-        if not np.allclose(v, v[(-np.arange(d)) % d], rtol=0, atol=0):
-            raise ValueError("potential table must satisfy v(r) = v(-r mod d)")
         if not np.all(np.isfinite(v)):
             raise ValueError("potential table must be finite")
+        if not np.allclose(v, v[(-np.arange(d)) % d], rtol=0, atol=0):
+            raise ValueError("potential table must satisfy v(r) = v(-r mod d)")
 
     @classmethod
     def zero(cls, d: int) -> "Potential":
@@ -64,6 +64,8 @@ class Potential:
     @classmethod
     def gaussian_profile(cls, d: int, strength: float = 1.0, width: float | None = None) -> "Potential":
         w = width if width is not None else d / 4.0
+        if not w > 0:
+            raise ValueError("Gaussian width must be positive")
         r = ring_distance(np.arange(d), d).astype(float)
         return cls("gaussian-profile", strength, strength * np.exp(-(r**2) / (2.0 * w**2)))
 

@@ -1,4 +1,4 @@
-"""Weyl operators, coherent states and field operators on the truncated basis.
+"""Weyl operators, coherent states and smeared ladder operators on the truncated basis.
 
 W(f) = exp(a*(f) - a(f)) is applied by exponentiating the compressed
 skew-Hermitian generator, so the result is unitary to machine precision even
@@ -40,39 +40,6 @@ def weyl_generator(f: np.ndarray, basis: OccupationBasis) -> csr_matrix:
     """The skew-Hermitian a*(f) - a(f)."""
     a = annihilation_of(f, basis)
     return (a.conj().T - a).tocsr()
-
-
-def phi_apply(f: np.ndarray, psi: FockVector, with_loss: bool = False):
-    """Field operator phi(f) = a*(f) + a(f) applied to psi.
-
-    Hermitian up to the top-sector compression; optionally reports the norm
-    of the dropped creation part.
-    """
-    basis = psi.basis
-    a = annihilation_of(f, basis)
-    out = FockVector(basis, a @ psi.amp + a.conj().T @ psi.amp)
-    if not with_loss:
-        return out
-    return out, creation_loss(f, psi)
-
-
-def creation_loss(f: np.ndarray, psi: FockVector) -> float:
-    """Norm of the part of a*(f) psi that falls beyond the cutoff."""
-    basis = psi.basis
-    f = np.asarray(f, dtype=complex)
-    top = psi.amp[basis.sector_slice(basis.m_max)]
-    tuples = basis.sector_states(basis.m_max)
-    dropped: dict[tuple, complex] = {}
-    for i, amp in enumerate(top):
-        if amp == 0:
-            continue
-        n = tuples[i]
-        for x in range(basis.d):
-            if f[x] == 0:
-                continue
-            key = tuple(n + np.eye(basis.d, dtype=np.int64)[x])
-            dropped[key] = dropped.get(key, 0.0) + f[x] * math.sqrt(n[x] + 1.0) * amp
-    return float(math.sqrt(sum(abs(v) ** 2 for v in dropped.values())))
 
 
 def weyl_apply(

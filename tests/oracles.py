@@ -7,8 +7,10 @@ package replaced by exact identities or faster layouts: generators summed
 term by term with sparse `+` (the truncated kind with its particle-number
 indicator inserted between ladder factors), every probe evolving its own
 trajectories, the conjugation residual routed through both of its sides'
-shared unitary tail, the remainder's K-node phase average, and rate scans
-evolving every sample time from t = 0.
+shared unitary tail, the remainder's K-node phase average, the product
+reconstruction summing one coherent state per quadrature node, and rate
+scans evolving every sample time from t = 0.  The sector expansion of the
+displaced product profile is the second route to that profile.
 """
 
 import itertools
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, diags
 
 from focklab.basis import FockVector, _sector_tuples, annihilate, build_basis, number_moment
-from focklab.decomposition import displaced_product_profile
+from focklab.decomposition import displaced_product_profile, product_norm_constant, scaled_coefficient
 from focklab.fluctuations import FluctuationOperators, evolve_fluctuation, generator_family
 from focklab.hartree import HartreeFlow
 from focklab.marginals import hs_distance, marginal_from_fock, marginal_from_sector, rank_one, trace_distance
@@ -159,6 +161,29 @@ def remainder_phase_average(model, n, phi0, t, k_points, basis, budget, hartree_
         fwd_vac = evolve_timedep(gen, vac, 0.0, t, budget)
         f += [np.vdot(psi.amp, basis.annihilator(x) @ fwd_vac.amp) for x in range(model.d)]
     return f / k_points
+
+
+def reconstruct_by_nodes(phi, n, k_points, basis, eps_trunc=1e-10):
+    """The product state d_N (1/K) sum_k e^{i theta_k N} W(e^{-i theta_k} sqrt(N) phi) vac,
+    one coherent state per node, and its distance from the embedded product
+    state.  K <= m_max is allowed, so the aliasing it causes shows."""
+    acc = np.zeros(basis.size, dtype=complex)
+    for k in range(k_points):
+        theta = 2.0 * math.pi * k / k_points
+        cs = coherent_state(np.exp(-1j * theta) * math.sqrt(n) * np.asarray(phi, complex), basis, eps_trunc)
+        acc += np.exp(1j * theta * n) * cs.amp
+    rec = FockVector(basis, product_norm_constant(n).value * acc / k_points)
+    return rec, float(np.linalg.norm(rec.amp - embed_product_state(phi, n, basis).amp))
+
+
+def coefficient_expansion_profile(phi, n, theta, basis):
+    """The displaced product profile psi(theta) through the sector expansion
+    sum_m A_m e^{-i theta (m+1)} phi^{x m}, truncated at the basis cutoff."""
+    acc = np.zeros(basis.size, dtype=complex)
+    for m in range(basis.m_max + 1):
+        c = scaled_coefficient(n, m) * np.exp(-1j * theta * (m + 1))
+        acc += c * embed_product_state(phi, m, basis).amp
+    return FockVector(basis, acc)
 
 
 def _ladders(basis):

@@ -21,10 +21,10 @@ from focklab.decomposition import (
     coeff_binomial_form,
     reconstruct_product,
 )
-from focklab.experiments import fit_loglog_slope
+from focklab.config import ExperimentConfig
+from focklab.experiments import fit_loglog_slope, run_coherent_rate_scan
 from focklab.fluctuations import (
     FluctuationOperators,
-    coherent_marginal_error,
     dynamics_gap,
     evolve_fluctuation,
     conjugation_identity_residual,
@@ -284,13 +284,14 @@ def test_criterion_7_product_state_rate():
 
 def test_criterion_8_coherent_state_rate():
     start = time.monotonic()
-    model = _contact_model(3, 1.0)
-    phi0 = _geometric(3)
-    budget = PropagationBudget(tol=1e-10)
-    pts = [(n, coherent_marginal_error(model, n, phi0, 0.5, budget)) for n in (2, 3, 4, 6)]
-    slope = fit_loglog_slope(pts).slope
+    config = ExperimentConfig(
+        model=_contact_model(3, 1.0), phi0=_geometric(3), t_samples=[0.5], n_values=[2, 3, 4, 6],
+        propagation_tol=1e-10,
+    )
+    rows = run_coherent_rate_scan(config)
+    slope = rows[0].fitted_slope
     elapsed = time.monotonic() - start
-    ok = abs(slope - (-1.0)) <= 0.25 and elapsed < 600.0
+    ok = abs(slope - (-1.0)) <= 0.25 and not any(r.flagged for r in rows) and elapsed < 600.0
     _report(8, ok, f"coherent-state marginal error slope {slope:.3f} (-1 +- 0.25); {elapsed:.1f}s (< 10 min)")
 
 

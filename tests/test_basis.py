@@ -78,17 +78,9 @@ def test_annihilate_two_particles():
 
 def test_create_on_vacuum():
     b = fl.build_basis(3, 2)
-    out, loss = fl.create(1, fl.FockVector.vacuum(b))
-    assert out.amp[b.index_of((0, 1, 0))] == 1.0
-    assert loss == 0.0
-
-
-def test_create_reports_dropped_norm():
-    b = fl.build_basis(2, 2)
-    psi = fl.FockVector.unit(b, (2, 0))
-    out, loss = fl.create(0, psi)
-    assert out.norm() == 0.0
-    assert loss == pytest.approx(np.sqrt(3))
+    out = b.creator(1) @ fl.FockVector.vacuum(b).amp
+    assert out[b.index_of((0, 1, 0))] == 1.0
+    assert np.count_nonzero(out) == 1
 
 
 def _random_state(b, rng, max_sector=None):
@@ -106,7 +98,7 @@ def test_adjointness():
         psi1 = _random_state(b, rng, max_sector=4)
         psi2 = _random_state(b, rng, max_sector=4)
         for x in range(3):
-            lhs = fl.create(x, psi1)[0].inner(psi2)
+            lhs = np.vdot(b.creator(x) @ psi1.amp, psi2.amp)
             rhs = psi1.inner(fl.annihilate(x, psi2))
             assert lhs == pytest.approx(rhs, abs=1e-13)
 
@@ -117,9 +109,9 @@ def test_ccr_below_cutoff():
     psi = _random_state(b, rng, max_sector=4)  # m_max - 2
     for x in range(3):
         for y in range(3):
-            comm = fl.annihilate(x, fl.create(y, psi)[0]).amp - fl.create(
-                y, fl.annihilate(x, psi)
-            )[0].amp
+            comm = b.annihilator(x) @ (b.creator(y) @ psi.amp) - b.creator(y) @ (
+                b.annihilator(x) @ psi.amp
+            )
             expected = psi.amp if x == y else 0.0 * psi.amp
             assert np.max(np.abs(comm - expected)) < 1e-12
 
@@ -130,19 +122,10 @@ def test_pull_through():
     rng = np.random.default_rng(3)
     psi = _random_state(b, rng, max_sector=4)
     for x in range(3):
-        lhs = fl.annihilate(x, fl.number_apply(psi)).amp
+        lhs = b.annihilator(x) @ (b.number_diagonal() * psi.amp)
         ax = fl.annihilate(x, psi)
         rhs = (b.number_diagonal() + 1.0) * ax.amp
         assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_number_apply_and_expectation():
-    b = fl.build_basis(2, 4)
-    assert fl.number_apply(fl.FockVector.vacuum(b)).norm() == 0.0
-    psi = fl.FockVector.unit(b, (1, 2))
-    assert fl.number_expectation(psi) == pytest.approx(3.0)
-    with pytest.raises(fl.NormalizationError):
-        fl.number_expectation(fl.FockVector(b, np.zeros(b.size)))
 
 
 def test_number_moments_from_sector_weights():
@@ -177,5 +160,5 @@ def test_lemma_bounds_random(d, m, seed):
     sqrt_n1 = np.sqrt(b.number_diagonal() + 1.0)
     assert np.linalg.norm(a @ psi.amp) <= nf * np.linalg.norm(sqrt_n * psi.amp) + 1e-12
     assert np.linalg.norm(a.conj().T @ psi.amp) <= nf * np.linalg.norm(sqrt_n1 * psi.amp) + 1e-12
-    phi_psi = fl.phi_apply(f, psi)
-    assert phi_psi.norm() <= 2 * nf * np.linalg.norm(sqrt_n1 * psi.amp) + 1e-12
+    field = a @ psi.amp + a.conj().T @ psi.amp  # phi(f) = a*(f) + a(f)
+    assert np.linalg.norm(field) <= 2 * nf * np.linalg.norm(sqrt_n1 * psi.amp) + 1e-12

@@ -78,6 +78,44 @@ def test_cli_rejects_non_positive_tolerances(tiny_config, tmp_path, capsys, grou
     assert f"config error: {group}.{key} must be positive" in capsys.readouterr().err
 
 
+BAD_VALUES = {
+    "d-1": (("model", "d"), 1),
+    "d-x": (("model", "d"), "x"),
+    "a0-negative": (("model", "potential"), {"kind": "soft-coulomb-1d", "a0": -1}),
+    "strength-nan": (("model", "potential", "strength"), float("nan")),
+    "width-zero": (("model", "potential"), {"kind": "gaussian-profile", "width": 0}),
+    "samples-ab": (("time", "samples"), "ab"),
+    "n_values-x": (("scan", "n_values"), ["x"]),
+    "dt-nan": (("time", "dt"), float("nan")),
+    "phi-nan": (("initial_phi",), [[float("nan"), 0.0], [1.0, 0.0]]),
+    "model-list": (("model",), []),
+}
+
+
+@pytest.mark.parametrize("case", [*BAD_VALUES, "directory", "non-utf8"])
+def test_cli_reports_bad_config_inputs(tiny_config, tmp_path, capsys, case):
+    # a value that does not convert or that the model rejects, a NaN time
+    # step or orbital, and a config path that cannot be read as text are
+    # config errors (exit 1), not tracebacks or a run that fails later
+    if case == "directory":
+        config = tmp_path / "dir"
+        config.mkdir()
+    elif case == "non-utf8":
+        config = tmp_path / "latin1.json"
+        config.write_bytes(b'{"model": {"d": 2}, "note": "\xe9"}')
+    else:
+        keys, value = BAD_VALUES[case]
+        cfg = json.loads(tiny_config.read_text())
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        tiny_config.write_text(json.dumps(cfg))
+        config = tiny_config
+    assert main(["hartree", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_cli_fluctuation_csvs_identical_across_threads(tiny_config, tmp_path):
     # every trajectory grows its own sector window, and every coefficient
     # suite cell evolves its own states, so a thread pool changes nothing in

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 import focklab as fl
 from focklab.decomposition import (
     scaled_coefficient,
-    coefficient_expansion_profile,
     product_norm_constant,
     displaced_product_profile,
     remainder_probe,
-    laguerre_crosscheck,
     laguerre_times_factorial,
     parseval_identity_check,
     expansion_coefficient,
@@ -23,7 +21,7 @@ from focklab.decomposition import (
 from focklab.hartree import HartreeFlow
 from focklab.model import Potential
 from focklab.propagate import PropagationBudget
-from oracles import remainder_phase_average
+from oracles import coefficient_expansion_profile, reconstruct_by_nodes, remainder_phase_average
 
 
 def test_d_n_closed_forms():
@@ -65,7 +63,7 @@ def test_laguerre_abs_crosscheck():
     assert abs(laguerre_times_factorial(2, 1)) == 1
     for n in range(1, 41):
         for m in range(n):
-            assert laguerre_crosscheck(n, m).abs_match
+            assert abs(expansion_coefficient(n, m)) == abs(laguerre_times_factorial(n, m))
 
 
 def test_laguerre_sign_convention_mismatch_documented():
@@ -111,12 +109,32 @@ def test_reconstruct_product_exact_with_enough_points():
 
 
 def test_reconstruct_product_aliasing():
+    # K <= m_max is refused; the node sum shows the aliasing it would cause
     basis = fl.build_basis(2, 12)
     phi = np.array([0.8, 0.6])
-    with pytest.raises(fl.AliasingError):
-        reconstruct_product(phi, 3, 3, basis)
-    _, err = reconstruct_product(phi, 3, 3, basis, eps_trunc=1e-4, allow_aliasing=True)
+    for k_points in (3, basis.m_max):
+        with pytest.raises(fl.AliasingError):
+            reconstruct_product(phi, 3, k_points, basis)
+    _, err = reconstruct_by_nodes(phi, 3, 3, basis, eps_trunc=1e-4)
     assert err > 1e-3
+
+
+@pytest.mark.parametrize(
+    "d, m_max, n_values",
+    [(2, 28, (1, 3, 6)), (3, 40, (2, 3, 4, 6, 8, 12))],  # the criterion 10 and desk bases
+)
+def test_reconstruct_product_matches_node_sum(d, m_max, n_values):
+    # gauge covariance: one coherent state with K-node sector weights equals
+    # the sum of K coherent states, aliasing-free K and twice that alike
+    basis = fl.build_basis(d, m_max)
+    phi = 0.6 ** np.arange(d) * np.exp(1j * np.arange(d))
+    phi /= np.linalg.norm(phi)
+    for n in n_values:
+        for k_points in (m_max + 1, 2 * m_max):
+            rec, err = reconstruct_product(phi, n, k_points, basis)
+            ref, ref_err = reconstruct_by_nodes(phi, n, k_points, basis)
+            assert np.max(np.abs(rec.amp - ref.amp)) < 1e-14
+            assert err < 1e-14 and abs(err - ref_err) < 1e-14
 
 
 def test_profile_routes_agree_within_coefficient_tail():

@@ -98,6 +98,20 @@ def test_coherent_scan_reports_truncation_loss():
     assert not any(r.flagged for r in rows)
 
 
+def test_coherent_rate_scan_zero_cases():
+    # a coherent state's marginal is the projector onto its orbital at t = 0,
+    # and without interaction it follows the Hartree orbital at every t
+    rng = np.random.default_rng(0)
+    phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    phi /= np.linalg.norm(phi)
+    for potential, t in ((Potential.contact(3, 1.0), 0.0), (Potential.zero(3), 0.7)):
+        cfg = ExperimentConfig(
+            model=LatticeModel(3, potential), phi0=phi, t_samples=[t], n_values=[3], propagation_tol=1e-10
+        )
+        [row] = run_coherent_rate_scan(cfg)
+        assert row.trace_distance < 1e-9 and not row.flagged
+
+
 def test_coherent_scan_flags_instead_of_aborting(tmp_path):
     # with an integer cutoff every N's state is built and the rows whose
     # Poisson tail reaches tolerances.truncation_loss (1e-6) are flagged: at

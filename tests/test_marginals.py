@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focklab as fl
-from focklab.marginals import DensityMatrix, compare_to_rank_one
+from focklab.marginals import DensityMatrix
 
 from oracles import symmetrizer, tensor_partial_trace
 
@@ -123,10 +123,11 @@ def test_rank_one_comparison_chain():
         psi = _random_sector_state(basis, 3, rng)
         gamma = fl.marginal_from_sector(psi)
         proj = fl.rank_one(phi)
-        rep = compare_to_rank_one(gamma, proj)
-        assert abs(rep.trace_of_difference) < 1e-9
-        assert rep.negative_eigenvalues == 1
-        assert rep.trace_norm == pytest.approx(rep.twice_most_negative, abs=1e-9)
+        diff = gamma.mat - proj.mat
+        ev = np.linalg.eigvalsh(diff)
+        assert abs(np.trace(diff).real) < 1e-9
+        assert np.sum(ev < -1e-12 * max(1.0, np.max(np.abs(ev)))) == 1
+        assert np.sum(np.abs(ev)) == pytest.approx(2.0 * abs(min(ev.min(), 0.0)), abs=1e-9)
         assert fl.trace_distance(gamma, proj) <= 2.0 * fl.hs_distance(gamma, proj) + 1e-12
 
 
@@ -143,9 +144,3 @@ def test_trace_vs_hs_inequality_random(seed):
     assert hd <= td + 1e-12  # Frobenius below trace norm always
     assert td <= 2.0 * np.linalg.matrix_rank(rho - sigma) * hd  # crude sanity
 
-
-def test_csv_rows():
-    p = fl.rank_one(np.array([1.0, 0.0]))
-    rows = list(p.csv_rows())
-    assert rows[0] == (0, 0, 1.0, 0.0)
-    assert len(rows) == 4

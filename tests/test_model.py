@@ -153,7 +153,7 @@ def test_embed_product_norm_and_number():
     phi /= np.linalg.norm(phi)
     psi = fl.embed_product_state(phi, 5, basis)
     assert abs(psi.norm() - 1.0) < 1e-12
-    assert fl.number_expectation(psi) == pytest.approx(5.0, abs=1e-12)
+    assert fl.number_moment(psi, 1) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_embed_product_normalization_error():

@@ -59,6 +59,10 @@ def test_tracer_installs_and_counts_shared_evolutions(tmp_path):
     # one Hartree flow per suite, and every ladder built with its basis
     assert m["hartree.flows"] == 2
     assert m["basis.ladder_builds"] == 0
+    # one coherent state per reconstruction cell (every N is below the
+    # cutoff): gauge covariance gives every quadrature node from it; the
+    # fluctuation suite builds none
+    assert m["weyl.coherent_states"] == len(n_values)
 
 
 def test_tracer_names_rate_cells_and_counts_one_apply_per_segment(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import focklab as fl
-from focklab.weyl import annihilation_of, creation_loss, displacement_floor, minimal_cutoff, poisson_tail
+from focklab.weyl import annihilation_of, displacement_floor, minimal_cutoff, poisson_tail
 
 
 @pytest.fixture(scope="module")
@@ -113,39 +113,28 @@ def test_coherent_truncation_error():
         fl.coherent_state(np.array([1.5, 0.0]), small)
 
 
-def test_phi_apply_on_vacuum_gives_one_particle():
+def test_field_operator_on_vacuum_gives_one_particle():
+    # phi(f) = a*(f) + a(f) on the vacuum is the one-particle state f
     b = fl.build_basis(3, 4)
     f = np.array([0.5, -0.5j, 0.2])
-    out = fl.phi_apply(f, fl.FockVector.vacuum(b))
+    a = annihilation_of(f, b)
+    vac = fl.FockVector.vacuum(b).amp
+    out = a @ vac + a.conj().T @ vac
     for x in range(3):
-        assert out.amp[b.index_of(tuple(np.eye(3, dtype=int)[x]))] == pytest.approx(f[x])
+        assert out[b.index_of(tuple(np.eye(3, dtype=int)[x]))] == pytest.approx(f[x])
 
 
-def test_phi_apply_expectation_real():
+def test_field_operator_expectation_real():
+    # below the top sector the compressed phi(f) is Hermitian
     b = fl.build_basis(3, 5)
     rng = np.random.default_rng(9)
     amp = rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size)
     amp[b.sector_offsets[4] :] = 0.0
     amp /= np.linalg.norm(amp)
-    psi = fl.FockVector(b, amp)
     f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    val = psi.inner(fl.phi_apply(f, psi))
+    a = annihilation_of(f, b)
+    val = np.vdot(amp, a @ amp + a.conj().T @ amp)
     assert abs(val.imag) < 1e-12
-
-
-def test_creation_loss_groups_colliding_images():
-    b = fl.build_basis(2, 1)
-    # psi = (|1,0> + |0,1>)/sqrt(2); a*(f) images collide on |1,1>
-    amp = np.zeros(b.size, complex)
-    amp[b.index_of((1, 0))] = 1 / np.sqrt(2)
-    amp[b.index_of((0, 1))] = 1 / np.sqrt(2)
-    psi = fl.FockVector(b, amp)
-    f = np.array([1.0, -1.0])
-    # f0 sqrt(1) on (2,0), f1 sqrt(1) on (1,1) from (1,0); f0 on (1,1), f1 sqrt(2)... enumerate:
-    # from (1,0): 1*sqrt(2)|2,0> + (-1)*1|1,1>; from (0,1): 1*1|1,1> + (-1)*sqrt(2)|0,2>
-    # |1,1> amplitude cancels: (−1+1)/sqrt(2) = 0
-    expected = np.sqrt((2 + 2) / 2)
-    assert creation_loss(f, psi) == pytest.approx(expected, abs=1e-12)
 
 
 def test_poisson_tail_and_minimal_cutoff():
