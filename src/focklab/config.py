@@ -100,9 +100,16 @@ def _build_phi(spec, d: int) -> np.ndarray:
         raise ConfigError("initial_phi must be a list of [re, im] pairs or a preset") from exc
 
 
+# the shape keys each potential kind reads; any other kind given one is an error
+_SHAPE_KEYS = {"gaussian-profile": "width", "soft-coulomb-1d": "a0"}
+
+
 def _build_potential(spec: dict, d: int) -> Potential:
     _require_keys(spec, {"kind", "strength", "width", "a0"}, "model.potential")
     kind = spec.get("kind", "contact")
+    ignored = sorted((spec.keys() & set(_SHAPE_KEYS.values())) - {_SHAPE_KEYS.get(kind)})
+    if ignored:
+        raise ConfigError(f"model.potential key(s) {ignored} not read by potential kind {kind!r}")
     strength = float(spec.get("strength", 1.0))
     if kind == "zero":
         return Potential.zero(d)

@@ -17,7 +17,7 @@ Two engines and one sampling policy:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 from typing import Callable
 
 import numpy as np
@@ -29,6 +29,9 @@ from .errors import ConvergenceError
 _BREAKDOWN = 1e-13
 KRYLOV_DIM = 40  # Krylov subspace cap per substep
 DENSE_CUTOFF = 600  # up to this dimension, StaticPropagator diagonalizes instead
+_FRACTION_BISECTIONS = 60  # a substep that resolves no fraction above 2**-60 fails
+_FRACTION_RTOL = 2.0**-10  # precision of the resolved fraction
+_NON_FINITE = "non-finite Lanczos coefficient: the generator or the state holds NaN or inf"
 
 
 @dataclass
@@ -60,12 +63,42 @@ def _expm_tridiag(alpha, beta, t):
 
 
 def _lanczos_step(matvec, v, t, tol, m_cap, depth=0):
-    """One adaptive substep of exp(-i A t) v via Lanczos; splits t on failure."""
-    if depth > 60:
-        raise ConvergenceError("Krylov substep bisection failed to converge")
-    beta0 = np.linalg.norm(v)
-    if beta0 == 0.0 or t == 0.0:
+    """exp(-i A t) v via Lanczos, in adaptive substeps that each use one basis.
+
+    Each substep builds one Krylov basis for the rest of the interval.  When
+    it converges for the whole rest the step is done; otherwise the substep
+    advances by the longest ``tau`` its basis resolves within its share
+    ``tol * tau / t`` of the budget, and the next substep continues from
+    there.  So no basis is discarded, and one is held at a time.  ``depth``
+    is unused: it stays only because the benchmark's tracer wraps this
+    function by name with that signature.
+    """
+    if t == 0.0:
         return v.copy()
+    rest = t
+    while True:
+        # rest / t is exactly 1 on the first substep: its test is tol itself
+        v, frac = _lanczos_substep(matvec, v, rest, tol * (rest / t), m_cap)
+        if frac == 1.0:
+            return v
+        rest -= frac * rest
+
+
+def _lanczos_substep(matvec, v, t, tol, m_cap):
+    """One Lanczos basis applied to exp(-i A t) v: returns (state, frac).
+
+    ``frac`` is 1.0 when the estimate converges within ``tol`` for all of t;
+    then the state is exp(-i A t) v.  Otherwise the basis stops at ``m_cap``
+    vectors, ``frac`` is the fraction of t it resolves within ``frac * tol``
+    and the state is exp(-i A frac t) v.  Non-finite Lanczos coefficients,
+    and a basis that resolves no fraction above 2**-60, raise
+    ``ConvergenceError``.
+    """
+    beta0 = np.linalg.norm(v)
+    if not isfinite(beta0):
+        raise ConvergenceError(_NON_FINITE)
+    if beta0 == 0.0:
+        return v.copy(), 1.0
     n = v.shape[0]
     m_cap = min(m_cap, n)
     vs = np.empty((m_cap, n), dtype=complex)
@@ -85,11 +118,13 @@ def _lanczos_step(matvec, v, t, tol, m_cap, depth=0):
         # (V conj(w))* equals V* w and does not copy the basis V
         w -= vs[: j + 1].T @ (vs[: j + 1] @ w.conj()).conj()
         b = np.linalg.norm(w)
+        if not (isfinite(alpha[j]) and isfinite(b)):
+            raise ConvergenceError(_NON_FINITE)
         if scale is None:
             scale = max(abs(alpha[0]), b, 1.0)
         if b <= _BREAKDOWN * scale:
             y = _expm_tridiag(alpha[: j + 1], beta[:j], t)
-            return (y * beta0) @ vs[: j + 1]
+            return (y * beta0) @ vs[: j + 1], 1.0
         beta[j] = b
         if j + 1 < m_cap:
             vs[j + 1] = w / b
@@ -99,12 +134,41 @@ def _lanczos_step(matvec, v, t, tol, m_cap, depth=0):
                 diff = y.copy()
                 diff[: len(y_prev)] -= y_prev
                 if np.linalg.norm(diff) * beta0 <= tol:
-                    return (y * beta0) @ vs[: j + 1]
+                    return (y * beta0) @ vs[: j + 1], 1.0
             y_prev = y
-    # release the basis before bisecting, so the recursion holds one at a time
-    del vs
-    half = _lanczos_step(matvec, v, t / 2, tol / 2, m_cap, depth + 1)
-    return _lanczos_step(matvec, half, t / 2, tol / 2, m_cap, depth + 1)
+    # compare with the dimension checked before m_cap, a multiple of 4
+    frac, y = _resolved_fraction(alpha, beta[: m_cap - 1], 4 * ((m_cap - 1) // 4), t, tol / beta0)
+    return (y * beta0) @ vs, frac
+
+
+def _resolved_fraction(alpha, beta, prev, t, tol):
+    """(frac, y(frac t)) for a frac in (0, 1) with
+    |y(frac t) - y_prev(frac t)| <= frac tol, where y(tau) and y_prev(tau)
+    are exp(-i tau T) e1 for the tridiagonal T = (alpha, beta) and for its
+    leading prev x prev block.  frac = 1 is known to fail; frac is bisected,
+    on one eigendecomposition of each tridiagonal, to relative precision
+    ``_FRACTION_RTOL``."""
+    if prev < 4:
+        raise ConvergenceError("Krylov substep has no error estimate below its dimension cap")
+    w, u = eigh_tridiagonal(alpha, beta)
+    w_prev, u_prev = eigh_tridiagonal(alpha[:prev], beta[: prev - 1])
+    lo, hi, y_lo = 0.0, 1.0, None
+    for _ in range(_FRACTION_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        y = u @ (np.exp(-1j * (mid * t) * w) * u[0, :])
+        diff = y.copy()
+        diff[:prev] -= u_prev @ (np.exp(-1j * (mid * t) * w_prev) * u_prev[0, :])
+        if np.linalg.norm(diff) <= mid * tol:
+            lo, y_lo = mid, y
+        else:
+            hi = mid
+        if hi - lo <= _FRACTION_RTOL * lo:
+            break
+    if y_lo is None:
+        raise ConvergenceError(
+            f"Krylov substep resolves no fraction of its interval above 2**-{_FRACTION_BISECTIONS}"
+        )
+    return lo, y_lo
 
 
 def expm_apply(h_sparse, v: np.ndarray, t: float, budget: PropagationBudget) -> np.ndarray:

@@ -8,9 +8,11 @@ term by term with sparse `+` (the truncated kind with its particle-number
 indicator inserted between ladder factors), every probe evolving its own
 trajectories, the conjugation residual routed through both of its sides'
 shared unitary tail, the remainder's K-node phase average, the product
-reconstruction summing one coherent state per quadrature node, and rate
-scans evolving every sample time from t = 0.  The sector expansion of the
-displaced product profile is the second route to that profile.
+reconstruction summing one coherent state per quadrature node, rate
+scans evolving every sample time from t = 0, and the Lanczos step that
+discards an unconverged basis and bisects its interval.  The sector
+expansion of the displaced product profile is the second route to that
+profile.
 """
 
 import itertools
@@ -25,7 +27,8 @@ from focklab.fluctuations import FluctuationOperators, evolve_fluctuation, gener
 from focklab.hartree import HartreeFlow
 from focklab.marginals import hs_distance, marginal_from_fock, marginal_from_sector, rank_one, trace_distance
 from focklab.model import build_fock_hamiltonian, build_sector_hamiltonian, embed_product_state
-from focklab.propagate import PropagationBudget, StaticPropagator, evolve_timedep
+from focklab.errors import ConvergenceError
+from focklab.propagate import _BREAKDOWN, PropagationBudget, StaticPropagator, _expm_tridiag, evolve_timedep
 from focklab.weyl import coherent_state, minimal_cutoff, poisson_tail, weyl_apply
 
 
@@ -67,6 +70,51 @@ def tensor_partial_trace(psi_tensor, d, n):
     """One-particle marginal of a (possibly non-symmetric) n-particle vector."""
     a = psi_tensor.reshape(d, d ** (n - 1))
     return a @ a.conj().T
+
+
+def lanczos_bisect(matvec, v, t, tol, m_cap, depth=0):
+    """exp(-i A t) v via Lanczos; a basis that does not converge within
+    ``m_cap`` vectors is discarded, and each half of t is done with tol / 2."""
+    if depth > 60:
+        raise ConvergenceError("Krylov substep bisection failed to converge")
+    beta0 = np.linalg.norm(v)
+    if beta0 == 0.0 or t == 0.0:
+        return v.copy()
+    n = v.shape[0]
+    m_cap = min(m_cap, n)
+    vs = np.empty((m_cap, n), dtype=complex)
+    vs[0] = v / beta0
+    alpha = np.empty(m_cap)
+    beta = np.empty(m_cap)
+    y_prev = None
+    scale = None
+    for j in range(m_cap):
+        w = matvec(vs[j])
+        if j > 0:
+            w -= beta[j - 1] * vs[j - 1]
+        alpha[j] = np.vdot(vs[j], w).real
+        w -= alpha[j] * vs[j]
+        w -= vs[: j + 1].T @ (vs[: j + 1] @ w.conj()).conj()
+        b = np.linalg.norm(w)
+        if scale is None:
+            scale = max(abs(alpha[0]), b, 1.0)
+        if b <= _BREAKDOWN * scale:
+            y = _expm_tridiag(alpha[: j + 1], beta[:j], t)
+            return (y * beta0) @ vs[: j + 1]
+        beta[j] = b
+        if j + 1 < m_cap:
+            vs[j + 1] = w / b
+        if j >= 3 and (j % 4 == 3 or j + 1 == m_cap):
+            y = _expm_tridiag(alpha[: j + 1], beta[:j], t)
+            if y_prev is not None:
+                diff = y.copy()
+                diff[: len(y_prev)] -= y_prev
+                if np.linalg.norm(diff) * beta0 <= tol:
+                    return (y * beta0) @ vs[: j + 1]
+            y_prev = y
+    del vs
+    half = lanczos_bisect(matvec, v, t / 2, tol / 2, m_cap, depth + 1)
+    return lanczos_bisect(matvec, half, t / 2, tol / 2, m_cap, depth + 1)
 
 
 def fluctuation_probe_rows(config):

@@ -84,6 +84,9 @@ BAD_VALUES = {
     "a0-negative": (("model", "potential"), {"kind": "soft-coulomb-1d", "a0": -1}),
     "strength-nan": (("model", "potential", "strength"), float("nan")),
     "width-zero": (("model", "potential"), {"kind": "gaussian-profile", "width": 0}),
+    "contact-width": (("model", "potential"), {"kind": "contact", "width": 2.0}),
+    "gaussian-a0": (("model", "potential"), {"kind": "gaussian-profile", "a0": 1.0}),
+    "zero-a0": (("model", "potential"), {"kind": "zero", "a0": 1.0}),
     "samples-ab": (("time", "samples"), "ab"),
     "n_values-x": (("scan", "n_values"), ["x"]),
     "dt-nan": (("time", "dt"), float("nan")),
@@ -94,9 +97,10 @@ BAD_VALUES = {
 
 @pytest.mark.parametrize("case", [*BAD_VALUES, "directory", "non-utf8"])
 def test_cli_reports_bad_config_inputs(tiny_config, tmp_path, capsys, case):
-    # a value that does not convert or that the model rejects, a NaN time
-    # step or orbital, and a config path that cannot be read as text are
-    # config errors (exit 1), not tracebacks or a run that fails later
+    # a value that does not convert or that the model rejects, a potential
+    # key its kind does not read, a NaN time step or orbital, and a config
+    # path that cannot be read as text are config errors (exit 1), not
+    # tracebacks or a run that fails later
     if case == "directory":
         config = tmp_path / "dir"
         config.mkdir()

@@ -4,7 +4,17 @@ from scipy.linalg import eigh, expm
 from scipy.sparse import csr_matrix, diags, random as sparse_random
 
 import focklab as fl
-from focklab.propagate import PropagationBudget, StaticPropagator, evolve_timedep, expm_apply, through_times
+from focklab.errors import ConvergenceError
+from focklab.propagate import (
+    KRYLOV_DIM,
+    PropagationBudget,
+    StaticPropagator,
+    _lanczos_step,
+    evolve_timedep,
+    expm_apply,
+    through_times,
+)
+from oracles import lanczos_bisect
 
 
 def _random_hermitian(dim, seed, density=0.1, scale=1.0):
@@ -72,6 +82,61 @@ def test_krylov_complex_hermitian_matches_expm():
     out = expm_apply(counted, v, t, PropagationBudget(tol=1e-11))
     assert counted.calls >= 20
     assert np.linalg.norm(out - expm(-1j * t * h.toarray()) @ v) < 1e-9
+
+
+def test_krylov_continues_unconverged_bases():
+    # ||H|| t = 100 needs several 40-vector bases: each advances by the
+    # interval it resolves, where the oracle discards it and bisects
+    dim, t, tol = 400, 100.0, 1e-11
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = (a + a.conj().T) / 2
+    h /= np.linalg.norm(h, 2)
+    v = _random_vec(dim, 15)
+    counted, counted_oracle = _CountedMatvec(h), _CountedMatvec(h)
+    out = expm_apply(counted, v, t, PropagationBudget(tol=tol))
+    oracle = lanczos_bisect(counted_oracle.dot, v, t, tol, KRYLOV_DIM)
+    w, u = eigh(h)
+    ref = u @ (np.exp(-1j * w * t) * (u.conj().T @ v))
+    assert counted.calls > 3 * KRYLOV_DIM
+    assert np.linalg.norm(out - ref) < 1e-9
+    assert np.linalg.norm(out - oracle) < 1e-9
+    assert counted.calls < counted_oracle.calls
+
+
+def test_krylov_first_basis_matches_oracle_bits():
+    # a step whose first basis converges is the oracle's step, bit for bit
+    h = _random_hermitian(400, 2, scale=3.0)
+    v = _random_vec(400, 3)
+    counted, counted_oracle = _CountedMatvec(h), _CountedMatvec(h)
+    out = expm_apply(counted, v, 0.3, PropagationBudget(tol=1e-11))
+    oracle = lanczos_bisect(counted_oracle.dot, v, 0.3, 1e-11, KRYLOV_DIM)
+    assert counted.calls == counted_oracle.calls <= KRYLOV_DIM
+    assert np.array_equal(out, oracle)
+
+
+@pytest.mark.parametrize("where", ["generator", "state"])
+def test_krylov_rejects_non_finite_input(where):
+    # a NaN is a ConvergenceError, which a suite records as a failed cell,
+    # not scipy's ValueError from the tridiagonal eigensolver
+    diag = np.linspace(-1.0, 1.0, 200)
+    v = _random_vec(200, 16)
+    if where == "generator":
+        diag[7] = np.nan
+    else:
+        v[7] = np.nan
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        expm_apply(diags(diag), v, 1.0, PropagationBudget())
+
+
+def test_krylov_substep_without_progress_raises():
+    # ||H|| t = 1e30: no basis of 40 vectors resolves 2**-60 of the interval
+    h = diags(np.linspace(-1e30, 1e30, 100))
+    with pytest.raises(ConvergenceError, match="resolves no fraction"):
+        expm_apply(h, _random_vec(100, 17), 1.0, PropagationBudget())
+    # a basis capped at 4 vectors has no second dimension to estimate with
+    with pytest.raises(ConvergenceError, match="no error estimate"):
+        _lanczos_step(diags(np.linspace(-1.0, 1.0, 100)).dot, _random_vec(100, 18), 5.0, 1e-10, 4)
 
 
 def test_dense_path_matches_krylov_path():
