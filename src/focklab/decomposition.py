@@ -18,7 +18,8 @@ is computed in exact integer arithmetic through two independent closed
 forms, and is tied to generalized Laguerre polynomials evaluated in their
 oscillatory regime (the connection holds in absolute value; the sign
 conventions differ for odd m, and only R_m^2 enters the identities used
-downstream).
+downstream).  The Laguerre sum is kept as the test oracle
+``laguerre_times_factorial`` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -101,20 +102,6 @@ def scaled_coefficient(n: int, m: int) -> float:
     with mpmath.workdps(MP_DPS):
         val = mpmath.mpf(abs(r)) / (mpmath.sqrt(mpmath.factorial(m)) * mpmath.mpf(n) ** (mpmath.mpf(m) / 2))
         return sign * float(val)
-
-
-def laguerre_times_factorial(n: int, m: int) -> int:
-    """m! L_m^{(N-m-1)}(N) from the standard finite-sum representation of the
-    associated Laguerre polynomial; exact integer for m <= N-1."""
-    if not 0 <= m <= n - 1:
-        raise ValueError("requires 0 <= m <= N-1 so the index N-m-1 is >= 0")
-    total = 0
-    for k in range(m + 1):
-        falling = 1
-        for i in range(m - k):
-            falling *= n - 1 - i
-        total += (-1) ** k * comb(m, k) * falling * n**k
-    return total
 
 
 @dataclass

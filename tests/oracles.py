@@ -9,10 +9,11 @@ indicator inserted between ladder factors), every probe evolving its own
 trajectories, the conjugation residual routed through both of its sides'
 shared unitary tail, the remainder's K-node phase average, the product
 reconstruction summing one coherent state per quadrature node, rate
-scans evolving every sample time from t = 0, and the Lanczos step that
-discards an unconverged basis and bisects its interval.  The sector
-expansion of the displaced product profile is the second route to that
-profile.
+scans evolving every sample time from t = 0, the Lanczos step that
+discards an unconverged basis and bisects its interval, and the Lanczos
+substep that orthogonalizes every new vector against its whole basis.  The
+sector expansion of the displaced product profile is the second route to
+that profile, and the Laguerre sum the second closed form of R_m.
 """
 
 import itertools
@@ -28,7 +29,16 @@ from focklab.hartree import HartreeFlow
 from focklab.marginals import hs_distance, marginal_from_fock, marginal_from_sector, rank_one, trace_distance
 from focklab.model import build_fock_hamiltonian, build_sector_hamiltonian, embed_product_state
 from focklab.errors import ConvergenceError
-from focklab.propagate import _BREAKDOWN, PropagationBudget, StaticPropagator, _expm_tridiag, evolve_timedep
+from focklab.propagate import (
+    _BREAKDOWN,
+    _ESTIMATE_FLOOR,
+    _NON_FINITE,
+    PropagationBudget,
+    StaticPropagator,
+    _expm_tridiag,
+    _resolved_fraction,
+    evolve_timedep,
+)
 from focklab.weyl import coherent_state, minimal_cutoff, poisson_tail, weyl_apply
 
 
@@ -73,8 +83,9 @@ def tensor_partial_trace(psi_tensor, d, n):
 
 
 def lanczos_bisect(matvec, v, t, tol, m_cap, depth=0):
-    """exp(-i A t) v via Lanczos; a basis that does not converge within
-    ``m_cap`` vectors is discarded, and each half of t is done with tol / 2."""
+    """exp(-i A t) v via Lanczos on the package's recurrence; a basis that
+    does not converge within ``m_cap`` vectors is discarded, and each half
+    of t is done with tol / 2."""
     if depth > 60:
         raise ConvergenceError("Krylov substep bisection failed to converge")
     beta0 = np.linalg.norm(v)
@@ -94,7 +105,7 @@ def lanczos_bisect(matvec, v, t, tol, m_cap, depth=0):
             w -= beta[j - 1] * vs[j - 1]
         alpha[j] = np.vdot(vs[j], w).real
         w -= alpha[j] * vs[j]
-        w -= vs[: j + 1].T @ (vs[: j + 1] @ w.conj()).conj()
+        w -= np.vdot(vs[j], w) * vs[j]
         b = np.linalg.norm(w)
         if scale is None:
             scale = max(abs(alpha[0]), b, 1.0)
@@ -115,6 +126,80 @@ def lanczos_bisect(matvec, v, t, tol, m_cap, depth=0):
     del vs
     half = lanczos_bisect(matvec, v, t / 2, tol / 2, m_cap, depth + 1)
     return lanczos_bisect(matvec, half, t / 2, tol / 2, m_cap, depth + 1)
+
+
+def lanczos_full_reorth(matvec, v, t, tol, m_cap):
+    """exp(-i A t) v by the package's substep loop, with every new Lanczos
+    vector orthogonalized against the whole basis, so the basis stays
+    orthonormal to machine precision."""
+    if t == 0.0:
+        return v.copy()
+    rest = t
+    while True:
+        v, frac = _full_reorth_substep(matvec, v, rest, tol * (rest / t), m_cap)
+        if frac == 1.0:
+            return v
+        rest -= frac * rest
+
+
+def _full_reorth_substep(matvec, v, t, tol, m_cap):
+    beta0 = np.linalg.norm(v)
+    if not math.isfinite(beta0):
+        raise ConvergenceError(_NON_FINITE)
+    if beta0 == 0.0:
+        return v.copy(), 1.0
+    tol = max(tol, _ESTIMATE_FLOOR * beta0)
+    n = v.shape[0]
+    m_cap = min(m_cap, n)
+    vs = np.empty((m_cap, n), dtype=complex)
+    vs[0] = v / beta0
+    alpha = np.empty(m_cap)
+    beta = np.empty(m_cap)
+    y_prev = None
+    scale = None
+    for j in range(m_cap):
+        w = matvec(vs[j])
+        if j > 0:
+            w -= beta[j - 1] * vs[j - 1]
+        alpha[j] = np.vdot(vs[j], w).real
+        w -= alpha[j] * vs[j]
+        # (V conj(w))* equals V* w and does not copy the basis V
+        w -= vs[: j + 1].T @ (vs[: j + 1] @ w.conj()).conj()
+        b = np.linalg.norm(w)
+        if not (math.isfinite(alpha[j]) and math.isfinite(b)):
+            raise ConvergenceError(_NON_FINITE)
+        if scale is None:
+            scale = max(abs(alpha[0]), b, 1.0)
+        if b <= _BREAKDOWN * scale:
+            y = _expm_tridiag(alpha[: j + 1], beta[:j], t)
+            return (y * beta0) @ vs[: j + 1], 1.0
+        beta[j] = b
+        if j + 1 < m_cap:
+            vs[j + 1] = w / b
+        if j >= 3 and (j % 4 == 3 or j + 1 == m_cap):
+            y = _expm_tridiag(alpha[: j + 1], beta[:j], t)
+            if y_prev is not None:
+                diff = y.copy()
+                diff[: len(y_prev)] -= y_prev
+                if np.linalg.norm(diff) * beta0 <= tol:
+                    return (y * beta0) @ vs[: j + 1], 1.0
+            y_prev = y
+    frac, y = _resolved_fraction(alpha, beta[: m_cap - 1], 4 * ((m_cap - 1) // 4), t, tol / beta0)
+    return (y * beta0) @ vs, frac
+
+
+def laguerre_times_factorial(n: int, m: int) -> int:
+    """m! L_m^{(N-m-1)}(N) from the standard finite-sum representation of the
+    associated Laguerre polynomial; exact integer for m <= N-1."""
+    if not 0 <= m <= n - 1:
+        raise ValueError("requires 0 <= m <= N-1 so the index N-m-1 is >= 0")
+    total = 0
+    for k in range(m + 1):
+        falling = 1
+        for i in range(m - k):
+            falling *= n - 1 - i
+        total += (-1) ** k * math.comb(m, k) * falling * n**k
+    return total
 
 
 def fluctuation_probe_rows(config):

@@ -15,7 +15,6 @@ from focklab.decomposition import (
     scaled_coefficient,
     product_norm_constant,
     remainder_probe,
-    laguerre_times_factorial,
     parseval_identity_check,
     coeff_leibniz_form,
     coeff_binomial_form,
@@ -35,6 +34,7 @@ from focklab.hartree import HartreeFlow, evolve_hartree
 from focklab.model import Potential
 from focklab.propagate import PropagationBudget, StaticPropagator
 from focklab.weyl import annihilation_of, minimal_cutoff
+from oracles import laguerre_times_factorial
 
 
 def _report(criterion: int, ok: bool, detail: str):

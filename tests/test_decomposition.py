@@ -11,7 +11,6 @@ from focklab.decomposition import (
     product_norm_constant,
     displaced_product_profile,
     remainder_probe,
-    laguerre_times_factorial,
     parseval_identity_check,
     expansion_coefficient,
     coeff_leibniz_form,
@@ -21,7 +20,12 @@ from focklab.decomposition import (
 from focklab.hartree import HartreeFlow
 from focklab.model import Potential
 from focklab.propagate import PropagationBudget
-from oracles import coefficient_expansion_profile, reconstruct_by_nodes, remainder_phase_average
+from oracles import (
+    coefficient_expansion_profile,
+    laguerre_times_factorial,
+    reconstruct_by_nodes,
+    remainder_phase_average,
+)
 
 
 def test_d_n_closed_forms():

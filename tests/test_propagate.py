@@ -14,7 +14,7 @@ from focklab.propagate import (
     expm_apply,
     through_times,
 )
-from oracles import lanczos_bisect
+from oracles import lanczos_bisect, lanczos_full_reorth
 
 
 def _random_hermitian(dim, seed, density=0.1, scale=1.0):
@@ -63,9 +63,9 @@ class _CountedMatvec:
 
 def test_krylov_complex_hermitian_matches_expm():
     # every off-diagonal entry is non-real, so the conjugation of the
-    # reorthogonalization coefficients matters; the outlying eigenvalues
-    # +-30 converge early, after which a wrong conjugation leaves the basis
-    # non-orthogonal and the result off by about 1e-5
+    # projections onto basis vectors matters; the outlying eigenvalues +-30
+    # converge early, after which the recurrence alone loses orthogonality,
+    # and the result must still agree with the oracle that keeps it
     dim, t = 300, 2.0
     rng = np.random.default_rng(12)
     m = sparse_random(dim, dim, density=0.05, random_state=rng, format="coo")
@@ -82,6 +82,7 @@ def test_krylov_complex_hermitian_matches_expm():
     out = expm_apply(counted, v, t, PropagationBudget(tol=1e-11))
     assert counted.calls >= 20
     assert np.linalg.norm(out - expm(-1j * t * h.toarray()) @ v) < 1e-9
+    assert np.linalg.norm(out - lanczos_full_reorth(h.dot, v, t, 1e-11, KRYLOV_DIM)) < 1e-12
 
 
 def test_krylov_continues_unconverged_bases():
@@ -102,6 +103,31 @@ def test_krylov_continues_unconverged_bases():
     assert np.linalg.norm(out - ref) < 1e-9
     assert np.linalg.norm(out - oracle) < 1e-9
     assert counted.calls < counted_oracle.calls
+    assert np.linalg.norm(out - lanczos_full_reorth(h.dot, v, t, tol, KRYLOV_DIM)) < 1e-12
+
+
+def test_krylov_norm_drift_with_ghost_ritz_values():
+    # ||H|| t = 2e4 with isolated outliers: they converge in every basis,
+    # and without reorthogonalization their copies (ghost Ritz values)
+    # reappear; the result and its norm must not drift with them
+    dim, t, tol = 1000, 500.0, 1e-11
+    d = np.random.default_rng(19).standard_normal(dim)
+    d[:3] = 40.0, -40.0, 25.0
+    v = _random_vec(dim, 20)
+    out = expm_apply(diags(d), v, t, PropagationBudget(tol=tol))
+    assert np.linalg.norm(out - np.exp(-1j * d * t) * v) < tol
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-13
+    assert np.linalg.norm(out - lanczos_full_reorth(diags(d).dot, v, t, tol, KRYLOV_DIM)) < 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-16])
+def test_krylov_share_below_estimate_floor(tol):
+    # the estimate rounds to about 2e-15: a substep whose share of the
+    # budget falls below that is met at the floor instead of raising
+    d = np.linspace(-40.0, 40.0, 1000)
+    v = _random_vec(1000, 21)
+    out = _lanczos_step(diags(d).dot, v, 0.03, tol, KRYLOV_DIM)
+    assert np.linalg.norm(out - np.exp(-1j * d * 0.03) * v) < 1e-13
 
 
 def test_krylov_first_basis_matches_oracle_bits():
@@ -115,18 +141,21 @@ def test_krylov_first_basis_matches_oracle_bits():
     assert np.array_equal(out, oracle)
 
 
-@pytest.mark.parametrize("where", ["generator", "state"])
+@pytest.mark.parametrize("where", ["generator", "state", "dense"])
 def test_krylov_rejects_non_finite_input(where):
     # a NaN is a ConvergenceError, which a suite records as a failed cell,
-    # not scipy's ValueError from the tridiagonal eigensolver
+    # not scipy's ValueError from the tridiagonal or dense eigensolver
     diag = np.linspace(-1.0, 1.0, 200)
     v = _random_vec(200, 16)
-    if where == "generator":
-        diag[7] = np.nan
-    else:
+    if where == "state":
         v[7] = np.nan
+    else:
+        diag[7] = np.nan
     with pytest.raises(ConvergenceError, match="non-finite"):
-        expm_apply(diags(diag), v, 1.0, PropagationBudget())
+        if where == "dense":
+            StaticPropagator(diags(diag))  # 200 <= DENSE_CUTOFF
+        else:
+            expm_apply(diags(diag), v, 1.0, PropagationBudget())
 
 
 def test_krylov_substep_without_progress_raises():
