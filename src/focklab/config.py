@@ -80,8 +80,8 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
 
 def _build_phi(spec, d: int) -> np.ndarray:
     if isinstance(spec, dict):
-        _require_keys(spec, {"preset", "ratio"}, "initial_phi")
         preset = spec.get("preset")
+        _require_keys(spec, {"preset", "ratio"} if preset == "geometric" else {"preset"}, "initial_phi")
         if preset not in _PHI_PRESETS:
             raise ConfigError(f"initial_phi preset must be one of {_PHI_PRESETS}")
         if preset == "uniform":
@@ -122,12 +122,18 @@ def _build_potential(spec: dict, d: int) -> Potential:
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
+def _int(value) -> int:
+    if type(value) is not int and not (isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _ints(values) -> list[int]:
-    return [int(v) for v in values]
+    return [_int(v) for v in values]
 
 
 def _cutoff(value) -> int | str:
-    return value if isinstance(value, str) else int(value)
+    return value if isinstance(value, str) else _int(value)
 
 
 # (group, key, ExperimentConfig field, conversion) of every key whose default
@@ -138,12 +144,12 @@ _FIELDS = (
     ("scan", "n_values", "n_values", _ints),
     ("fock", "m_max", "m_max", _cutoff),
     ("fock", "eps_trunc", "eps_trunc", float),
-    ("fock", "capacity", "capacity", int),
+    ("fock", "capacity", "capacity", _int),
     ("tolerances", "truncation_loss", "truncation_loss_tol", float),
     ("tolerances", "propagation", "propagation_tol", float),
     ("coefficients", "n_values", "coeff_n_values", _ints),
     ("coefficients", "remainder_n_values", "remainder_n_values", _ints),
-    ("parallelism", "threads", "threads", int),
+    ("parallelism", "threads", "threads", _int),
 )
 
 
@@ -173,7 +179,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     )
     model_spec = raw.get("model", {})
     _require_keys(model_spec, {"d", "potential"}, "model")
-    d = int(model_spec.get("d", 3))
+    d = _int(model_spec.get("d", 3))
     model = LatticeModel(d, _build_potential(model_spec.get("potential", {}), d))
 
     phi0 = _build_phi(raw.get("initial_phi", {"preset": "geometric"}), d)

@@ -88,8 +88,7 @@ def coeff_leibniz_form(n: int, m: int) -> int:
 
 
 def expansion_coefficient(n: int, m: int) -> int:
-    if m <= n - 1:
-        return coeff_binomial_form(n, m)
+    """R_m by the Leibniz form, exact for every m (the binomial form is its oracle)."""
     return coeff_leibniz_form(n, m)
 
 

@@ -3,15 +3,15 @@
 Four time-dependent generators act on the truncated Fock space, all built
 from the instantaneous Hartree orbital phi_t:
 
-* ``full``      — quadratic lines (kinetic, mean field, exchange, pair
-                  creation/annihilation) plus the N^{-1/2} cubic term and the
+* ``full``      — the quadratic form of the Bogoliubov pair (A, B) of phi_t
+                  (``bogoliubov_pair``) plus the N^{-1/2} cubic term and the
                   N^{-1} quartic term;
 * ``reduced``   — full without the cubic term (parity conserving);
 * ``truncated`` — full with a particle-number indicator chi(N <= M) inserted
                   in the cubic term: a*_x chi a*_y a_x and its adjoint
                   a*_x a_y chi a_x, so the full cubic term with its entries
                   between sectors s and s + 1 kept only where s <= M;
-* ``limiting``  — the quadratic lines only; independent of N.
+* ``limiting``  — the quadratic form only; independent of N.
 
 The probes below certify algebraic identities (Weyl conjugation of the
 Heisenberg-evolved ladder operator), growth of the number of particles,
@@ -28,7 +28,7 @@ from scipy.sparse import csr_matrix, identity
 from .basis import FockVector, OccupationBasis, annihilate, build_basis, number_moment
 from .errors import TruncationError
 from .hartree import HartreeFlow, phase_rotate
-from .model import LatticeModel, build_fock_hamiltonian, hopping, interaction_diagonal
+from .model import LatticeModel, build_fock_hamiltonian, interaction_diagonal
 from .propagate import PropagationBudget, StaticPropagator, evolve_timedep, through_times
 from .weyl import weyl_apply
 
@@ -117,8 +117,8 @@ class _LeadingBlock:
 
 def _placed(term, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A term's stored values and their positions among the sorted entry keys
-    of a pattern that holds it.  Sums and products of ladder matrices store
-    each entry once; the pattern sum drops explicit zeros, so they are
+    of a pattern that holds it.  Products of ladder matrices store each
+    entry once; the pattern sum drops explicit zeros, so they are
     skipped."""
     coo = term.tocoo()
     stored = coo.data != 0
@@ -130,17 +130,27 @@ def _entry_keys(coo) -> np.ndarray:
     return coo.row.astype(np.int64) * coo.shape[1] + coo.col
 
 
+def bogoliubov_pair(model: LatticeModel, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian A = T + diag(v * |phi|^2) + v(x-y) phi_x conj(phi_y) and
+    the symmetric B = v(x-y) phi_x phi_y of the quadratic generator at phi,
+    sum A_xy a*_x a_y + (1/2) sum (B_xy a*_x a*_y + conj(B_xy) a_y a_x)."""
+    phi = np.asarray(phi, dtype=complex)
+    v = model.vmat
+    a = model.kinetic + np.diag(v @ (np.abs(phi) ** 2)) + v * np.outer(phi, phi.conj())
+    return a, v * np.outer(phi, phi)
+
+
 class FluctuationOperators:
     """Fixed-pattern generator layouts reused across generator evaluations.
 
-    Every generator is a linear combination of fixed operators (the kinetic
-    term and, per coupled site pair, the exchange, pair and cubic monomials)
-    with coefficients set by phi_t and N, plus a diagonal (mean field and
-    quartic/N).  ``__init__`` lays out one pattern shared by ``full`` and
+    Every generator is a linear combination of fixed ladder monomials, one
+    per distinct operator on the site pairs T or v couples, plus a dense
+    diagonal.  ``bogoliubov_pair`` weights a*_x a_y (x != y) by A_xy and
+    a*_x a*_y (x <= y, halved when x = y) by B_xy; the cubic a*_x a*_y a_x
+    carries v(x-y) phi_t(y) N^{-1/2}; the diagonal is occupation @ Re diag(A)
+    plus quartic/N.  ``__init__`` lays out one pattern shared by ``full`` and
     ``truncated`` and one shared by ``reduced`` and ``limiting``; an
     assembly is then one small sparse product into the pattern's data.
-    Only site pairs coupled by the potential (and the kinetic matrix) are
-    enumerated, so contact interactions stay cheap.
     """
 
     def __init__(self, model: LatticeModel, basis: OccupationBasis):
@@ -151,41 +161,31 @@ class FluctuationOperators:
         d = model.d
         a = [basis.annihilator(x) for x in range(d)]
         ad = [basis.creator(x) for x in range(d)]
-        self.kinetic = hopping(model, basis)
         self.quartic_diag = interaction_diagonal(basis.states, model)
         self.occupation = basis.states.astype(float)
-        v = model.potential.values
-        self.pairs = [
-            (x, y, v[(x - y) % d]) for x in range(d) for y in range(d) if v[(x - y) % d] != 0.0
-        ]
-        self._x = np.array([x for x, _, _ in self.pairs], dtype=int)
-        self._y = np.array([y for _, y, _ in self.pairs], dtype=int)
-        self._v = np.array([v for _, _, v in self.pairs], dtype=float)
+        coupled = model.vmat != 0.0
+        self._hop_sites = np.nonzero((coupled | (model.kinetic != 0.0)) & ~np.eye(d, dtype=bool))
+        self._pair_sites = np.nonzero(np.triu(coupled))
+        self._cubic_sites = np.nonzero(coupled)
         # the ladder monomials are real, so each transpose is the adjoint
-        exchange = [ad[y] @ a[x] for x, y, _ in self.pairs]                  # a*_y a_x
-        pair_lower = [a[y] @ a[x] for x, y, _ in self.pairs]                 # a_y a_x
-        cubic = [ad[x] @ ex for (x, _, _), ex in zip(self.pairs, exchange)]  # a*_x a*_y a_x
-        quadratic = [self.kinetic, *exchange, *(m.T for m in pair_lower), *pair_lower]
+        hops = [ad[x] @ a[y] for x, y in zip(*self._hop_sites)]                                # a*_x a_y
+        pairs = [ad[x] @ ad[y] * (0.5 if x == y else 1.0) for x, y in zip(*self._pair_sites)]  # a*_x a*_y
+        cubic = [ad[x] @ (ad[y] @ a[x]) for x, y in zip(*self._cubic_sites)]                   # a*_x a*_y a_x
+        quadratic = [*hops, *pairs, *(m.T for m in pairs)]
         self._reduced = _Layout(quadratic, basis.size)
         self._full = _Layout(quadratic + cubic + [m.T for m in cubic], basis.size)
 
-    def _quadratic_coefficients(self, phi: np.ndarray) -> np.ndarray:
-        """Kinetic, exchange, pair creation and pair annihilation weights."""
-        exchange = self._v * np.conj(phi[self._x]) * phi[self._y]
-        pair = 0.5 * self._v * phi[self._x] * phi[self._y]
-        return np.concatenate([[1.0], exchange, pair, np.conj(pair)])
-
     def _fill(self, kind: str, n: int, phi: np.ndarray, rows: int, cutoff: int | None) -> csr_matrix:
         """The generator's first ``rows`` rows (see ``_Layout.fill``)."""
-        phi = np.asarray(phi, dtype=complex)
-        diagonal = self.occupation[:rows] @ (self.model.vmat @ (np.abs(phi) ** 2))
-        coefficients = self._quadratic_coefficients(phi)
+        a, b = bogoliubov_pair(self.model, phi)
+        coefficients = np.concatenate([a[self._hop_sites], b[self._pair_sites], b[self._pair_sites].conj()])
+        diagonal = self.occupation[:rows] @ a.diagonal().real
         if kind == "limiting":
             return self._reduced.fill(coefficients, diagonal)
         diagonal = diagonal + self.quartic_diag[:rows] / n
         if kind == "reduced":
             return self._reduced.fill(coefficients, diagonal)
-        cubic = self._v * phi[self._y] / np.sqrt(n)
+        cubic = (self.model.vmat * phi)[self._cubic_sites] / np.sqrt(n)
         gen = self._full.fill(np.concatenate([coefficients, cubic, np.conj(cubic)]), diagonal)
         if kind == "truncated":
             # only cubic entries join sectors s and s + 1 (an odd sum); chi(N <= cutoff)

@@ -76,11 +76,6 @@ class Potential:
         r = ring_distance(np.arange(d), d).astype(float)
         return cls("soft-coulomb-1d", strength, strength / (r + a0))
 
-    def circulant(self) -> np.ndarray:
-        d = len(self.values)
-        idx = (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
-        return self.values[idx]
-
 
 def kinetic_matrix(d: int) -> np.ndarray:
     """Periodic nearest-neighbor -Delta: 2 on the diagonal, -1 on neighbors."""
@@ -96,6 +91,7 @@ class LatticeModel:
     d: int
     potential: Potential
     kinetic: np.ndarray = field(default=None)  # type: ignore[assignment]
+    vmat: np.ndarray = field(init=False, repr=False, compare=False)  # the circulant v(x - y)
 
     def __post_init__(self):
         if self.d < 2:
@@ -104,10 +100,8 @@ class LatticeModel:
             raise ValueError("potential table length must equal d")
         if self.kinetic is None:
             object.__setattr__(self, "kinetic", kinetic_matrix(self.d))
-
-    @property
-    def vmat(self) -> np.ndarray:
-        return self.potential.circulant()
+        sites = np.arange(self.d)
+        object.__setattr__(self, "vmat", self.potential.values[(sites[:, None] - sites) % self.d])
 
 
 @dataclass

@@ -324,10 +324,16 @@ def _ladders(basis):
     return a, [m.conj().T.tocsr() for m in a]
 
 
+def _coupled_pairs(model):
+    """Every ordered site pair (x, y) the potential couples, with v(x - y)."""
+    d, v = model.d, model.potential.values
+    return [(x, y, v[(x - y) % d]) for x in range(d) for y in range(d) if v[(x - y) % d] != 0.0]
+
+
 def _pair_monomials(ops):
-    """Per coupled pair (x, y, v): a*_y a_x, a*_x a*_y and a*_x a*_y a_x."""
+    """Per coupled ordered pair (x, y, v): a*_y a_x, a*_x a*_y and a*_x a*_y a_x."""
     a, ad = _ladders(ops.basis)
-    for x, y, v in ops.pairs:
+    for x, y, v in _coupled_pairs(ops.model):
         exchange = (ad[y] @ a[x]).tocsr()
         yield x, y, v, exchange, (a[y] @ a[x]).conj().T.tocsr(), (ad[x] @ exchange).tocsr()
 
@@ -374,7 +380,7 @@ def truncated_cubic(ops, phi, n, cutoff):
     a, ad = _ladders(ops.basis)
     chi = diags((ops.basis.totals <= cutoff).astype(float)).tocsr()
     out = csr_matrix((ops.basis.size, ops.basis.size), dtype=complex)
-    for x, y, v in ops.pairs:
+    for x, y, v in _coupled_pairs(ops.model):
         out = out + (v * phi[y]) * (ad[x] @ (chi @ (ad[y] @ a[x])))
         out = out + (v * np.conj(phi[y])) * (ad[x] @ (a[y] @ (chi @ a[x])))
     return (out / np.sqrt(n)).tocsr()

@@ -92,15 +92,23 @@ BAD_VALUES = {
     "dt-nan": (("time", "dt"), float("nan")),
     "phi-nan": (("initial_phi",), [[float("nan"), 0.0], [1.0, 0.0]]),
     "model-list": (("model",), []),
+    "d-fraction": (("model", "d"), 3.7),
+    "m_max-fraction": (("fock", "m_max"), 12.9),
+    "n_values-fraction": (("scan", "n_values"), [2.7]),
+    "threads-fraction": (("parallelism",), {"threads": 1.9}),
+    "threads-true": (("parallelism",), {"threads": True}),
+    "uniform-ratio": (("initial_phi",), {"preset": "uniform", "ratio": 0.5}),
+    "delta-ratio": (("initial_phi",), {"preset": "delta", "ratio": 0.5}),
 }
 
 
 @pytest.mark.parametrize("case", [*BAD_VALUES, "directory", "non-utf8"])
 def test_cli_reports_bad_config_inputs(tiny_config, tmp_path, capsys, case):
-    # a value that does not convert or that the model rejects, a potential
-    # key its kind does not read, a NaN time step or orbital, and a config
-    # path that cannot be read as text are config errors (exit 1), not
-    # tracebacks or a run that fails later
+    # a value that does not convert or that the model rejects, a boolean or
+    # fractional integer, a potential or orbital key its kind does not read,
+    # a NaN time step or orbital, and a config path that cannot be read as
+    # text are config errors (exit 1), not tracebacks, a silently truncated
+    # value or a run that fails later
     if case == "directory":
         config = tmp_path / "dir"
         config.mkdir()

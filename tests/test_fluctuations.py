@@ -6,6 +6,7 @@ from scipy.sparse import diags
 import focklab as fl
 from focklab.fluctuations import (
     FluctuationOperators,
+    bogoliubov_pair,
     dynamics_gap,
     WINDOW_STEP,
     evolve_fluctuation,
@@ -57,11 +58,17 @@ def test_parity_conservation_pattern(setup):
 
 
 def test_free_model_all_kinds_are_kinetic(setup):
+    # dGamma(T): ladder hopping off the diagonal, occupation @ diag(T) on it
     _, basis, phi, _ = setup
-    free_ops = FluctuationOperators(fl.LatticeModel(3, Potential.zero(3)), basis)
+    model = fl.LatticeModel(3, Potential.zero(3))
+    t = model.kinetic
+    kinetic = diags(basis.states.astype(float) @ np.diag(t))
+    for x, y in zip(*np.nonzero(t - np.diag(np.diag(t)))):
+        kinetic = kinetic + t[x, y] * (basis.creator(x) @ basis.annihilator(y))
+    free_ops = FluctuationOperators(model, basis)
     for kind, cut in (("full", None), ("reduced", None), ("limiting", None), ("truncated", 3)):
         g = free_ops.assemble(kind, 7, phi, cutoff=cut)
-        assert abs(g - free_ops.kinetic).max() == 0.0
+        assert abs(g - kinetic).max() == 0.0
 
 
 def _flux_kinetic(d, flux):
@@ -79,7 +86,7 @@ MODELS = pytest.mark.parametrize(
         fl.LatticeModel(3, Potential.contact(3, 1.0)),
         # exchange positions overlap the kinetic hopping
         fl.LatticeModel(3, Potential.soft_coulomb_1d(3, 1.3)),
-        # complex kinetic values make the term map non-real
+        # complex kinetic values make A non-real off the diagonal
         fl.LatticeModel(3, Potential.soft_coulomb_1d(3, 0.7), _flux_kinetic(3, 0.4)),
     ],
     ids=["contact", "soft-coulomb", "complex-kinetic"],
@@ -95,6 +102,28 @@ def test_assemble_matches_term_by_term_oracle(model):
         got = ops.assemble(kind, 4, phi, cutoff=cut)
         ref = assemble_by_terms(ops, kind, 4, phi, cutoff=cut)
         assert abs(got - ref).max() < 1e-13
+
+
+@MODELS
+def test_layout_holds_one_monomial_per_distinct_operator(model):
+    # no term sits on the diagonal, which is filled densely; each unordered
+    # coupled pair x <= y enters once as a*_x a*_y and once as its adjoint;
+    # A is Hermitian and B symmetric, to the rounding of phi_x phi_y
+    basis = fl.build_basis(model.d, 6)
+    ops = FluctuationOperators(model, basis)
+    coupled = model.vmat != 0.0
+    unordered = sum(coupled[x, y] for x in range(model.d) for y in range(x, model.d))
+    for layout in (ops._reduced, ops._full):
+        entries = np.repeat(np.arange(len(layout.indices)), np.diff(layout.term_map.indptr))
+        rows = np.repeat(np.arange(basis.size), np.diff(layout.indptr))[entries]
+        cols = layout.indices[entries]
+        assert not np.any(rows == cols)
+        raised = basis.totals[rows] - basis.totals[cols]
+        terms = layout.term_map.indices
+        assert len(np.unique(terms[raised == 2])) == len(np.unique(terms[raised == -2])) == unordered
+    a, b = bogoliubov_pair(model, _phi(model.d, 3))
+    assert abs(a - a.conj().T).max() < 1e-15
+    assert abs(b - b.T).max() < 1e-15
 
 
 @MODELS
