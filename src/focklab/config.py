@@ -90,7 +90,7 @@ def _build_phi(spec, d: int) -> np.ndarray:
             out = np.zeros(d, dtype=complex)
             out[0] = 1.0
             return out
-        ratio = float(spec.get("ratio", 0.6))
+        ratio = _float(spec.get("ratio", 0.6))
         if not 0.0 < ratio < 1.0:
             raise ConfigError("geometric preset needs 0 < ratio < 1")
         return ratio ** np.arange(d) + 0j
@@ -110,15 +110,16 @@ def _build_potential(spec: dict, d: int) -> Potential:
     ignored = sorted((spec.keys() & set(_SHAPE_KEYS.values())) - {_SHAPE_KEYS.get(kind)})
     if ignored:
         raise ConfigError(f"model.potential key(s) {ignored} not read by potential kind {kind!r}")
-    strength = float(spec.get("strength", 1.0))
+    strength = _float(spec.get("strength", 1.0))
     if kind == "zero":
         return Potential.zero(d)
     if kind == "contact":
         return Potential.contact(d, strength)
     if kind == "gaussian-profile":
-        return Potential.gaussian_profile(d, strength, width=spec.get("width"))
+        width = spec.get("width")
+        return Potential.gaussian_profile(d, strength, width=None if width is None else _float(width))
     if kind == "soft-coulomb-1d":
-        return Potential.soft_coulomb_1d(d, strength, a0=float(spec.get("a0", 1.0)))
+        return Potential.soft_coulomb_1d(d, strength, a0=_float(spec.get("a0", 1.0)))
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
@@ -126,6 +127,12 @@ def _int(value) -> int:
     if type(value) is not int and not (isinstance(value, float) and value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _ints(values) -> list[int]:
@@ -139,14 +146,14 @@ def _cutoff(value) -> int | str:
 # (group, key, ExperimentConfig field, conversion) of every key whose default
 # lives on the dataclass: a file that leaves the key out keeps that default
 _FIELDS = (
-    ("time", "dt", "hartree_dt", float),
-    ("time", "fluctuation_dt", "fluctuation_dt", float),
+    ("time", "dt", "hartree_dt", _float),
+    ("time", "fluctuation_dt", "fluctuation_dt", _float),
     ("scan", "n_values", "n_values", _ints),
     ("fock", "m_max", "m_max", _cutoff),
-    ("fock", "eps_trunc", "eps_trunc", float),
+    ("fock", "eps_trunc", "eps_trunc", _float),
     ("fock", "capacity", "capacity", _int),
-    ("tolerances", "truncation_loss", "truncation_loss_tol", float),
-    ("tolerances", "propagation", "propagation_tol", float),
+    ("tolerances", "truncation_loss", "truncation_loss_tol", _float),
+    ("tolerances", "propagation", "propagation_tol", _float),
     ("coefficients", "n_values", "coeff_n_values", _ints),
     ("coefficients", "remainder_n_values", "remainder_n_values", _ints),
     ("parallelism", "threads", "threads", _int),
@@ -187,8 +194,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     specs = {group: raw.get(group, {}) for group, _, _, _ in _FIELDS}
     time_spec = specs["time"]
     _require_keys(time_spec, {"t_max", "dt", "samples", "fluctuation_dt"}, "time")
-    t_max = float(time_spec.get("t_max", 1.0))
-    samples = [float(t) for t in time_spec.get("samples", [0.25, 0.5, 1.0])]
+    t_max = _float(time_spec.get("t_max", 1.0))
+    samples = [_float(t) for t in time_spec.get("samples", [0.25, 0.5, 1.0])]
     if any(t > t_max + 1e-12 for t in samples):
         raise ConfigError("sample times must not exceed time.t_max")
 

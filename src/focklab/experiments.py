@@ -220,7 +220,9 @@ def run_coherent_rate_scan(config: ExperimentConfig) -> list[RateScanRow]:
     def start(n):
         loss = poisson_tail(float(n), m_max)
         psi = coherent_state(np.sqrt(n) * config.phi0, basis, eps_trunc=1.0)  # any tail: the rows report and flag it
-        prop = StaticPropagator(build_fock_hamiltonian(model, n, basis).matrix, budget)
+        prop = StaticPropagator(
+            build_fock_hamiltonian(model, n, basis).matrix, budget, sectors=basis.sector_offsets
+        )
         return psi, prop, marginal_from_fock, loss, loss >= config.truncation_loss_tol
 
     return _rate_scan(config, start)

@@ -405,8 +405,13 @@ def conjugation_identity_residual(
     budget = budget or PropagationBudget()
     f0 = np.sqrt(n) * flow.at(0.0)
     ft = np.sqrt(n) * flow.at(t)
-    prop = StaticPropagator(build_fock_hamiltonian(model, n, basis).matrix, budget)
+    # the propagator is released after its one apply: the displacements
+    # below hold Krylov bases of their own
+    prop = StaticPropagator(
+        build_fock_hamiltonian(model, n, basis).matrix, budget, sectors=basis.sector_offsets
+    )
     psi2 = prop.apply(weyl_apply(f0, FockVector.vacuum(basis), budget), t)
+    del prop
     # second side inner displacement, shared across sites
     chi_b = weyl_apply(-ft, psi2, budget)
     worst = 0.0

@@ -5,7 +5,9 @@ Two engines and one sampling policy:
 * ``StaticPropagator`` applies exp(-i H t) for a fixed sparse Hermitian H, via
   a cached dense eigendecomposition up to ``DENSE_CUTOFF`` and, above it, a
   Lanczos/Krylov approximation on the three-term recurrence (no full
-  reorthogonalization) in adaptive substeps.
+  reorthogonalization) in adaptive substeps.  Given the number sectors H
+  conserves, the Krylov route runs on H minus each sector's mean diagonal,
+  held as a complex matrix, and restores the sector phases exactly.
 * ``evolve_timedep`` integrates a time-dependent generator family with the
   midpoint exponential rule (second-order Magnus): one Krylov exponential of
   gen(t + dt/2) per step.  Steps may run backward (t1 < t0).  An optional
@@ -22,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.sparse import diags
 
 from .basis import FockVector
 from .errors import ConvergenceError
@@ -34,6 +37,12 @@ _FRACTION_RTOL = 2.0**-10  # precision of the resolved fraction
 # the error estimate of a substep rounds to about 2e-15 |v|, so a smaller
 # share of the budget is met at this floor instead of never being met
 _ESTIMATE_FLOOR = 1e-14
+# it also carries the phase round-off of exp(-i tau w), about eps |tau w|
+# for each Ritz value w: a share below _PHASE_FLOOR max|w| |tau| |v| is met
+# there, a floor that grows with the interval like the round-off does, up
+# to _PHASE_CAP |v|, beyond which an estimate vouches for nothing
+_PHASE_FLOOR = 1e-14
+_PHASE_CAP = 1e-8
 _NON_FINITE = "non-finite Lanczos coefficient: the generator or the state holds NaN or inf"
 
 
@@ -58,11 +67,12 @@ def _wrap(amp, basis):
 
 
 def _expm_tridiag(alpha, beta, t):
-    """exp(-i t T) e1 for the real symmetric tridiagonal T = (alpha, beta)."""
+    """(exp(-i t T) e1, max |w|) for the real symmetric tridiagonal
+    T = (alpha, beta) with eigenvalues w."""
     if len(alpha) == 1:
-        return np.exp(-1j * t * alpha[:1])
+        return np.exp(-1j * t * alpha[:1]), abs(alpha[0])
     w, u = eigh_tridiagonal(alpha, beta)
-    return u @ (np.exp(-1j * t * w) * u[0, :])
+    return u @ (np.exp(-1j * t * w) * u[0, :]), np.abs(w).max()
 
 
 def _lanczos_step(matvec, v, t, tol, m_cap, depth=0):
@@ -90,9 +100,10 @@ def _lanczos_step(matvec, v, t, tol, m_cap, depth=0):
 def _lanczos_substep(matvec, v, t, tol, m_cap):
     """One Lanczos basis applied to exp(-i A t) v: returns (state, frac).
 
-    ``tol`` below ``_ESTIMATE_FLOOR * |v|`` is raised to that floor.
-    ``frac`` is 1.0 when the estimate converges within ``tol`` for all of t;
-    then the state is exp(-i A t) v.  Otherwise the basis stops at ``m_cap``
+    ``tol`` below ``_ESTIMATE_FLOOR * |v|`` is raised to that floor, and
+    below the estimate's phase round-off ``_phase_floor(max|w|, t) * |v|``
+    (w the Ritz values) to that one.  ``frac`` is 1.0 when the estimate
+    converges within ``tol`` for all of t; then the state is exp(-i A t) v.  Otherwise the basis stops at ``m_cap``
     vectors, ``frac`` is the fraction of t it resolves within ``frac * tol``
     and the state is exp(-i A frac t) v.  Non-finite Lanczos coefficients,
     and a basis that resolves no fraction above 2**-60, raise
@@ -128,17 +139,17 @@ def _lanczos_substep(matvec, v, t, tol, m_cap):
         if scale is None:
             scale = max(abs(alpha[0]), b, 1.0)
         if b <= _BREAKDOWN * scale:
-            y = _expm_tridiag(alpha[: j + 1], beta[:j], t)
+            y, _ = _expm_tridiag(alpha[: j + 1], beta[:j], t)
             return (y * beta0) @ vs[: j + 1], 1.0
         beta[j] = b
         if j + 1 < m_cap:
             vs[j + 1] = w / b
         if j >= 3 and (j % 4 == 3 or j + 1 == m_cap):
-            y = _expm_tridiag(alpha[: j + 1], beta[:j], t)
+            y, w_max = _expm_tridiag(alpha[: j + 1], beta[:j], t)
             if y_prev is not None:
                 diff = y.copy()
                 diff[: len(y_prev)] -= y_prev
-                if np.linalg.norm(diff) * beta0 <= tol:
+                if np.linalg.norm(diff) * beta0 <= max(tol, _phase_floor(w_max, t) * beta0):
                     return (y * beta0) @ vs[: j + 1], 1.0
             y_prev = y
     # compare with the dimension checked before m_cap, a multiple of 4
@@ -146,24 +157,31 @@ def _lanczos_substep(matvec, v, t, tol, m_cap):
     return (y * beta0) @ vs, frac
 
 
+def _phase_floor(w_max, t):
+    """The phase round-off of exp(-i t w) in an estimate, over |v|."""
+    return min(_PHASE_FLOOR * w_max * abs(t), _PHASE_CAP)
+
+
 def _resolved_fraction(alpha, beta, prev, t, tol):
     """(frac, y(frac t)) for a frac in (0, 1) with
-    |y(frac t) - y_prev(frac t)| <= frac tol, where y(tau) and y_prev(tau)
-    are exp(-i tau T) e1 for the tridiagonal T = (alpha, beta) and for its
-    leading prev x prev block.  frac = 1 is known to fail; frac is bisected,
+    |y(frac t) - y_prev(frac t)| <= max(frac tol, _phase_floor(max|w|, frac t)),
+    where y(tau) and y_prev(tau) are exp(-i tau T) e1 for the tridiagonal
+    T = (alpha, beta) with eigenvalues w and for its leading prev x prev
+    block.  frac = 1 is known to fail; frac is bisected,
     on one eigendecomposition of each tridiagonal, to relative precision
     ``_FRACTION_RTOL``."""
     if prev < 4:
         raise ConvergenceError("Krylov substep has no error estimate below its dimension cap")
     w, u = eigh_tridiagonal(alpha, beta)
     w_prev, u_prev = eigh_tridiagonal(alpha[:prev], beta[: prev - 1])
+    w_max = np.abs(w).max()
     lo, hi, y_lo = 0.0, 1.0, None
     for _ in range(_FRACTION_BISECTIONS):
         mid = 0.5 * (lo + hi)
         y = u @ (np.exp(-1j * (mid * t) * w) * u[0, :])
         diff = y.copy()
         diff[:prev] -= u_prev @ (np.exp(-1j * (mid * t) * w_prev) * u_prev[0, :])
-        if np.linalg.norm(diff) <= mid * tol:
+        if np.linalg.norm(diff) <= max(mid * tol, _phase_floor(w_max, mid * t)):
             lo, y_lo = mid, y
         else:
             hi = mid
@@ -187,18 +205,36 @@ class StaticPropagator:
 
     Dense spectral factorization is computed once when the dimension permits;
     otherwise each apply falls back to the Krylov engine.
+
+    ``sectors``, the offsets of the number sectors H conserves (as
+    ``OccupationBasis.sector_offsets``), centres the Krylov route (above
+    ``DENSE_CUTOFF``) on each sector.  With f(k) the mean diagonal of H over
+    sector k and F the operator that is f(k) on sector k, F commutes with
+    H, so exp(-i H t) = exp(-i F t) exp(-i (H - F) t) exactly.  The Krylov
+    engine then resolves the spread of H within the sectors, not the spread
+    of their centres, and each apply restores the sector phases
+    exp(-i f(k) t).  On that route an H with an entry between two sectors
+    is a ``ValueError``.  Every Krylov route holds its operator (H, or
+    H - F) once as a complex matrix: scipy would convert a real one on
+    every product.  ``h`` stays the H that was passed in.
     """
 
-    def __init__(self, h_sparse, budget: PropagationBudget | None = None):
+    def __init__(self, h_sparse, budget: PropagationBudget | None = None, sectors=None):
         self.budget = budget or PropagationBudget()
         self.h = h_sparse
         self.dim = h_sparse.shape[0]
         self._dense = None
+        self._centres = None
         if self.dim <= DENSE_CUTOFF:
             dense = np.asarray(h_sparse.todense())
             if not np.isfinite(dense).all():
                 raise ConvergenceError(_NON_FINITE)
             self._dense = eigh(dense)
+            return
+        op = h_sparse
+        if sectors is not None:
+            op, self._centres, self._sizes = _centre_sectors(h_sparse, sectors)
+        self._krylov_op = op.astype(np.complex128, copy=False)
 
     def apply(self, psi, t: float):
         amp, basis = _as_array(psi)
@@ -208,8 +244,25 @@ class StaticPropagator:
             w, u = self._dense
             out = u @ (np.exp(-1j * w * t) * (u.conj().T @ amp))
         else:
-            out = expm_apply(self.h, amp, t, self.budget)
+            out = expm_apply(self._krylov_op, amp, t, self.budget)
+            if self._centres is not None:
+                out *= np.repeat(np.exp(-1j * t * self._centres), self._sizes)
         return _wrap(out, basis)
+
+
+def _centre_sectors(h_sparse, offsets):
+    """(H - F as CSR, f, sector sizes) for the sectors starting at
+    ``offsets``, with f(k) the mean diagonal of H over sector k and F the
+    diagonal operator that is f(k) on sector k."""
+    sizes = np.diff(offsets)
+    # labels are gathered once per stored entry: int32 keeps that transient small
+    sector = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    h = h_sparse.tocsr()
+    row_sector = np.repeat(sector, np.diff(h.indptr))
+    if ((row_sector != sector[h.indices]) & (h.data != 0)).any():
+        raise ValueError("H couples two number sectors: it does not conserve the particle number")
+    centres = np.bincount(sector, h.diagonal().real, len(sizes)) / sizes
+    return h - diags(np.repeat(centres, sizes)), centres, sizes
 
 
 def evolve_timedep(

@@ -36,6 +36,7 @@ from focklab.propagate import (
     PropagationBudget,
     StaticPropagator,
     _expm_tridiag,
+    _phase_floor,
     _resolved_fraction,
     evolve_timedep,
 )
@@ -110,13 +111,13 @@ def lanczos_bisect(matvec, v, t, tol, m_cap, depth=0):
         if scale is None:
             scale = max(abs(alpha[0]), b, 1.0)
         if b <= _BREAKDOWN * scale:
-            y = _expm_tridiag(alpha[: j + 1], beta[:j], t)
+            y, _ = _expm_tridiag(alpha[: j + 1], beta[:j], t)
             return (y * beta0) @ vs[: j + 1]
         beta[j] = b
         if j + 1 < m_cap:
             vs[j + 1] = w / b
         if j >= 3 and (j % 4 == 3 or j + 1 == m_cap):
-            y = _expm_tridiag(alpha[: j + 1], beta[:j], t)
+            y, _ = _expm_tridiag(alpha[: j + 1], beta[:j], t)
             if y_prev is not None:
                 diff = y.copy()
                 diff[: len(y_prev)] -= y_prev
@@ -171,17 +172,17 @@ def _full_reorth_substep(matvec, v, t, tol, m_cap):
         if scale is None:
             scale = max(abs(alpha[0]), b, 1.0)
         if b <= _BREAKDOWN * scale:
-            y = _expm_tridiag(alpha[: j + 1], beta[:j], t)
+            y, _ = _expm_tridiag(alpha[: j + 1], beta[:j], t)
             return (y * beta0) @ vs[: j + 1], 1.0
         beta[j] = b
         if j + 1 < m_cap:
             vs[j + 1] = w / b
         if j >= 3 and (j % 4 == 3 or j + 1 == m_cap):
-            y = _expm_tridiag(alpha[: j + 1], beta[:j], t)
+            y, w_max = _expm_tridiag(alpha[: j + 1], beta[:j], t)
             if y_prev is not None:
                 diff = y.copy()
                 diff[: len(y_prev)] -= y_prev
-                if np.linalg.norm(diff) * beta0 <= tol:
+                if np.linalg.norm(diff) * beta0 <= max(tol, _phase_floor(w_max, t) * beta0):
                     return (y * beta0) @ vs[: j + 1], 1.0
             y_prev = y
     frac, y = _resolved_fraction(alpha, beta[: m_cap - 1], 4 * ((m_cap - 1) // 4), t, tol / beta0)

@@ -99,13 +99,20 @@ BAD_VALUES = {
     "threads-true": (("parallelism",), {"threads": True}),
     "uniform-ratio": (("initial_phi",), {"preset": "uniform", "ratio": 0.5}),
     "delta-ratio": (("initial_phi",), {"preset": "delta", "ratio": 0.5}),
+    "dt-true": (("time", "dt"), True),
+    "samples-true": (("time", "samples"), [True]),
+    "samples-false": (("time", "samples"), [False]),  # [true] also exceeds t_max
+    "eps_trunc-string": (("fock", "eps_trunc"), "1e-10"),
+    "strength-true": (("model", "potential", "strength"), True),
+    "propagation-string": (("tolerances",), {"propagation": "1e-10"}),
 }
 
 
 @pytest.mark.parametrize("case", [*BAD_VALUES, "directory", "non-utf8"])
 def test_cli_reports_bad_config_inputs(tiny_config, tmp_path, capsys, case):
     # a value that does not convert or that the model rejects, a boolean or
-    # fractional integer, a potential or orbital key its kind does not read,
+    # fractional integer, a boolean or string where a number belongs, a
+    # potential or orbital key its kind does not read,
     # a NaN time step or orbital, and a config path that cannot be read as
     # text are config errors (exit 1), not tracebacks, a silently truncated
     # value or a run that fails later

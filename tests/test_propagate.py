@@ -4,8 +4,11 @@ from scipy.linalg import eigh, expm
 from scipy.sparse import csr_matrix, diags, random as sparse_random
 
 import focklab as fl
+import focklab.propagate as propagate
 from focklab.errors import ConvergenceError
+from focklab.model import Potential
 from focklab.propagate import (
+    DENSE_CUTOFF,
     KRYLOV_DIM,
     PropagationBudget,
     StaticPropagator,
@@ -14,7 +17,9 @@ from focklab.propagate import (
     expm_apply,
     through_times,
 )
+from focklab.weyl import coherent_state, weyl_generator
 from oracles import lanczos_bisect, lanczos_full_reorth
+from test_fluctuations import _flux_kinetic
 
 
 def _random_hermitian(dim, seed, density=0.1, scale=1.0):
@@ -128,6 +133,26 @@ def test_krylov_share_below_estimate_floor(tol):
     v = _random_vec(1000, 21)
     out = _lanczos_step(diags(d).dot, v, 0.03, tol, KRYLOV_DIM)
     assert np.linalg.norm(out - np.exp(-1j * d * 0.03) * v) < 1e-13
+
+
+@pytest.mark.parametrize("outlier, t", [(40.0, 5000.0), (1e3, 100.0)])
+def test_krylov_phase_floor_grows_with_the_interval(monkeypatch, outlier, t):
+    # ||H|| t = 2e5 and 1e5 with tol 1e-11: the phase round-off of
+    # exp(-i tau w) in the estimate exceeds every share tol tau / t, so only
+    # a floor that grows with ||T|| tau lets a substep resolve a fraction
+    rng = np.random.default_rng(0)
+    d = rng.uniform(-1.0, 1.0, 1000)
+    d[:2] = outlier, -outlier
+    v = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+    v /= np.linalg.norm(v)
+    h, tol = diags(d).tocsr(), 1e-11
+    out = expm_apply(h, v, t, PropagationBudget(tol=tol))
+    # the README bound without its k 1e-14 |v| term: the share of the
+    # floor that grows with the interval, 1e-14 max|w| |t| |v|
+    assert np.linalg.norm(out - np.exp(-1j * d * t) * v) < tol + 1e-14 * outlier * t
+    monkeypatch.setattr(propagate, "_PHASE_FLOOR", 0.0)
+    with pytest.raises(ConvergenceError, match="resolves no fraction"):
+        expm_apply(h, v, t, PropagationBudget(tol=tol))
 
 
 def test_krylov_first_basis_matches_oracle_bits():
@@ -278,3 +303,76 @@ def test_budget_validation():
         PropagationBudget(tol=0.0)
     with pytest.raises(ValueError):
         PropagationBudget(dt=-1.0)
+
+
+SECTOR_MODELS = pytest.mark.parametrize(
+    "model",
+    [
+        fl.LatticeModel(3, Potential.contact(3, 1.0)),
+        fl.LatticeModel(3, Potential.soft_coulomb_1d(3, 1.3)),
+        fl.LatticeModel(3, Potential.soft_coulomb_1d(3, 0.7), _flux_kinetic(3, 0.4)),
+    ],
+    ids=["contact", "soft-coulomb", "complex-kinetic"],
+)
+
+
+@SECTOR_MODELS
+@pytest.mark.parametrize("state", ["coherent", "random"])
+@pytest.mark.parametrize("t", [0.7, -0.7])
+def test_sector_split_matches_raw_krylov(model, state, t, monkeypatch):
+    # exp(-i F t) exp(-i (H - F) t) against the Krylov route on the raw H,
+    # above the dense cutoff; each route holds to the budget, so they agree
+    # within twice the budget plus the documented floor (k + ||H|| |t|) 1e-14 |v|,
+    # with k at most the substeps both routes take
+    substeps = []
+    raw_substep = propagate._lanczos_substep
+
+    def counted_substep(*args):
+        substeps.append(1)
+        return raw_substep(*args)
+
+    monkeypatch.setattr(propagate, "_lanczos_substep", counted_substep)
+    basis = fl.build_basis(3, 14)
+    assert basis.size > DENSE_CUTOFF
+    h = fl.build_fock_hamiltonian(model, 3, basis).matrix
+    if state == "coherent":
+        v = coherent_state(np.sqrt(3.0) * np.array([0.6, 0.48, 0.64]), basis, eps_trunc=1e-3).amp
+    else:
+        v = _random_vec(basis.size, 23)
+    budget = PropagationBudget(tol=1e-10)
+    out = StaticPropagator(h, budget, sectors=basis.sector_offsets).apply(v, t)
+    ref = expm_apply(h, v, t, budget)
+    floor = 1e-14 * (len(substeps) + abs(h).sum(axis=1).max() * abs(t)) * np.linalg.norm(v)
+    assert np.linalg.norm(out - ref) < 2 * budget.tol + floor
+
+
+def test_sector_split_takes_fewer_matvecs(monkeypatch):
+    # the centred operator spreads over one sector's energies instead of
+    # every sector's: on a coherent state, strictly fewer matvecs
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    basis = fl.build_basis(3, 24)
+    h = fl.build_fock_hamiltonian(model, 2, basis).matrix
+    psi = coherent_state(np.sqrt(2.0) * np.array([0.6, 0.48, 0.64]), basis, eps_trunc=1e-8)
+    counted = []
+    raw_expm = propagate.expm_apply
+
+    def counted_expm(op, v, t, budget):
+        counted.append(_CountedMatvec(op))
+        return raw_expm(counted[-1], v, t, budget)
+
+    monkeypatch.setattr(propagate, "expm_apply", counted_expm)
+    split_prop = StaticPropagator(h, sectors=basis.sector_offsets)
+    assert split_prop.h is h  # the centred operator is private
+    split = split_prop.apply(psi, 1.0)
+    raw = StaticPropagator(h).apply(psi, 1.0)
+    assert counted[0].calls < counted[1].calls
+    assert np.linalg.norm(split.amp - raw.amp) < 2 * PropagationBudget().tol
+
+
+def test_sector_split_rejects_coupled_sectors():
+    # i (a*(f) - a(f)) is Hermitian and changes the particle number by one
+    basis = fl.build_basis(3, 14)
+    assert basis.size > DENSE_CUTOFF
+    h = 1j * weyl_generator(np.array([0.3, 0.2, 0.1]), basis)
+    with pytest.raises(ValueError, match="couples two number sectors"):
+        StaticPropagator(h, sectors=basis.sector_offsets)
