@@ -11,7 +11,7 @@ number-operator moments cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lgamma
 from typing import Iterator
 
 import numpy as np
@@ -30,6 +30,12 @@ def sector_dimension(d: int, n: int) -> int:
 def basis_dimension(d: int, m_max: int) -> int:
     """Total number of tuples with sum <= m_max."""
     return comb(m_max + d, d)
+
+
+def log_factorials(m: int) -> np.ndarray:
+    """log k! for k = 0..m, indexed by k (so ``log_factorials(m)[states]``
+    holds log n_x! for occupation tuples with entries <= m)."""
+    return np.array([lgamma(k + 1) for k in range(m + 1)])
 
 
 def _sector_tuples(d: int, n: int) -> Iterator[tuple[int, ...]]:

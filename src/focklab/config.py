@@ -95,7 +95,7 @@ def _build_phi(spec, d: int) -> np.ndarray:
             raise ConfigError("geometric preset needs 0 < ratio < 1")
         return ratio ** np.arange(d) + 0j
     try:
-        return np.array([complex(re, im) for re, im in spec])
+        return np.array([complex(_float(re), _float(im)) for re, im in spec])
     except (TypeError, ValueError) as exc:
         raise ConfigError("initial_phi must be a list of [re, im] pairs or a preset") from exc
 

@@ -13,21 +13,27 @@ with N vac = 0, makes every node's coherent state the theta=0 state times
 e^{-i theta N}; so the reconstruction builds one coherent state and weights
 each sector m by its K-node sum (1/K) sum_k e^{i theta_k (N - m)}.  The sum
 of K coherent states is kept as the test oracle ``reconstruct_by_nodes`` in
-tests/oracles.py.  The coefficient sequence R_m
-is computed in exact integer arithmetic through two independent closed
-forms, and is tied to generalized Laguerre polynomials evaluated in their
-oscillatory regime (the connection holds in absolute value; the sign
-conventions differ for odd m, and only R_m^2 enters the identities used
-downstream).  The Laguerre sum is kept as the test oracle
-``laguerre_times_factorial`` in tests/oracles.py.
+tests/oracles.py.
+
+The coefficients R_m are exact integers from a three-term recurrence; two
+independent closed forms (a Leibniz sum, and a binomial sum for m <= N-1)
+are its cross-checks.  They are tied to generalized Laguerre polynomials
+evaluated in their oscillatory regime (the connection holds in absolute
+value; the sign conventions differ for odd m, and only R_m^2 enters the
+identities used downstream); the Laguerre sum is kept as the test oracle
+``laguerre_times_factorial`` in tests/oracles.py.  The Parseval partial sums
+are exact fractions, and only the comparison with d_N^2 and the scaled A_m
+are rounded, in standard-library ``decimal`` at MP_DPS digits (a decimal
+context is thread-local).  The 60-digit mpmath versions of both are test
+oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from math import comb, exp, factorial, lgamma, log, pi, sqrt
 
-import mpmath
 import numpy as np
 
 from .basis import FockVector, OccupationBasis
@@ -87,20 +93,38 @@ def coeff_leibniz_form(n: int, m: int) -> int:
     return total
 
 
+def expansion_coefficients(n: int, m_max: int) -> list[int]:
+    """R_0, ..., R_{m_max} by the three-term recurrence
+
+        R_0 = 1,  R_1 = -1,  R_{k+1} = -(k+1) R_k - N k R_{k-1},
+
+    which follows from sum_m R_m x^m / m! = (1+x)^{N-1} e^{-Nx}, because
+    that G satisfies (1+x) G' = -(1 + N x) G.  Exact integers throughout;
+    the Leibniz and binomial forms are its cross-checks."""
+    if n < 1 or m_max < 0:
+        raise ValueError("need N >= 1 and m >= 0")
+    out = [1, -1][: m_max + 1]
+    for k in range(1, m_max):
+        out.append(-(k + 1) * out[k] - n * k * out[k - 1])
+    return out
+
+
 def expansion_coefficient(n: int, m: int) -> int:
-    """R_m by the Leibniz form, exact for every m (the binomial form is its oracle)."""
-    return coeff_leibniz_form(n, m)
+    """R_m by the recurrence of ``expansion_coefficients``."""
+    return expansion_coefficients(n, m)[m]
+
+
+def scaled_from_r(n: int, m: int, r: int) -> float:
+    """A_m from R_m = r: the square root of r^2 / (m! N^m) in MP_DPS digits."""
+    with localcontext() as ctx:
+        ctx.prec = MP_DPS
+        a = float((Decimal(r * r) / (factorial(m) * n**m)).sqrt())
+    return -a if r < 0 else a
 
 
 def scaled_coefficient(n: int, m: int) -> float:
-    """A_m = R_m / (sqrt(m!) N^{m/2}), evaluated through logs."""
-    r = expansion_coefficient(n, m)
-    if r == 0:
-        return 0.0
-    sign = 1.0 if r > 0 else -1.0
-    with mpmath.workdps(MP_DPS):
-        val = mpmath.mpf(abs(r)) / (mpmath.sqrt(mpmath.factorial(m)) * mpmath.mpf(n) ** (mpmath.mpf(m) / 2))
-        return sign * float(val)
+    """A_m = R_m / (sqrt(m!) N^{m/2})."""
+    return scaled_from_r(n, m, expansion_coefficient(n, m))
 
 
 @dataclass
@@ -114,17 +138,25 @@ class ParsevalReport:
 
 def parseval_identity_check(n: int, tol: float = 1e-8, m_cap: int | None = None) -> ParsevalReport:
     """Partial sums of sum_m R_m^2/(N^m m!) against d_N^2, plus the empirical
-    flat-bound constant max_{1<=m<=N} |A_m| m^{1/4}."""
+    flat-bound constant max_{1<=m<=N} |A_m| m^{1/4}.
+
+    The partial sum through m is the exact fraction S_m / (N^m m!) with
+    S_m = N m S_{m-1} + R_m^2; only its comparison with d_N^2 = e^N N!/N^N
+    is rounded, to MP_DPS digits."""
     if m_cap is None:
         m_cap = 8 * n + 80
-    kras = max(abs(scaled_coefficient(n, m)) * m**0.25 for m in range(1, n + 1))
-    with mpmath.workdps(MP_DPS):
-        target = mpmath.e**n * mpmath.factorial(n) / mpmath.mpf(n) ** n
-        partial = mpmath.mpf(0)
+    rs = expansion_coefficients(n, max(m_cap, n))
+    kras = max(abs(scaled_from_r(n, m, rs[m])) * m**0.25 for m in range(1, n + 1))
+    with localcontext() as ctx:
+        ctx.prec = MP_DPS
+        target = Decimal(n).exp() * factorial(n) / n**n
+        total, denom = 0, 1  # S_m and N^m m!
         for m in range(m_cap + 1):
-            r = expansion_coefficient(n, m)
-            partial += mpmath.mpf(r * r) / (mpmath.mpf(n) ** m * mpmath.factorial(m))
-            rel = float(abs(partial - target) / target)
+            if m:
+                total *= n * m
+                denom *= n * m
+            total += rs[m] * rs[m]
+            rel = float(abs(total / Decimal(denom) - target) / target)
             if rel < tol:
                 return ParsevalReport(n, m, rel, kras, True)
         return ParsevalReport(n, m_cap, rel, kras, False)

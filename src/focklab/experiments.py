@@ -20,12 +20,12 @@ import numpy as np
 from .basis import FockVector, build_basis, number_moment
 from .config import ExperimentConfig
 from .decomposition import (
-    scaled_coefficient,
-    product_norm_constant,
-    remainder_probe,
+    expansion_coefficients,
     parseval_identity_check,
-    expansion_coefficient,
+    product_norm_constant,
     reconstruct_product,
+    remainder_probe,
+    scaled_from_r,
 )
 from .errors import FockLabError
 from .fluctuations import (
@@ -320,10 +320,10 @@ def run_coefficient_suite(config: ExperimentConfig) -> SuiteResult:
         tables["parseval"].append((n, rep.m_reached, rep.rel_error, rep.decay_constant, rep.converged))
         dn2 = product_norm_constant(n).squared
         partial = 0.0
-        for m in range(min(rep.m_reached, 40) + 1):
-            am = scaled_coefficient(n, m)
+        for m, r in enumerate(expansion_coefficients(n, min(rep.m_reached, 40))):
+            am = scaled_from_r(n, m, r)
             partial += am * am
-            tables["coefficients"].append((n, m, str(expansion_coefficient(n, m)), am, abs(partial - dn2) / dn2))
+            tables["coefficients"].append((n, m, str(r), am, abs(partial - dn2) / dn2))
 
     m_rec = _suite_m_max(config)
     basis = build_basis(model.d, m_rec, capacity=config.capacity)

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix, diags
-from scipy.special import gammaln
 
 from .basis import (
     DEFAULT_CAPACITY,
     FockVector,
     OccupationBasis,
     _sector_tuples,
+    log_factorials,
     sector_dimension,
 )
 from .errors import CapacityError, NormalizationError
@@ -204,7 +204,8 @@ def build_sector_hamiltonian(
 def product_amplitudes(phi: np.ndarray, n: int, states: np.ndarray) -> np.ndarray:
     """Amplitudes of the symmetrized phi^{x N} on sector-N occupation tuples:
     sqrt(N!/prod n_x!) prod phi_x^{n_x}."""
-    log_w = 0.5 * (gammaln(n + 1.0) - gammaln(states + 1.0).sum(axis=1))
+    log_fact = log_factorials(n)
+    log_w = 0.5 * (log_fact[n] - log_fact[states].sum(axis=1))
     powers = np.prod(np.asarray(phi, dtype=complex)[None, :] ** states, axis=1)
     return np.exp(log_w) * powers
 

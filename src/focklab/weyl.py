@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.special import gammaln
 
-from .basis import FockVector, OccupationBasis
+from .basis import FockVector, OccupationBasis, log_factorials
 from .errors import TruncationError
 from .propagate import PropagationBudget, expm_apply
 
@@ -58,11 +57,27 @@ def weyl_apply(
 
 
 def poisson_tail(lam: float, m_max: int) -> float:
-    """P(X > m_max) for X ~ Poisson(lam)."""
+    """P(X > m_max) for X ~ Poisson(lam).
+
+    Below the mean the tail is large, and it is 1 minus the lower terms.
+    From the mean on it is the sum of the upper terms, the first taken in
+    log space, so that a tail far below the rounding of 1 keeps its
+    relative accuracy; the terms fall by lam / k, and the sum stops where
+    they no longer change it.
+    """
     if lam == 0.0:
         return 0.0
-    logs = -lam + np.arange(m_max + 1) * math.log(lam) - gammaln(np.arange(m_max + 1) + 1.0)
-    return float(max(0.0, 1.0 - np.exp(logs).sum()))
+    if m_max < lam:
+        logs = -lam + np.arange(m_max + 1) * math.log(lam) - log_factorials(m_max)
+        return float(max(0.0, 1.0 - np.exp(logs).sum()))
+    k = m_max + 1
+    term = math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
+    total = term
+    while term > 1e-17 * total:
+        k += 1
+        term *= lam / k
+        total += term
+    return total
 
 
 def minimal_cutoff(lam: float, eps: float) -> int:
@@ -103,7 +118,7 @@ def coherent_state(
             f"Poisson tail {tail:.3e} beyond m_max={basis.m_max} exceeds eps_trunc={eps_trunc:.1e}"
         )
     states = basis.states
-    log_fact = gammaln(states + 1.0).sum(axis=1)
+    log_fact = log_factorials(basis.m_max)[states].sum(axis=1)
     powers = np.prod(f[None, :] ** states, axis=1)
     amp = math.exp(-lam / 2.0) * powers * np.exp(-0.5 * log_fact)
     return FockVector(basis, amp)

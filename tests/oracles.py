@@ -13,17 +13,27 @@ scans evolving every sample time from t = 0, the Lanczos step that
 discards an unconverged basis and bisects its interval, and the Lanczos
 substep that orthogonalizes every new vector against its whole basis.  The
 sector expansion of the displaced product profile is the second route to
-that profile, and the Laguerre sum the second closed form of R_m.
+that profile, and the Laguerre sum the second closed form of R_m.  The
+60-digit mpmath routes are the package's former arithmetic for the scaled
+coefficients A_m and the Parseval partial sums, and the Poisson tail summed
+term by term at 60 digits is the exact reference for ``poisson_tail``.
 """
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 from scipy.sparse import csr_matrix, diags
 
 from focklab.basis import FockVector, _sector_tuples, annihilate, build_basis, number_moment
-from focklab.decomposition import displaced_product_profile, product_norm_constant, scaled_coefficient
+from focklab.decomposition import (
+    MP_DPS,
+    coeff_leibniz_form,
+    displaced_product_profile,
+    product_norm_constant,
+    scaled_coefficient,
+)
 from focklab.fluctuations import FluctuationOperators, evolve_fluctuation, generator_family
 from focklab.hartree import HartreeFlow
 from focklab.marginals import hs_distance, marginal_from_fock, marginal_from_sector, rank_one, trace_distance
@@ -187,6 +197,46 @@ def _full_reorth_substep(matvec, v, t, tol, m_cap):
             y_prev = y
     frac, y = _resolved_fraction(alpha, beta[: m_cap - 1], 4 * ((m_cap - 1) // 4), t, tol / beta0)
     return (y * beta0) @ vs, frac
+
+
+def scaled_coefficient_mp(n: int, m: int) -> float:
+    """A_m = R_m / (sqrt(m!) N^{m/2}) in mpmath at MP_DPS digits, R_m by the Leibniz form."""
+    r = coeff_leibniz_form(n, m)
+    if r == 0:
+        return 0.0
+    with mpmath.workdps(MP_DPS):
+        val = mpmath.mpf(abs(r)) / (mpmath.sqrt(mpmath.factorial(m)) * mpmath.mpf(n) ** (mpmath.mpf(m) / 2))
+        return (1.0 if r > 0 else -1.0) * float(val)
+
+
+def parseval_sum_mp(n: int, tol: float = 1e-8, m_cap: int | None = None) -> tuple[int, float]:
+    """(m_reached, rel_error) of the partial sums of R_m^2 / (N^m m!) against
+    d_N^2 = e^N N! / N^N, accumulated in mpmath at MP_DPS digits."""
+    if m_cap is None:
+        m_cap = 8 * n + 80
+    with mpmath.workdps(MP_DPS):
+        target = mpmath.e**n * mpmath.factorial(n) / mpmath.mpf(n) ** n
+        partial = mpmath.mpf(0)
+        for m in range(m_cap + 1):
+            r = coeff_leibniz_form(n, m)
+            partial += mpmath.mpf(r * r) / (mpmath.mpf(n) ** m * mpmath.factorial(m))
+            rel = float(abs(partial - target) / target)
+            if rel < tol:
+                return m, rel
+        return m_cap, rel
+
+
+def poisson_tails_mp(lam: float, m_top: int) -> list[float]:
+    """P(X > m) for X ~ Poisson(lam) and m = 0..m_top, from the lower sums at
+    MP_DPS digits, where 1 minus a sum loses nothing above 1e-50."""
+    with mpmath.workdps(MP_DPS):
+        lam = mpmath.mpf(lam)
+        term, cdf, tails = mpmath.exp(-lam), mpmath.mpf(0), []
+        for k in range(m_top + 1):
+            cdf += term
+            tails.append(float(1 - cdf))
+            term *= lam / (k + 1)
+        return tails
 
 
 def laguerre_times_factorial(n: int, m: int) -> int:

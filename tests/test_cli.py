@@ -91,6 +91,7 @@ BAD_VALUES = {
     "n_values-x": (("scan", "n_values"), ["x"]),
     "dt-nan": (("time", "dt"), float("nan")),
     "phi-nan": (("initial_phi",), [[float("nan"), 0.0], [1.0, 0.0]]),
+    "phi-true": (("initial_phi",), [[True, False], [0.5, 0]]),
     "model-list": (("model",), []),
     "d-fraction": (("model", "d"), 3.7),
     "m_max-fraction": (("fock", "m_max"), 12.9),
@@ -111,7 +112,8 @@ BAD_VALUES = {
 @pytest.mark.parametrize("case", [*BAD_VALUES, "directory", "non-utf8"])
 def test_cli_reports_bad_config_inputs(tiny_config, tmp_path, capsys, case):
     # a value that does not convert or that the model rejects, a boolean or
-    # fractional integer, a boolean or string where a number belongs, a
+    # fractional integer, a boolean or string where a number belongs (an
+    # orbital's [re, im] pairs included), a
     # potential or orbital key its kind does not read,
     # a NaN time step or orbital, and a config path that cannot be read as
     # text are config errors (exit 1), not tracebacks, a silently truncated

@@ -13,6 +13,7 @@ from focklab.decomposition import (
     remainder_probe,
     parseval_identity_check,
     expansion_coefficient,
+    expansion_coefficients,
     coeff_leibniz_form,
     coeff_binomial_form,
     reconstruct_product,
@@ -23,8 +24,10 @@ from focklab.propagate import PropagationBudget
 from oracles import (
     coefficient_expansion_profile,
     laguerre_times_factorial,
+    parseval_sum_mp,
     reconstruct_by_nodes,
     remainder_phase_average,
+    scaled_coefficient_mp,
 )
 
 
@@ -53,6 +56,19 @@ def test_r_m_routes_agree_everywhere_they_overlap():
     for n in range(1, 41):
         for m in range(n):
             assert coeff_binomial_form(n, m) == coeff_leibniz_form(n, m)
+
+
+def test_r_m_recurrence_matches_closed_forms():
+    # the recurrence against the Leibniz form as far as a Parseval check walks
+    # (m <= 8N + 80), and against the binomial form where that form holds
+    for n in range(1, 41):
+        rs = expansion_coefficients(n, 8 * n + 80)
+        assert rs == [coeff_leibniz_form(n, m) for m in range(8 * n + 81)]
+        assert rs[:n] == [coeff_binomial_form(n, m) for m in range(n)]
+        assert expansion_coefficient(n, 8 * n + 80) == rs[-1]
+    assert expansion_coefficients(3, 0) == [1]
+    with pytest.raises(ValueError):
+        expansion_coefficient(0, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,6 +106,17 @@ def test_parseval_identity_small_n():
     # partial sums approach e and e^2/2
     total = sum(expansion_coefficient(1, m) ** 2 / math.factorial(m) for m in range(40))
     assert total == pytest.approx(math.e, rel=1e-10)
+
+
+def test_decimal_arithmetic_matches_mpmath_oracles():
+    # both routes round 50 or more correct digits to a double, so they agree
+    # exactly: the coefficient suite's A_m and Parseval columns do not move
+    for n in (1, 2, 4, 8, 16, 32, 40):
+        assert [scaled_coefficient(n, m) for m in range(41)] == [scaled_coefficient_mp(n, m) for m in range(41)]
+        rep = parseval_identity_check(n)
+        assert (rep.m_reached, rep.rel_error) == parseval_sum_mp(n)
+    rep = parseval_identity_check(30, m_cap=5)
+    assert (rep.m_reached, rep.rel_error) == parseval_sum_mp(30, m_cap=5)
 
 
 def test_parseval_decay_constant_bounded():

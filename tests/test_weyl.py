@@ -5,6 +5,7 @@ import pytest
 
 import focklab as fl
 from focklab.weyl import annihilation_of, displacement_floor, minimal_cutoff, poisson_tail
+from oracles import poisson_tails_mp
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +143,22 @@ def test_poisson_tail_and_minimal_cutoff():
     m = minimal_cutoff(6.0, 1e-10)
     assert poisson_tail(6.0, m) < 1e-10
     assert poisson_tail(6.0, m - 1) >= 1e-10
+
+
+@pytest.mark.parametrize("lam, m", [(1, 30), (2, 40), (8, 40), (12, 40), (4, 22), (40, 80), (400, 400)])
+def test_poisson_tail_relative_accuracy(lam, m):
+    # a tail far below the rounding of 1 keeps its relative accuracy
+    exact = poisson_tails_mp(lam, m)[m]
+    assert abs(poisson_tail(float(lam), m) - exact) <= 1e-12 * exact
+    assert poisson_tail(0.0, m) == 0.0
+
+
+def test_minimal_cutoff_matches_exact_tails():
+    # the cutoff the exact tail gives, so no basis sized by it changes
+    for n in range(1, 61):
+        tails = poisson_tails_mp(n, 200)
+        for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10):
+            assert minimal_cutoff(float(n), eps) == next(m for m, t in enumerate(tails) if t < eps)
 
 
 def test_displacement_floor():
