@@ -101,18 +101,20 @@ class _LeadingBlock:
     """The leading (dim x dim) block of a matrix, held as the matrix's first
     dim rows (``rows``, a dim x span CSR matrix).  A product pads its input
     with zeros up to the span, so the entries right of the block act on
-    zeros and the product costs the block's rows only."""
+    zeros and the product costs the block's rows only.  The padded input is
+    one buffer per block, whose head each product overwrites: a block is
+    not shared between threads."""
 
     def __init__(self, rows: csr_matrix):
         self.rows = rows
         self.shape = (rows.shape[0], rows.shape[0])
         # the CSR arrays of the rows, which every product reads
         self.nnz, self.data, self.indices = rows.nnz, rows.data, rows.indices
+        self._padded = np.zeros(rows.shape[1], dtype=complex)
 
     def dot(self, v: np.ndarray) -> np.ndarray:
-        padded = np.zeros(self.rows.shape[1], dtype=complex)
-        padded[: self.shape[0]] = v
-        return self.rows @ padded
+        self._padded[: self.shape[0]] = v
+        return self.rows @ self._padded
 
 
 def _placed(term, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

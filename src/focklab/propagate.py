@@ -5,7 +5,8 @@ Two engines and one sampling policy:
 * ``StaticPropagator`` applies exp(-i H t) for a fixed sparse Hermitian H, via
   a cached dense eigendecomposition up to ``DENSE_CUTOFF`` and, above it, a
   Lanczos/Krylov approximation on the three-term recurrence (no full
-  reorthogonalization) in adaptive substeps.  Given the number sectors H
+  reorthogonalization) in adaptive substeps, each basis stopping at the
+  first dimension whose iterate has converged.  Given the number sectors H
   conserves, the Krylov route runs on H minus each sector's mean diagonal,
   held as a complex matrix, and restores the sector phases exactly.
 * ``evolve_timedep`` integrates a time-dependent generator family with the
@@ -19,11 +20,12 @@ Two engines and one sampling policy:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, isfinite
+from math import ceil, isfinite, sqrt
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
+from scipy.linalg.lapack import dstevd
 from scipy.sparse import diags
 
 from .basis import FockVector
@@ -34,6 +36,12 @@ KRYLOV_DIM = 40  # Krylov subspace cap per substep
 DENSE_CUTOFF = 600  # up to this dimension, StaticPropagator diagonalizes instead
 _FRACTION_BISECTIONS = 60  # a substep that resolves no fraction above 2**-60 fails
 _FRACTION_RTOL = 2.0**-10  # precision of the resolved fraction
+# from dimension _FIRST_CHECK on, each iterate is compared with the one _LAG
+# dimensions below it.  Without reorthogonalization an iterate's error can
+# stall for a dimension as a ghost Ritz value appears, and over the stall
+# neighbouring iterates agree: lag 1 stops short (README)
+_FIRST_CHECK = 4
+_LAG = 2
 # the error estimate of a substep rounds to about 2e-15 |v|, so a smaller
 # share of the budget is met at this floor instead of never being met
 _ESTIMATE_FLOOR = 1e-14
@@ -66,13 +74,74 @@ def _wrap(amp, basis):
     return FockVector(basis, amp) if basis is not None else amp
 
 
+def _tridiag_eigh(alpha, beta):
+    """(w, u): the ascending eigenvalues and the eigenvectors of the real
+    symmetric tridiagonal (alpha, beta), by LAPACK's dstevd.  A failed solve
+    (nonzero ``info``) raises ``ConvergenceError``."""
+    w, u, info = dstevd(alpha, beta)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal eigensolver dstevd failed (info={info})")
+    return w, u
+
+
 def _expm_tridiag(alpha, beta, t):
     """(exp(-i t T) e1, max |w|) for the real symmetric tridiagonal
     T = (alpha, beta) with eigenvalues w."""
     if len(alpha) == 1:
         return np.exp(-1j * t * alpha[:1]), abs(alpha[0])
-    w, u = eigh_tridiagonal(alpha, beta)
-    return u @ (np.exp(-1j * t * w) * u[0, :]), np.abs(w).max()
+    w, u = _tridiag_eigh(alpha, beta)
+    return u @ (np.exp(-1j * t * w) * u[0, :]), max(-w[0], w[-1])
+
+
+def _converged_iterate(alpha, beta, dim, t, tol, recent):
+    """exp(-i t T) e1 for the leading dim x dim block T of the tridiagonal
+    (alpha, beta) when it has converged, else None.
+
+    ``recent`` holds the iterates of the dimensions below dim, oldest first,
+    and this one is appended to it.  From dimension ``_FIRST_CHECK`` on, the
+    iterate has converged when it differs from the one ``_LAG`` dimensions
+    below by at most max(tol, _phase_floor(max|w|, t)), tol relative to the
+    norm of the Krylov start vector.  Call it at every dimension, in order:
+    this is the stopping rule of every substep.
+    """
+    if dim < _FIRST_CHECK - _LAG:
+        return None
+    y, w_max = _expm_tridiag(alpha[:dim], beta[: dim - 1], t)
+    recent.append(y)
+    if dim < _FIRST_CHECK:
+        return None
+    prev = recent.pop(0)
+    diff = y.copy()
+    diff[: len(prev)] -= prev
+    if np.linalg.norm(diff) <= max(tol, _phase_floor(w_max, t)):
+        return y
+    return None
+
+
+def _lanczos_vector(matvec, vs, beta, j, scratch):
+    """(w, alpha_j, |w|) for w = A v_j - beta_{j-1} v_{j-1} - alpha_j v_j,
+    the basis ``vs`` holding v_0..v_j and ``beta`` beta_0..beta_{j-1}.
+
+    One local pass, none over the whole basis, removes what is left of
+    v_j: the orthogonality lost as Ritz values converge spoils neither
+    exp(-i A t) v nor its estimate (Druskin, Greenbaum and Knizhnerman
+    1998).  The updates run in place on w through ``scratch``, an array
+    of w's shape, so they allocate nothing.  They are numpy ufuncs, not
+    ``scipy.linalg.blas.zaxpy``: scipy loads its own OpenBLAS, and on its
+    default threads those calls between sparse products made a step three
+    times slower (see the README)."""
+    w = matvec(vs[j])
+    if j > 0:
+        w -= np.multiply(vs[j - 1], beta[j - 1], out=scratch)
+    alpha = np.vdot(vs[j], w).real
+    w -= np.multiply(vs[j], alpha, out=scratch)
+    w -= np.multiply(vs[j], np.vdot(vs[j], w), out=scratch)
+    return w, alpha, _norm(w)
+
+
+def _norm(x):
+    """The 2-norm of x, by one BLAS dot product."""
+    return sqrt(np.vdot(x, x).real)
 
 
 def _lanczos_step(matvec, v, t, tol, m_cap, depth=0):
@@ -102,14 +171,16 @@ def _lanczos_substep(matvec, v, t, tol, m_cap):
 
     ``tol`` below ``_ESTIMATE_FLOOR * |v|`` is raised to that floor, and
     below the estimate's phase round-off ``_phase_floor(max|w|, t) * |v|``
-    (w the Ritz values) to that one.  ``frac`` is 1.0 when the estimate
-    converges within ``tol`` for all of t; then the state is exp(-i A t) v.  Otherwise the basis stops at ``m_cap``
+    (w the Ritz values) to that one.  The basis grows one vector at a time
+    and stops at the first dimension whose iterate has converged
+    (``_converged_iterate``); ``frac`` is then 1.0 and the state is that
+    iterate of exp(-i A t) v.  Otherwise the basis stops at ``m_cap``
     vectors, ``frac`` is the fraction of t it resolves within ``frac * tol``
     and the state is exp(-i A frac t) v.  Non-finite Lanczos coefficients,
-    and a basis that resolves no fraction above 2**-60, raise
-    ``ConvergenceError``.
+    a failed tridiagonal solve, and a basis that resolves no fraction above
+    2**-60, raise ``ConvergenceError``.
     """
-    beta0 = np.linalg.norm(v)
+    beta0 = _norm(v)
     if not isfinite(beta0):
         raise ConvergenceError(_NON_FINITE)
     if beta0 == 0.0:
@@ -118,22 +189,15 @@ def _lanczos_substep(matvec, v, t, tol, m_cap):
     n = v.shape[0]
     m_cap = min(m_cap, n)
     vs = np.empty((m_cap, n), dtype=complex)
-    vs[0] = v / beta0
+    # a product by the reciprocal: a complex division is 6x slower
+    np.multiply(v, 1.0 / beta0, out=vs[0])
     alpha = np.empty(m_cap)
     beta = np.empty(m_cap)
-    y_prev = None
+    scratch = np.empty(n, dtype=complex)
+    recent = []
     scale = None
     for j in range(m_cap):
-        w = matvec(vs[j])
-        if j > 0:
-            w -= beta[j - 1] * vs[j - 1]
-        alpha[j] = np.vdot(vs[j], w).real
-        w -= alpha[j] * vs[j]
-        # one local pass, none over the whole basis: the orthogonality lost
-        # as Ritz values converge spoils neither exp(-i A t) v nor its
-        # estimate (Druskin, Greenbaum and Knizhnerman 1998)
-        w -= np.vdot(vs[j], w) * vs[j]
-        b = np.linalg.norm(w)
+        w, alpha[j], b = _lanczos_vector(matvec, vs, beta, j, scratch)
         if not (isfinite(alpha[j]) and isfinite(b)):
             raise ConvergenceError(_NON_FINITE)
         if scale is None:
@@ -143,16 +207,12 @@ def _lanczos_substep(matvec, v, t, tol, m_cap):
             return (y * beta0) @ vs[: j + 1], 1.0
         beta[j] = b
         if j + 1 < m_cap:
-            vs[j + 1] = w / b
-        if j >= 3 and (j % 4 == 3 or j + 1 == m_cap):
-            y, w_max = _expm_tridiag(alpha[: j + 1], beta[:j], t)
-            if y_prev is not None:
-                diff = y.copy()
-                diff[: len(y_prev)] -= y_prev
-                if np.linalg.norm(diff) * beta0 <= max(tol, _phase_floor(w_max, t) * beta0):
-                    return (y * beta0) @ vs[: j + 1], 1.0
-            y_prev = y
-    # compare with the dimension checked before m_cap, a multiple of 4
+            np.multiply(w, 1.0 / b, out=vs[j + 1])
+        y = _converged_iterate(alpha, beta, j + 1, t, tol / beta0, recent)
+        if y is not None:
+            return (y * beta0) @ vs[: j + 1], 1.0
+    # the continuation estimates against the largest multiple of 4 below
+    # m_cap (36 for a cap of 40): a wider lag than the stopping rule's
     frac, y = _resolved_fraction(alpha, beta[: m_cap - 1], 4 * ((m_cap - 1) // 4), t, tol / beta0)
     return (y * beta0) @ vs, frac
 
@@ -172,9 +232,9 @@ def _resolved_fraction(alpha, beta, prev, t, tol):
     ``_FRACTION_RTOL``."""
     if prev < 4:
         raise ConvergenceError("Krylov substep has no error estimate below its dimension cap")
-    w, u = eigh_tridiagonal(alpha, beta)
-    w_prev, u_prev = eigh_tridiagonal(alpha[:prev], beta[: prev - 1])
-    w_max = np.abs(w).max()
+    w, u = _tridiag_eigh(alpha, beta)
+    w_prev, u_prev = _tridiag_eigh(alpha[:prev], beta[: prev - 1])
+    w_max = max(-w[0], w[-1])
     lo, hi, y_lo = 0.0, 1.0, None
     for _ in range(_FRACTION_BISECTIONS):
         mid = 0.5 * (lo + hi)

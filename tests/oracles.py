@@ -10,8 +10,9 @@ trajectories, the conjugation residual routed through both of its sides'
 shared unitary tail, the remainder's K-node phase average, the product
 reconstruction summing one coherent state per quadrature node, rate
 scans evolving every sample time from t = 0, the Lanczos step that
-discards an unconverged basis and bisects its interval, and the Lanczos
-substep that orthogonalizes every new vector against its whole basis.  The
+discards an unconverged basis and bisects its interval, the Lanczos
+substep that orthogonalizes every new vector against its whole basis, and
+the one that checks convergence only at every 4th dimension.  The
 sector expansion of the displaced product profile is the second route to
 that profile, and the Laguerre sum the second closed form of R_m.  The
 60-digit mpmath routes are the package's former arithmetic for the scaled
@@ -45,7 +46,10 @@ from focklab.propagate import (
     _NON_FINITE,
     PropagationBudget,
     StaticPropagator,
+    _converged_iterate,
     _expm_tridiag,
+    _lanczos_vector,
+    _norm,
     _phase_floor,
     _resolved_fraction,
     evolve_timedep,
@@ -94,30 +98,25 @@ def tensor_partial_trace(psi_tensor, d, n):
 
 
 def lanczos_bisect(matvec, v, t, tol, m_cap, depth=0):
-    """exp(-i A t) v via Lanczos on the package's recurrence; a basis that
-    does not converge within ``m_cap`` vectors is discarded, and each half
-    of t is done with tol / 2."""
+    """exp(-i A t) v via Lanczos on the package's recurrence and stopping
+    rule; a basis that does not converge within ``m_cap`` vectors is
+    discarded, and each half of t is done with tol / 2."""
     if depth > 60:
         raise ConvergenceError("Krylov substep bisection failed to converge")
-    beta0 = np.linalg.norm(v)
+    beta0 = _norm(v)
     if beta0 == 0.0 or t == 0.0:
         return v.copy()
     n = v.shape[0]
     m_cap = min(m_cap, n)
     vs = np.empty((m_cap, n), dtype=complex)
-    vs[0] = v / beta0
+    np.multiply(v, 1.0 / beta0, out=vs[0])
     alpha = np.empty(m_cap)
     beta = np.empty(m_cap)
-    y_prev = None
+    scratch = np.empty(n, dtype=complex)
+    recent = []
     scale = None
     for j in range(m_cap):
-        w = matvec(vs[j])
-        if j > 0:
-            w -= beta[j - 1] * vs[j - 1]
-        alpha[j] = np.vdot(vs[j], w).real
-        w -= alpha[j] * vs[j]
-        w -= np.vdot(vs[j], w) * vs[j]
-        b = np.linalg.norm(w)
+        w, alpha[j], b = _lanczos_vector(matvec, vs, beta, j, scratch)
         if scale is None:
             scale = max(abs(alpha[0]), b, 1.0)
         if b <= _BREAKDOWN * scale:
@@ -125,35 +124,63 @@ def lanczos_bisect(matvec, v, t, tol, m_cap, depth=0):
             return (y * beta0) @ vs[: j + 1]
         beta[j] = b
         if j + 1 < m_cap:
-            vs[j + 1] = w / b
-        if j >= 3 and (j % 4 == 3 or j + 1 == m_cap):
-            y, _ = _expm_tridiag(alpha[: j + 1], beta[:j], t)
-            if y_prev is not None:
-                diff = y.copy()
-                diff[: len(y_prev)] -= y_prev
-                if np.linalg.norm(diff) * beta0 <= tol:
-                    return (y * beta0) @ vs[: j + 1]
-            y_prev = y
+            np.multiply(w, 1.0 / b, out=vs[j + 1])
+        y = _converged_iterate(alpha, beta, j + 1, t, tol / beta0, recent)
+        if y is not None:
+            return (y * beta0) @ vs[: j + 1]
     del vs
     half = lanczos_bisect(matvec, v, t / 2, tol / 2, m_cap, depth + 1)
     return lanczos_bisect(matvec, half, t / 2, tol / 2, m_cap, depth + 1)
 
 
 def lanczos_full_reorth(matvec, v, t, tol, m_cap):
-    """exp(-i A t) v by the package's substep loop, with every new Lanczos
-    vector orthogonalized against the whole basis, so the basis stays
-    orthonormal to machine precision."""
+    """exp(-i A t) v by the package's substep loop and stopping rule, with
+    every new Lanczos vector orthogonalized against the whole basis, so the
+    basis stays orthonormal to machine precision."""
+    return _substeps(matvec, v, t, tol, m_cap, True, _converged_iterate)
+
+
+def lanczos_stride4(matvec, v, t, tol, m_cap):
+    """exp(-i A t) v by the package's substep loop on the recurrence with one
+    local pass, with convergence checked only at every 4th dimension (and at
+    m_cap) against the dimension checked before: the stopping rule the
+    package used before it checked every dimension."""
+    return _substeps(matvec, v, t, tol, m_cap, False, _stride4_iterate)
+
+
+def _substeps(matvec, v, t, tol, m_cap, full_reorth, converged):
+    """``_lanczos_step``'s loop over ``_reference_substep``."""
     if t == 0.0:
         return v.copy()
     rest = t
     while True:
-        v, frac = _full_reorth_substep(matvec, v, rest, tol * (rest / t), m_cap)
+        v, frac = _reference_substep(matvec, v, rest, tol * (rest / t), m_cap, full_reorth, converged)
         if frac == 1.0:
             return v
         rest -= frac * rest
 
 
-def _full_reorth_substep(matvec, v, t, tol, m_cap):
+def _stride4_iterate(alpha, beta, dim, t, tol, recent):
+    """``_converged_iterate``'s contract on the stride-4 schedule: an iterate
+    at dimensions 4, 8, ... and len(alpha), each compared with the last."""
+    if dim < 4 or (dim % 4 and dim != len(alpha)):
+        return None
+    y, w_max = _expm_tridiag(alpha[:dim], beta[: dim - 1], t)
+    prev = recent.pop() if recent else None
+    recent.append(y)
+    if prev is not None:
+        diff = y.copy()
+        diff[: len(prev)] -= prev
+        if np.linalg.norm(diff) <= max(tol, _phase_floor(w_max, t)):
+            return y
+    return None
+
+
+def _reference_substep(matvec, v, t, tol, m_cap, full_reorth, converged):
+    """The package's substep with its recurrence written out independently
+    (temporaries, ``np.linalg.norm``, division by beta), the orthogonalizing
+    pass over the whole basis when ``full_reorth``, and the stopping rule
+    ``converged``."""
     beta0 = np.linalg.norm(v)
     if not math.isfinite(beta0):
         raise ConvergenceError(_NON_FINITE)
@@ -166,7 +193,7 @@ def _full_reorth_substep(matvec, v, t, tol, m_cap):
     vs[0] = v / beta0
     alpha = np.empty(m_cap)
     beta = np.empty(m_cap)
-    y_prev = None
+    recent = []
     scale = None
     for j in range(m_cap):
         w = matvec(vs[j])
@@ -174,8 +201,11 @@ def _full_reorth_substep(matvec, v, t, tol, m_cap):
             w -= beta[j - 1] * vs[j - 1]
         alpha[j] = np.vdot(vs[j], w).real
         w -= alpha[j] * vs[j]
-        # (V conj(w))* equals V* w and does not copy the basis V
-        w -= vs[: j + 1].T @ (vs[: j + 1] @ w.conj()).conj()
+        if full_reorth:
+            # (V conj(w))* equals V* w and does not copy the basis V
+            w -= vs[: j + 1].T @ (vs[: j + 1] @ w.conj()).conj()
+        else:
+            w -= np.vdot(vs[j], w) * vs[j]
         b = np.linalg.norm(w)
         if not (math.isfinite(alpha[j]) and math.isfinite(b)):
             raise ConvergenceError(_NON_FINITE)
@@ -187,14 +217,9 @@ def _full_reorth_substep(matvec, v, t, tol, m_cap):
         beta[j] = b
         if j + 1 < m_cap:
             vs[j + 1] = w / b
-        if j >= 3 and (j % 4 == 3 or j + 1 == m_cap):
-            y, w_max = _expm_tridiag(alpha[: j + 1], beta[:j], t)
-            if y_prev is not None:
-                diff = y.copy()
-                diff[: len(y_prev)] -= y_prev
-                if np.linalg.norm(diff) * beta0 <= max(tol, _phase_floor(w_max, t) * beta0):
-                    return (y * beta0) @ vs[: j + 1], 1.0
-            y_prev = y
+        y = converged(alpha, beta, j + 1, t, tol / beta0, recent)
+        if y is not None:
+            return (y * beta0) @ vs[: j + 1], 1.0
     frac, y = _resolved_fraction(alpha, beta[: m_cap - 1], 4 * ((m_cap - 1) // 4), t, tol / beta0)
     return (y * beta0) @ vs, frac
 

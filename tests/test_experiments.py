@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dstevd
 
 import focklab as fl
+import focklab.propagate as propagate
 from focklab.cli import main
 from focklab.config import ExperimentConfig, config_from_dict, load_config
 from focklab.experiments import (
@@ -174,6 +176,23 @@ def test_fluctuation_suite_records_failures_and_continues():
     assert probes <= {"moments", "gaps", "parity", "conjugation", "limiting"}
     # surviving cells still produced rows
     assert any(result.tables.values())
+
+
+def test_tridiagonal_solver_failure_is_a_recorded_cell(monkeypatch):
+    # a nonzero info from LAPACK's dstevd is a ConvergenceError, which the
+    # suite records as failed cells, not numpy's LinAlgError, which ended
+    # the CLI in a traceback
+    def failing(alpha, beta):
+        w, u, _ = dstevd(alpha, beta)
+        return w, u, 1
+
+    monkeypatch.setattr(propagate, "dstevd", failing)
+    cfg = _config(n_values=[2], t_samples=[0.25], m_max=8)
+    result = run_fluctuation_suite(cfg)
+    assert not result.ok
+    assert {p for p, _, _ in result.failures} == {"moments", "gaps", "parity", "limiting", "conjugation"}
+    assert all(msg.startswith("ConvergenceError: tridiagonal") for _, _, msg in result.failures)
+    assert not any(result.tables.values())
 
 
 def test_fluctuation_suite_clean_run():

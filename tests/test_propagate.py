@@ -6,6 +6,8 @@ from scipy.sparse import csr_matrix, diags, random as sparse_random
 import focklab as fl
 import focklab.propagate as propagate
 from focklab.errors import ConvergenceError
+from focklab.fluctuations import FluctuationOperators, evolve_fluctuation, generator_family
+from focklab.hartree import HartreeFlow
 from focklab.model import Potential
 from focklab.propagate import (
     DENSE_CUTOFF,
@@ -18,7 +20,7 @@ from focklab.propagate import (
     through_times,
 )
 from focklab.weyl import coherent_state, weyl_generator
-from oracles import lanczos_bisect, lanczos_full_reorth
+from oracles import lanczos_bisect, lanczos_full_reorth, lanczos_stride4
 from test_fluctuations import _flux_kinetic
 
 
@@ -164,6 +166,30 @@ def test_krylov_first_basis_matches_oracle_bits():
     oracle = lanczos_bisect(counted_oracle.dot, v, 0.3, 1e-11, KRYLOV_DIM)
     assert counted.calls == counted_oracle.calls <= KRYLOV_DIM
     assert np.array_equal(out, oracle)
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_krylov_every_dimension_check_beats_stride_four(n):
+    # one midpoint step of the full fluctuation generator (d=3, m_max=12,
+    # dt=0.01, the share of a 1e-10 budget over 25 steps): checking every
+    # dimension stops the basis before the oracle that checks every 4th,
+    # and both are within the share of the dense exponential
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    basis = fl.build_basis(3, 12)
+    ops = FluctuationOperators(model, basis)
+    phi0 = np.array([1.0, 0.6, 0.36], complex) / np.linalg.norm([1.0, 0.6, 0.36])
+    flow = HartreeFlow(phi0, model, 1e-3)
+    dt, share = 0.01, 1e-10 / 25
+    vac = fl.FockVector.vacuum(basis)
+    psi = evolve_fluctuation("full", model, n, flow, vac, 0.0, 0.1, PropagationBudget(dt=dt), ops=ops).amp
+    gen = generator_family(ops, "full", n, flow)(0.1 + dt / 2)
+    ref = expm(-1j * dt * gen.toarray()) @ psi
+    counted, counted_oracle = _CountedMatvec(gen), _CountedMatvec(gen)
+    out = _lanczos_step(counted.dot, psi, dt, share, KRYLOV_DIM)
+    oracle = lanczos_stride4(counted_oracle.dot, psi, dt, share, KRYLOV_DIM)
+    assert counted.calls < counted_oracle.calls
+    assert np.linalg.norm(out - ref) < share
+    assert np.linalg.norm(oracle - ref) < share
 
 
 @pytest.mark.parametrize("where", ["generator", "state", "dense"])

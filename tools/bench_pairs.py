@@ -17,11 +17,13 @@ The output gets a ``runs`` block, every run of every pair, and an
 quartiles, ``change_vs_parent`` (change median over parent median, minus 1),
 ``worse_by`` (the same, sign-flipped for a metric where higher is better),
 the ``BENCHMARK.json`` bound, ``within_bound``, ``change_wins`` (pairs the
-change wins strictly) and ``parent_spread`` (the parent's interquartile
-distance over its median).  Keys of an existing output file other than
-these blocks are kept, so notes added by hand survive a rerun.  The file is
-rewritten after every pair.  Only the standard library is used, and focklab
-is never imported here.
+change wins strictly), ``parent_spread`` (the parent's interquartile
+distance over its median) and ``resolved``: a metric whose parent spread
+exceeds its bound is unresolved unless every change run beats every parent
+run.  Keys of an existing output file other than these blocks are kept, so
+notes added by hand survive a rerun.  The file is rewritten after every
+pair, and at the end one verdict line per workload and metric is printed.
+Only the standard library is used, and focklab is never imported here.
 """
 
 from __future__ import annotations
@@ -99,15 +101,33 @@ def end_to_end(runs: list[dict], spec: dict) -> dict:
             change = [r["change"][name] for r in pairs]
             p, c = _quartiles(parent), _quartiles(change)
             rel = c["median"] / p["median"] - 1.0 if p["median"] else 0.0
+            spread = (p["q3"] - p["q1"]) / p["median"] if p["median"] else 0.0
             table[name] = {
                 "bound": metric["bound"], "parent": p, "change": c,
                 "change_vs_parent": rel, "worse_by": sign * rel,
                 "within_bound": sign * rel <= metric["bound"],
                 "change_wins": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
                 "pairs": len(pairs),
-                "parent_spread": (p["q3"] - p["q1"]) / p["median"] if p["median"] else 0.0,
+                "parent_spread": spread,
+                # every change run better than every parent run
+                "resolved": spread <= metric["bound"]
+                or max(sign * x for x in change) < min(sign * x for x in parent),
             }
     return out
+
+
+def verdicts(table: dict) -> list[str]:
+    """One line per workload and metric of an ``end_to_end`` block."""
+    lines = []
+    for workload, metrics in table.items():
+        for name, m in metrics.items():
+            lines.append(
+                f"{workload:12s} {name:12s} parent {m['parent']['median']:.4g} change {m['change']['median']:.4g}"
+                f" change_vs_parent {m['change_vs_parent']:+.1%} wins {m['change_wins']}/{m['pairs']}"
+                f" parent_spread {m['parent_spread']:.1%} within_bound {m['within_bound']}"
+                f" resolved {m['resolved']}"
+            )
+    return lines
 
 
 def main(argv=None) -> int:
@@ -151,6 +171,7 @@ def main(argv=None) -> int:
                 for w in dict.fromkeys(r["workload"] for r in runs)
             }
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print("\n".join(verdicts(doc["end_to_end"])))
     return 0
 
 
