@@ -211,14 +211,18 @@ def run_coherent_rate_scan(config: ExperimentConfig) -> list[RateScanRow]:
 
     An N's Poisson tail beyond the cutoff is its rows' truncation loss: the
     scan builds the state whatever that tail is, reports it, and flags the
-    rows when it reaches ``tolerances.truncation_loss``."""
+    rows when it reaches ``tolerances.truncation_loss``.  H conserves
+    particle number, so every sector keeps its weight in time and the tail
+    is the loss at every t.  Under ``m_max = "auto"`` each N therefore runs
+    on its own ``minimal_cutoff(N, eps_trunc)``, where that tail is below
+    ``eps_trunc``; an integer ``m_max`` is every N's cutoff."""
     model = config.model
     budget = PropagationBudget(tol=config.propagation_tol)
-    m_max = _suite_m_max(config)
-    basis = build_basis(model.d, m_max, capacity=config.capacity)
+    shared = None if config.m_max == "auto" else build_basis(model.d, config.m_max, capacity=config.capacity)
 
     def start(n):
-        loss = poisson_tail(float(n), m_max)
+        basis = shared or build_basis(model.d, minimal_cutoff(float(n), config.eps_trunc), capacity=config.capacity)
+        loss = poisson_tail(float(n), basis.m_max)
         psi = coherent_state(np.sqrt(n) * config.phi0, basis, eps_trunc=1.0)  # any tail: the rows report and flag it
         prop = StaticPropagator(
             build_fock_hamiltonian(model, n, basis).matrix, budget, sectors=basis.sector_offsets

@@ -98,6 +98,47 @@ def test_coherent_scan_reports_truncation_loss():
     assert all(r.trace_distance < 1e-8 for r in at0)
     assert all(0.0 <= r.truncation_loss < 1e-10 for r in rows)
     assert not any(r.flagged for r in rows)
+    # under "auto" each N runs on its own cutoff, and its tail there is the loss
+    for r in rows:
+        assert r.truncation_loss == poisson_tail(float(r.n), minimal_cutoff(float(r.n), cfg.eps_trunc))
+
+
+def test_auto_coherent_scan_matches_single_cutoff_oracle():
+    # The scan runs each N on m = minimal_cutoff(N, eps) and walks it through
+    # the sorted samples; the oracle runs every N on M = minimal_cutoff(max N,
+    # eps) and evolves each sample from t = 0.  H conserves number and its
+    # sector blocks do not depend on the cutoff, so exact evolution gives the
+    # oracle's state as the scan's plus the sectors m < k <= M.  With
+    # gamma = G / <N>, G_xy = <a*_y a_x>, those sectors move gamma by at most
+    # 2 <N>_top / <N>_M in trace norm (and so in HS norm), where
+    # <N>_top <= N tail(N, m - 1) and <N>_M = N (1 - tail(N, M - 1)).  As
+    # tail(m - 1) = p_m + tail(m), p_m <= (m + 1) / N tail(m) and
+    # tail(M) <= tail(m) < eps, tail(m - 1) < (1 + (m + 1) / N) eps, and
+    # likewise at M.
+    # Propagation: the scan's state at the j-th distinct time carries j
+    # segments of at most tol each, the oracle's one.  A state error delta
+    # moves the columns a_x psi by at most sqrt(M) |delta| in HS norm, so
+    # ||dG||_1 <= sqrt(M) |delta| (sqrt<N> + sqrt<N'>) and gamma moves by
+    # at most 2 ||dG||_1 / <N> ~ 4 sqrt(M / N) |delta|; 1.01 covers <N>
+    # below N and rounding
+    cfg = _config(n_values=[2, 3, 4, 6], m_max="auto", t_samples=[0.0, 0.3, 0.6])
+    eps, tol = cfg.eps_trunc, cfg.propagation_tol
+    top = minimal_cutoff(6.0, eps)
+    rows = run_coherent_rate_scan(cfg)
+    ref = rate_rows_from_zero(dataclasses.replace(cfg, m_max=top), "coherent")
+    assert [(r.n, r.t) for r in rows] == [row[:2] for row in ref]
+    assert not any(r.flagged for r in rows)
+    for r, row in zip(rows, ref):
+        m = minimal_cutoff(float(r.n), eps)
+        assert m <= top
+        tail_m = (1 + (m + 1) / r.n) * eps
+        tail_top = (1 + (top + 1) / r.n) * eps
+        truncation = 2 * tail_m / (1 - tail_top)
+        segments = sorted(set(cfg.t_samples)).index(r.t)
+        propagation = 4 * np.sqrt(top / r.n) * (segments + 1) * tol
+        bound = 1.01 * (truncation + propagation)
+        assert abs(r.trace_distance - row[2]) < bound
+        assert abs(r.hs_distance - row[3]) < bound
 
 
 def test_coherent_rate_scan_zero_cases():
@@ -266,6 +307,12 @@ def test_threads_give_identical_results():
     assert [(r.n, r.t, r.trace_distance) for r in rows1] == [
         (r.n, r.t, r.trace_distance) for r in rows4
     ]
+    # under "auto" the coherent scan builds every N's basis inside its pool cell
+    def coherent(threads):
+        cfg = _config(n_values=[2, 3, 4, 6], m_max="auto", t_samples=[0.0, 0.3], threads=threads)
+        return [(r.n, r.t, r.trace_distance, r.hs_distance, r.truncation_loss) for r in run_coherent_rate_scan(cfg)]
+
+    assert coherent(1) == coherent(4)
 
 
 def test_write_csv_formats_17_digits(tmp_path):

@@ -71,8 +71,10 @@ class _CountedMatvec:
 def test_krylov_complex_hermitian_matches_expm():
     # every off-diagonal entry is non-real, so the conjugation of the
     # projections onto basis vectors matters; the outlying eigenvalues +-30
-    # converge early, after which the recurrence alone loses orthogonality,
-    # and the result must still agree with the oracle that keeps it
+    # converge early, after which the recurrence alone loses orthogonality;
+    # the result, and that of the oracle that keeps it, must each sit within
+    # the tolerance the call promises (tol |v|, |v| = 1) of the exact result;
+    # below that, their mutual gap depends on rounding
     dim, t = 300, 2.0
     rng = np.random.default_rng(12)
     m = sparse_random(dim, dim, density=0.05, random_state=rng, format="coo")
@@ -85,11 +87,13 @@ def test_krylov_complex_hermitian_matches_expm():
     h = csr_matrix((np.concatenate([hop, hop.conj()]), ij), shape=(dim, dim)) + diags(diagonal)
     assert np.all((h - diags(h.diagonal())).tocoo().data.imag != 0.0)
     v = _random_vec(dim, 13)
+    tol = 1e-11
+    exact = expm(-1j * t * h.toarray()) @ v
     counted = _CountedMatvec(h)
-    out = expm_apply(counted, v, t, PropagationBudget(tol=1e-11))
+    out = expm_apply(counted, v, t, PropagationBudget(tol=tol))
     assert counted.calls >= 20
-    assert np.linalg.norm(out - expm(-1j * t * h.toarray()) @ v) < 1e-9
-    assert np.linalg.norm(out - lanczos_full_reorth(h.dot, v, t, 1e-11, KRYLOV_DIM)) < 1e-12
+    assert np.linalg.norm(out - exact) < tol
+    assert np.linalg.norm(lanczos_full_reorth(h.dot, v, t, tol, KRYLOV_DIM) - exact) < tol
 
 
 def test_krylov_continues_unconverged_bases():
