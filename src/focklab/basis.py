@@ -51,7 +51,8 @@ class OccupationBasis:
     """Occupation tuples (n_0, ..., n_{d-1}) with sum(n) <= m_max.
 
     A tuple's position is a combinatorial rank (``indices_of``), so no
-    tuple -> index map is stored.  The per-site annihilation matrices, from
+    tuple -> index map is stored, and the tuples are built by unranking
+    every position.  The per-site annihilation matrices, from
     which every composite operator in the package is built, are built here
     from that rank, so a basis is read-only once constructed.
     """
@@ -69,20 +70,24 @@ class OccupationBasis:
             )
         self.d = d
         self.m_max = m_max
-        states = []
-        offsets = [0]
-        for n in range(m_max + 1):
-            states.extend(_sector_tuples(d, n))
-            offsets.append(len(states))
-        self.states = np.array(states, dtype=np.int64)
-        self.size = len(states)
-        self.sector_offsets = np.array(offsets, dtype=np.int64)
-        self.totals = self.states.sum(axis=1)
+        self.size = size
         # _ranks[j, r]: the tuples of j sites with sum < r; all below size, so exact
         self._ranks = np.array(
             [[comb(r + j - 1, j) if r else 0 for r in range(m_max + 1)] for j in range(d + 1)],
             dtype=np.int64,
         )
+        self.sector_offsets = np.append(self._ranks[d], size)
+        # unrank every position: the tail sums of indices_of, site by site,
+        # each the largest r whose rank term fits in what is left
+        rest = np.arange(size, dtype=np.int64)
+        tails = np.empty((size, d), dtype=np.int64)
+        for x in range(d):
+            ranks = self._ranks[d - x]
+            tails[:, x] = np.searchsorted(ranks, rest, side="right") - 1
+            rest -= ranks[tails[:, x]]
+        self.states = tails.copy()
+        self.states[:, :-1] -= tails[:, 1:]
+        self.totals = tails[:, 0]
         self._annihilators: dict[int, csr_matrix] = {}
         for x in range(d):
             src = np.nonzero(self.states[:, x] > 0)[0]

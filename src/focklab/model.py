@@ -132,14 +132,14 @@ def interaction_diagonal(states: np.ndarray, model: LatticeModel) -> np.ndarray:
 
 
 def hopping(model: LatticeModel, basis: OccupationBasis) -> csr_matrix:
-    """sum_{x,y} t_xy a*_x a_y on the truncated basis (zero for zero t)."""
+    """sum_{x,y} t_xy a*_x a_y on the truncated basis (zero for zero t), as
+    d products a*_x (sum_y t_xy a_y)."""
     t = model.kinetic
     hop = csr_matrix((basis.size, basis.size), dtype=t.dtype)
     for x in range(model.d):
-        adx = basis.creator(x)
-        for y in range(model.d):
-            if t[x, y] != 0.0:
-                hop = hop + t[x, y] * (adx @ basis.annihilator(y))
+        lowered = [t[x, y] * basis.annihilator(y) for y in range(model.d) if t[x, y] != 0.0]
+        if lowered:
+            hop = hop + basis.creator(x) @ sum(lowered[1:], lowered[0])
     return hop
 
 

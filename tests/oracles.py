@@ -12,7 +12,8 @@ reconstruction summing one coherent state per quadrature node, rate
 scans evolving every sample time from t = 0, the Lanczos step that
 discards an unconverged basis and bisects its interval, the Lanczos
 substep that orthogonalizes every new vector against its whole basis, and
-the one that checks convergence only at every 4th dimension.  The
+the one that checks convergence only at every 4th dimension, and the
+Hartree RK4 step on numpy arrays, which the scalar kernel replaced.  The
 sector expansion of the displaced product profile is the second route to
 that profile, and the Laguerre sum the second closed form of R_m.  The
 60-digit mpmath routes are the package's former arithmetic for the scaled
@@ -95,6 +96,41 @@ def tensor_partial_trace(psi_tensor, d, n):
     """One-particle marginal of a (possibly non-symmetric) n-particle vector."""
     a = psi_tensor.reshape(d, d ** (n - 1))
     return a @ a.conj().T
+
+
+def hartree_rhs_numpy(phi, model):
+    """-i [ T phi + (v (*) |phi|^2) . phi ] on numpy arrays."""
+    mean_field = model.vmat @ (np.abs(phi) ** 2)
+    return -1j * (model.kinetic @ phi + mean_field * phi)
+
+
+def rk4_step_numpy(phi, h, model):
+    k1 = hartree_rhs_numpy(phi, model)
+    k2 = hartree_rhs_numpy(phi + 0.5 * h * k1, model)
+    k3 = hartree_rhs_numpy(phi + 0.5 * h * k2, model)
+    k4 = hartree_rhs_numpy(phi + h * k3, model)
+    return phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def hartree_nodes_numpy(phi0, model, h, n_steps):
+    """phi at 0, h, ..., n_steps h: the grid nodes of ``HartreeFlow`` (h = +-dt)."""
+    nodes = [np.asarray(phi0, dtype=complex)]
+    for _ in range(n_steps):
+        nodes.append(rk4_step_numpy(nodes[-1], h, model))
+    return nodes
+
+
+def hartree_at_numpy(phi0, model, dt, t):
+    """phi_t on ``HartreeFlow``'s grid: the node floor(t/dt), then equal
+    steps of size <= dt over the rest."""
+    k = math.floor(t / dt)
+    phi = hartree_nodes_numpy(phi0, model, dt if k >= 0 else -dt, abs(k))[-1]
+    span = t - k * dt
+    if span:
+        n_steps = max(1, math.ceil(abs(span) / dt))
+        for _ in range(n_steps):
+            phi = rk4_step_numpy(phi, span / n_steps, model)
+    return phi
 
 
 def lanczos_bisect(matvec, v, t, tol, m_cap, depth=0):

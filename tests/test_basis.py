@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focklab as fl
-from focklab.basis import sector_dimension
+from focklab.basis import _sector_tuples, sector_dimension
 
 
 def test_enumeration_d2_m1():
@@ -44,9 +44,13 @@ def test_index_maps_invertible():
         assert b.index_of(b.state_of(i)) == i
 
 
-@pytest.mark.parametrize("d, m_max", [(2, 9), (3, 8), (4, 6), (5, 5), (6, 4), (50, 2)])
+@pytest.mark.parametrize("d, m_max", [(2, 0), (2, 9), (3, 8), (4, 6), (5, 5), (6, 4), (50, 2)])
 def test_rank_reproduces_enumeration_order(d, m_max):
+    # the basis unranks indices_of, so the order is checked against the
+    # recursive sector enumeration
     b = fl.build_basis(d, m_max)
+    tuples = [t for n in range(m_max + 1) for t in _sector_tuples(d, n)]
+    assert np.array_equal(b.states, np.array(tuples, dtype=np.int64))
     assert np.array_equal(b.indices_of(b.states), np.arange(b.size))
 
 

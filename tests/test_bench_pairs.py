@@ -68,3 +68,21 @@ def test_end_to_end_quartiles_wins_and_resolution(capsys):
     assert lines[0].split()[:2] == ["steady", "wall_s"]
     assert "wins 4/5" in lines[0] and "resolved True" in lines[0]
     assert "resolved False" in lines[4]
+
+
+def test_claim_met_needs_nine_of_ten_wins_and_a_gap_beyond_the_parent_iqr():
+    tool = _tool()
+    parent = [1.0, 1.2] * 5  # median 1.1, quartiles 1.0 and 1.2
+    runs = (
+        # 9 of 10 wins, median 0.8: better by 0.3, beyond the IQR of 0.2
+        _runs("met", parent, [0.8] * 9 + [1.3])
+        # 10 of 10 wins, median 1.05: better by 0.05 only
+        + _runs("unmet", parent, [0.95, 1.15] * 5)
+    )
+    table = tool.end_to_end(runs, SPEC)
+    met, unmet = table["met"]["wall_s"], table["unmet"]["wall_s"]
+    assert met["change_wins"] == 9 and met["claim_met"]
+    assert unmet["change_wins"] == 10 and not unmet["claim_met"]
+    assert not table["met"]["ok_frac"]["claim_met"]  # ties win no pair
+    lines = tool.verdicts(table)
+    assert lines[0].endswith("claim_met True") and lines[2].endswith("claim_met False")

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 import focklab as fl
-from focklab.hartree import HartreeFlow, energy, evolve_hartree, hartree_rhs, trajectory_csv_rows
-from focklab.model import Potential
+from focklab.hartree import (
+    HartreeFlow,
+    _check_mass,
+    _rhs_kernel,
+    _rk4_step,
+    energy,
+    evolve_hartree,
+    hartree_rhs,
+    trajectory_csv_rows,
+)
+from focklab.model import POTENTIAL_KINDS, Potential
+from oracles import hartree_at_numpy, hartree_nodes_numpy, hartree_rhs_numpy
 
 
 def _model(d, kind="contact", strength=1.0):
@@ -74,6 +84,30 @@ def test_fourth_order_convergence():
     e_h = np.linalg.norm(HartreeFlow(phi, model, dt=0.02).at(1.0) - ref)
     e_h2 = np.linalg.norm(HartreeFlow(phi, model, dt=0.01).at(1.0) - ref)
     assert e_h / e_h2 == pytest.approx(16.0, abs=4.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+@pytest.mark.parametrize("kind", POTENTIAL_KINDS)
+def test_flow_matches_numpy_reference(kind, d):
+    # the scalar kernel against the numpy RK4 step: rhs, 1000 grid nodes each
+    # way, and off-grid times reached by a partial step
+    pot = {
+        "zero": Potential.zero(d),
+        "contact": Potential.contact(d, 1.3),
+        "gaussian-profile": Potential.gaussian_profile(d, 1.3),
+        "soft-coulomb-1d": Potential.soft_coulomb_1d(d, 1.3),
+    }[kind]
+    model = fl.LatticeModel(d, pot)
+    phi = _bump(d, 13)
+    big = 2.5 * _bump(d, 14)
+    assert np.max(np.abs(hartree_rhs(big, model) - hartree_rhs_numpy(big, model))) <= 1e-13
+    flow = HartreeFlow(phi, model, dt=1e-3)
+    for t in (0.9995, -0.9995, 0.3337):
+        assert np.max(np.abs(flow.at(t) - hartree_at_numpy(phi, model, 1e-3, t))) <= 1e-13
+    for sign in (1, -1):
+        ref = np.array(hartree_nodes_numpy(phi, model, sign * 1e-3, 1000))
+        got = np.array([flow._node(sign * k) for k in range(1001)])
+        assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 def test_energy_examples():
@@ -174,6 +208,15 @@ def test_blowup_detection():
     # huge steps wreck the norm
     with pytest.raises(fl.BlowUpError):
         HartreeFlow(_bump(3, 9), model, dt=10.0).at(40.0)
+    # a step whose squares overflow reads as a NaN mass, not an OverflowError
+    with pytest.raises(fl.BlowUpError):
+        HartreeFlow(_bump(3, 9), model, dt=1e200).at(1e200)
+    # finite parts whose modulus abs() cannot hold: still a BlowUpError
+    huge = [complex(1.5e308, 1.5e308), 0j, 0j]
+    with pytest.raises(OverflowError):
+        abs(huge[0])
+    with pytest.raises(fl.BlowUpError):
+        _check_mass(_rk4_step(huge, 1e-3, _rhs_kernel(model)))
 
 
 def test_sample_grid_and_csv_rows():

@@ -18,9 +18,11 @@ quartiles, ``change_vs_parent`` (change median over parent median, minus 1),
 ``worse_by`` (the same, sign-flipped for a metric where higher is better),
 the ``BENCHMARK.json`` bound, ``within_bound``, ``change_wins`` (pairs the
 change wins strictly), ``parent_spread`` (the parent's interquartile
-distance over its median) and ``resolved``: a metric whose parent spread
+distance over its median), ``resolved``: a metric whose parent spread
 exceeds its bound is unresolved unless every change run beats every parent
-run.  Keys of an existing output file other than these blocks are kept, so
+run, and ``claim_met``: the change wins at least 9 of 10 pairs and its
+median is better than the parent's by more than the parent's interquartile
+distance, the test a claimed gain must pass.  Keys of an existing output file other than these blocks are kept, so
 notes added by hand survive a rerun.  The file is rewritten after every
 pair, and at the end one verdict line per workload and metric is printed.
 Only the standard library is used, and focklab is never imported here.
@@ -102,16 +104,19 @@ def end_to_end(runs: list[dict], spec: dict) -> dict:
             p, c = _quartiles(parent), _quartiles(change)
             rel = c["median"] / p["median"] - 1.0 if p["median"] else 0.0
             spread = (p["q3"] - p["q1"]) / p["median"] if p["median"] else 0.0
+            wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
             table[name] = {
                 "bound": metric["bound"], "parent": p, "change": c,
                 "change_vs_parent": rel, "worse_by": sign * rel,
                 "within_bound": sign * rel <= metric["bound"],
-                "change_wins": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
+                "change_wins": wins,
                 "pairs": len(pairs),
                 "parent_spread": spread,
                 # every change run better than every parent run
                 "resolved": spread <= metric["bound"]
                 or max(sign * x for x in change) < min(sign * x for x in parent),
+                "claim_met": 10 * wins >= 9 * len(pairs)
+                and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"],
             }
     return out
 
@@ -125,7 +130,7 @@ def verdicts(table: dict) -> list[str]:
                 f"{workload:12s} {name:12s} parent {m['parent']['median']:.4g} change {m['change']['median']:.4g}"
                 f" change_vs_parent {m['change_vs_parent']:+.1%} wins {m['change_wins']}/{m['pairs']}"
                 f" parent_spread {m['parent_spread']:.1%} within_bound {m['within_bound']}"
-                f" resolved {m['resolved']}"
+                f" resolved {m['resolved']} claim_met {m['claim_met']}"
             )
     return lines
 
