@@ -1,17 +1,13 @@
 """Fluctuation dynamics around the Hartree flow.
 
-Four time-dependent generators act on the truncated Fock space, all built
+Three time-dependent generators act on the truncated Fock space, all built
 from the instantaneous Hartree orbital phi_t:
 
-* ``full``      — the quadratic form of the Bogoliubov pair (A, B) of phi_t
-                  (``bogoliubov_pair``) plus the N^{-1/2} cubic term and the
-                  N^{-1} quartic term;
-* ``reduced``   — full without the cubic term (parity conserving);
-* ``truncated`` — full with a particle-number indicator chi(N <= M) inserted
-                  in the cubic term: a*_x chi a*_y a_x and its adjoint
-                  a*_x a_y chi a_x, so the full cubic term with its entries
-                  between sectors s and s + 1 kept only where s <= M;
-* ``limiting``  — the quadratic form only; independent of N.
+* ``full``     — the quadratic form of the Bogoliubov pair (A, B) of phi_t
+                 (``bogoliubov_pair``) plus the N^{-1/2} cubic term and the
+                 N^{-1} quartic term;
+* ``reduced``  — full without the cubic term (parity conserving);
+* ``limiting`` — the quadratic form only; independent of N.
 
 The probes below certify algebraic identities (Weyl conjugation of the
 Heisenberg-evolved ladder operator), growth of the number of particles,
@@ -32,7 +28,7 @@ from .model import LatticeModel, build_fock_hamiltonian, interaction_diagonal
 from .propagate import PropagationBudget, StaticPropagator, evolve_timedep, through_times
 from .weyl import weyl_apply
 
-GENERATOR_KINDS = ("full", "reduced", "truncated", "limiting")
+GENERATOR_KINDS = ("full", "reduced", "limiting")
 TOP_SECTOR_LIMIT = 1e-6
 WINDOW_STEP = 4  # a trajectory's first window top, and the sectors each growth adds
 
@@ -150,9 +146,9 @@ class FluctuationOperators:
     diagonal.  ``bogoliubov_pair`` weights a*_x a_y (x != y) by A_xy and
     a*_x a*_y (x <= y, halved when x = y) by B_xy; the cubic a*_x a*_y a_x
     carries v(x-y) phi_t(y) N^{-1/2}; the diagonal is occupation @ Re diag(A)
-    plus quartic/N.  ``__init__`` lays out one pattern shared by ``full`` and
-    ``truncated`` and one shared by ``reduced`` and ``limiting``; an
-    assembly is then one small sparse product into the pattern's data.
+    plus quartic/N.  ``__init__`` lays out one pattern for ``full`` and one
+    shared by ``reduced`` and ``limiting``; an assembly is then one small
+    sparse product into the pattern's data.
     """
 
     def __init__(self, model: LatticeModel, basis: OccupationBasis):
@@ -177,7 +173,7 @@ class FluctuationOperators:
         self._reduced = _Layout(quadratic, basis.size)
         self._full = _Layout(quadratic + cubic + [m.T for m in cubic], basis.size)
 
-    def _fill(self, kind: str, n: int, phi: np.ndarray, rows: int, cutoff: int | None) -> csr_matrix:
+    def _fill(self, kind: str, n: int, phi: np.ndarray, rows: int) -> csr_matrix:
         """The generator's first ``rows`` rows (see ``_Layout.fill``)."""
         a, b = bogoliubov_pair(self.model, phi)
         coefficients = np.concatenate([a[self._hop_sites], b[self._pair_sites], b[self._pair_sites].conj()])
@@ -188,35 +184,24 @@ class FluctuationOperators:
         if kind == "reduced":
             return self._reduced.fill(coefficients, diagonal)
         cubic = (self.model.vmat * phi)[self._cubic_sites] / np.sqrt(n)
-        gen = self._full.fill(np.concatenate([coefficients, cubic, np.conj(cubic)]), diagonal)
-        if kind == "truncated":
-            # only cubic entries join sectors s and s + 1 (an odd sum); chi(N <= cutoff)
-            # keeps them where s <= cutoff, i.e. where the sum is at most 2 cutoff + 1
-            sectors = self.basis.totals
-            total = np.repeat(sectors[:rows], np.diff(gen.indptr)) + sectors[gen.indices]
-            gen.data[(total % 2 == 1) & (total > 2 * cutoff + 1)] = 0.0
-        return gen
+        return self._full.fill(np.concatenate([coefficients, cubic, np.conj(cubic)]), diagonal)
 
-    def assemble(
-        self, kind: str, n: int, phi: np.ndarray, cutoff: int | None = None, top: int | None = None
-    ):
+    def assemble(self, kind: str, n: int, phi: np.ndarray, top: int | None = None):
         """The generator of the requested kind at Hartree orbital phi.
 
         With ``top`` below the basis cutoff, the generator on the sectors
         [0, top] only: the leading block of the whole generator, which is
         the generator on the basis cut at ``top`` (see ``SectorWindow``):
         only the block's rows are filled, and a ``_LeadingBlock`` is
-        returned.  ``cutoff`` is the M of the ``truncated`` kind."""
+        returned."""
         if kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {kind!r}")
         if kind != "limiting" and n < 1:
             raise ValueError("N must be >= 1")
-        if kind == "truncated" and cutoff is None:
-            raise ValueError("truncated kind requires a cutoff M")
         rows = self.basis.size
         if top is not None and top < self.basis.m_max:
             rows = int(self.basis.sector_offsets[top + 1])
-        gen = self._fill(kind, n, phi, rows, cutoff)
+        gen = self._fill(kind, n, phi, rows)
         return gen if rows == self.basis.size else _LeadingBlock(gen)
 
 
@@ -230,13 +215,15 @@ def generator_family(
     window: "SectorWindow | None" = None,
 ):
     """t -> generator matrix, with phi_t optionally gauge-rotated by e^{i phase},
-    on the sectors of ``window`` as they are when it is called."""
+    on the sectors of ``window`` as they are when it is called.  ``cutoff``
+    is unused: it stays only because the benchmark's tracer binds this
+    function's arguments by name and reads it."""
 
     def gen(t: float):
         phi = flow.at(t)
         if phase != 0.0:
             phi = phase_rotate(phi, phase)
-        return ops.assemble(kind, n, phi, cutoff=cutoff, top=None if window is None else window.top)
+        return ops.assemble(kind, n, phi, top=None if window is None else window.top)
 
     return gen
 
@@ -302,12 +289,11 @@ def evolve_fluctuation(
     s: float,
     t: float,
     budget: PropagationBudget | None = None,
-    cutoff: int | None = None,
     ops: FluctuationOperators | None = None,
 ) -> FockVector:
     """U(t;s) psi for the requested generator kind (time-ordered midpoint rule)."""
     ops = ops or FluctuationOperators(model, psi.basis)
-    gen = generator_family(ops, kind, n, flow, cutoff=cutoff)
+    gen = generator_family(ops, kind, n, flow)
     out = evolve_timedep(gen, psi, s, t, budget)
     check_truncation(out)
     return out
@@ -320,7 +306,6 @@ def fluctuation_trajectory(
     flow: HartreeFlow,
     times,
     budget: PropagationBudget | None = None,
-    cutoff: int | None = None,
 ):
     """Yield (t, U(t;0) vacuum) at each distinct sample time, in increasing
     order.  The state is evolved once, segment by segment, and only the
@@ -336,7 +321,7 @@ def fluctuation_trajectory(
     evolves on the whole basis throughout and is the oracle."""
     budget = budget or PropagationBudget()
     window = SectorWindow(ops.basis, budget.tol)
-    gen = generator_family(ops, kind, n, flow, cutoff=cutoff, window=window)
+    gen = generator_family(ops, kind, n, flow, window=window)
 
     def advance(psi, s, t):
         amp = evolve_timedep(gen, psi.amp[: window.dim], s, t, budget, widen=window.widen)
@@ -433,7 +418,6 @@ def number_growth_probe(
     times,
     budget: PropagationBudget | None = None,
     m_max: int = 16,
-    cutoff: int | None = None,
     hartree_dt: float = 1e-3,
     basis: OccupationBasis | None = None,
 ) -> list[tuple[str, int, int, float, float]]:
@@ -446,7 +430,7 @@ def number_growth_probe(
     ops, flow = _probe_inputs(model, phi0, m_max, hartree_dt, basis)
     return [
         (kind, n, j, t, number_moment(psi, j))
-        for t, psi in fluctuation_trajectory(ops, kind, n, flow, times, budget, cutoff)
+        for t, psi in fluctuation_trajectory(ops, kind, n, flow, times, budget)
         for _ in range(times.count(t))
     ]
 

@@ -4,8 +4,7 @@ The tensor-grid routines work on the full N-particle grid (d^N amplitudes)
 and are kept deliberately independent of the package's occupation-number
 machinery.  The fluctuation and remainder routines are the direct paths the
 package replaced by exact identities or faster layouts: generators summed
-term by term with sparse `+` (the truncated kind with its particle-number
-indicator inserted between ladder factors), every probe evolving its own
+term by term with sparse `+`, every probe evolving its own
 trajectories, the conjugation residual routed through both of its sides'
 shared unitary tail, the remainder's K-node phase average, the product
 reconstruction summing one coherent state per quadrature node, rate
@@ -484,21 +483,7 @@ def cubic(ops, phi, n):
     return (scale * (half + half.conj().T)).tocsr()
 
 
-def truncated_cubic(ops, phi, n, cutoff):
-    """N^{-1/2} sum v(x-y) a*_x (phi(y) chi a*_y + conj(phi(y)) a_y chi) a_x
-    with chi = chi(N <= cutoff), summed term by term.  The two inserted
-    terms are each other's adjoints, so the sum is Hermitian as it stands."""
-    phi = np.asarray(phi, dtype=complex)
-    a, ad = _ladders(ops.basis)
-    chi = diags((ops.basis.totals <= cutoff).astype(float)).tocsr()
-    out = csr_matrix((ops.basis.size, ops.basis.size), dtype=complex)
-    for x, y, v in _coupled_pairs(ops.model):
-        out = out + (v * phi[y]) * (ad[x] @ (chi @ (ad[y] @ a[x])))
-        out = out + (v * np.conj(phi[y])) * (ad[x] @ (a[y] @ (chi @ a[x])))
-    return (out / np.sqrt(n)).tocsr()
-
-
-def assemble_by_terms(ops, kind, n, phi, cutoff=None):
+def assemble_by_terms(ops, kind, n, phi):
     """The generator of the requested kind, summed term by term."""
     out = quadratic(ops, phi)
     if kind == "limiting":
@@ -506,8 +491,6 @@ def assemble_by_terms(ops, kind, n, phi, cutoff=None):
     out = out + diags(ops.quartic_diag / n)
     if kind == "full":
         out = out + cubic(ops, phi, n)
-    elif kind == "truncated":
-        out = out + truncated_cubic(ops, phi, n, cutoff)
     return out.tocsr()
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dstevd
 
 import focklab as fl
+import focklab.experiments as experiments
 import focklab.propagate as propagate
 from focklab.cli import main
 from focklab.config import ExperimentConfig, config_from_dict, load_config
@@ -20,6 +21,7 @@ from focklab.experiments import (
     run_product_rate_scan,
     write_csv,
 )
+from focklab.fluctuations import GENERATOR_KINDS
 from focklab.model import LatticeModel, Potential
 from focklab.weyl import displacement_floor, minimal_cutoff, poisson_tail
 from oracles import fluctuation_probe_rows, rate_rows_from_zero
@@ -244,6 +246,22 @@ def test_fluctuation_suite_clean_run():
     assert len(result.tables["limiting"]) == 2
     gaps = {n: g for (_, n, _, _, g) in result.tables["limiting"]}
     assert gaps[3] < gaps[2]
+
+
+def test_fluctuation_suite_evolves_every_generator_kind(monkeypatch):
+    # every kind the package offers feeds some output of the suite; a kind
+    # reachable only through the Python API fails here
+    kinds = set()
+    trajectory = experiments.fluctuation_trajectory
+
+    def recording(ops, kind, *args):
+        kinds.add(kind)
+        return trajectory(ops, kind, *args)
+
+    monkeypatch.setattr(experiments, "fluctuation_trajectory", recording)
+    result = run_fluctuation_suite(_config(n_values=[2], t_samples=[0.1], m_max=8))
+    assert result.ok
+    assert kinds == set(GENERATOR_KINDS)
 
 
 def test_fluctuation_suite_free_model_all_probes_vanish():

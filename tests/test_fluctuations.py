@@ -5,6 +5,7 @@ from scipy.sparse import diags
 
 import focklab as fl
 from focklab.fluctuations import (
+    GENERATOR_KINDS,
     FluctuationOperators,
     bogoliubov_pair,
     dynamics_gap,
@@ -38,8 +39,8 @@ def setup():
 
 def test_all_kinds_hermitian(setup):
     model, basis, phi, ops = setup
-    for kind, cut in (("full", None), ("reduced", None), ("limiting", None), ("truncated", 5)):
-        g = ops.assemble(kind, 4, phi, cutoff=cut)
+    for kind in GENERATOR_KINDS:
+        g = ops.assemble(kind, 4, phi)
         assert abs(g - g.conj().T).max() < 1e-12
 
 
@@ -54,7 +55,6 @@ def test_parity_conservation_pattern(setup):
     assert parity_commutator_norm(ops.assemble("reduced", 4, phi), basis) == 0.0
     assert parity_commutator_norm(ops.assemble("limiting", 4, phi), basis) == 0.0
     assert parity_commutator_norm(ops.assemble("full", 4, phi), basis) > 0.1
-    assert parity_commutator_norm(ops.assemble("truncated", 4, phi, cutoff=5), basis) > 0.1
 
 
 def test_free_model_all_kinds_are_kinetic(setup):
@@ -66,8 +66,8 @@ def test_free_model_all_kinds_are_kinetic(setup):
     for x, y in zip(*np.nonzero(t - np.diag(np.diag(t)))):
         kinetic = kinetic + t[x, y] * (basis.creator(x) @ basis.annihilator(y))
     free_ops = FluctuationOperators(model, basis)
-    for kind, cut in (("full", None), ("reduced", None), ("limiting", None), ("truncated", 3)):
-        g = free_ops.assemble(kind, 7, phi, cutoff=cut)
+    for kind in GENERATOR_KINDS:
+        g = free_ops.assemble(kind, 7, phi)
         assert abs(g - kinetic).max() == 0.0
 
 
@@ -98,9 +98,9 @@ def test_assemble_matches_term_by_term_oracle(model):
     basis = fl.build_basis(model.d, 9)
     ops = FluctuationOperators(model, basis)
     phi = _phi(model.d, 3)
-    for kind, cut in (("full", None), ("reduced", None), ("limiting", None), ("truncated", 5)):
-        got = ops.assemble(kind, 4, phi, cutoff=cut)
-        ref = assemble_by_terms(ops, kind, 4, phi, cutoff=cut)
+    for kind in GENERATOR_KINDS:
+        got = ops.assemble(kind, 4, phi)
+        ref = assemble_by_terms(ops, kind, 4, phi)
         assert abs(got - ref).max() < 1e-13
 
 
@@ -126,25 +126,6 @@ def test_layout_holds_one_monomial_per_distinct_operator(model):
     assert abs(b - b.T).max() < 1e-15
 
 
-@MODELS
-def test_truncated_matches_chi_insertion_oracle(model):
-    # the kind is the full cubic term cut to its entries between sectors
-    # s and s + 1 with s <= M; the oracle inserts chi(N <= M) between the
-    # ladder factors, on the whole basis and on each window's cut basis
-    m_max, n = 9, 4
-    ops = FluctuationOperators(model, fl.build_basis(model.d, m_max))
-    phi = _phi(model.d, 3)
-    for cutoff in range(-1, m_max + 2):
-        ref = assemble_by_terms(ops, "truncated", n, phi, cutoff=cutoff)
-        assert abs(ops.assemble("truncated", n, phi, cutoff=cutoff) - ref).max() < 1e-13
-        for top in (2, 5, 7):
-            cut_ops = FluctuationOperators(model, fl.build_basis(model.d, top))
-            ref = assemble_by_terms(cut_ops, "truncated", n, phi, cutoff=cutoff).toarray()
-            got = ops.assemble("truncated", n, phi, cutoff=cutoff, top=top)
-            columns = np.column_stack([got.dot(e) for e in np.eye(len(ref), dtype=complex)])
-            assert np.max(np.abs(columns - ref)) < 1e-13
-
-
 def test_zero_hopping_builds_both_operators():
     # a zero kinetic matrix makes the hopping term an empty sum
     d, m_max, n = 3, 6, 4
@@ -157,9 +138,9 @@ def test_zero_hopping_builds_both_operators():
         assert np.max(np.abs(h[sl, sl].toarray() - ref)) < 1e-13
     ops = FluctuationOperators(model, basis)
     phi = _phi(d, 3)
-    for kind, cutoff in (("full", None), ("reduced", None), ("limiting", None), ("truncated", 3)):
-        ref = assemble_by_terms(ops, kind, n, phi, cutoff=cutoff)
-        assert abs(ops.assemble(kind, n, phi, cutoff=cutoff) - ref).max() < 1e-13
+    for kind in GENERATOR_KINDS:
+        ref = assemble_by_terms(ops, kind, n, phi)
+        assert abs(ops.assemble(kind, n, phi) - ref).max() < 1e-13
 
 
 @MODELS
@@ -172,51 +153,43 @@ def test_windowed_assembly_is_the_generator_at_the_window_cutoff(model):
     ops = FluctuationOperators(model, fl.build_basis(model.d, m_max))
     phi = _phi(model.d, 3)
     rng = np.random.default_rng(4)
-    kinds = (("full", None), ("reduced", None), ("limiting", None), ("truncated", 5))
     for m in range(m_max):
         cut_ops = FluctuationOperators(model, fl.build_basis(model.d, m))
         dim = cut_ops.basis.size
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        for kind, cutoff in kinds:
-            got = ops.assemble(kind, n, phi, cutoff=cutoff, top=m)
-            want = cut_ops.assemble(kind, n, phi, cutoff=cutoff)
+        for kind in GENERATOR_KINDS:
+            got = ops.assemble(kind, n, phi, top=m)
+            want = cut_ops.assemble(kind, n, phi)
             assert got.shape == want.shape == (dim, dim)
             columns = np.column_stack([got.dot(e) for e in np.eye(dim, dtype=complex)])
             assert np.array_equal(columns, want.toarray())
             assert np.array_equal(got.dot(v), want.dot(v))
-    for kind, cutoff in kinds:
-        whole = ops.assemble(kind, n, phi, cutoff=cutoff)
-        assert abs(ops.assemble(kind, n, phi, cutoff=cutoff, top=m_max) - whole).max() == 0.0
+    for kind in GENERATOR_KINDS:
+        whole = ops.assemble(kind, n, phi)
+        assert abs(ops.assemble(kind, n, phi, top=m_max) - whole).max() == 0.0
 
 
 def _top_occupied_sector(psi) -> int:
     return int(np.nonzero(psi.sector_weights())[0].max())
 
 
-@pytest.mark.parametrize("kind", ["full", "reduced", "limiting", "truncated"])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_windowed_trajectory_matches_whole_basis_evolution(kind):
     # the trajectory grows its window from WINDOW_STEP sectors, and the
     # sectors beyond it hold exact zeros; the whole-basis evolution agrees
-    # to within the amplitude the window rule leaves in its top sector.
-    # The truncated kind's cutoff lies below the window's final top, so
-    # its cut acts inside the window
+    # to within the amplitude the window rule leaves in its top sector
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     phi, n, m_max, times = _phi(3), 3, 30, [0.02, 0.1]
-    cutoff = 6 if kind == "truncated" else None
     ops = FluctuationOperators(model, fl.build_basis(3, m_max))
     flow = HartreeFlow(phi, model, 1e-3)
     budget = PropagationBudget(tol=1e-10, dt=0.02)
     vac = fl.FockVector.vacuum(ops.basis)
     tops = []
-    for t, psi in fluctuation_trajectory(ops, kind, n, flow, times, budget, cutoff):
-        ref = evolve_fluctuation(kind, model, n, flow, vac, 0.0, t, budget, cutoff=cutoff, ops=ops)
+    for t, psi in fluctuation_trajectory(ops, kind, n, flow, times, budget):
+        ref = evolve_fluctuation(kind, model, n, flow, vac, 0.0, t, budget, ops=ops)
         assert np.linalg.norm(psi.amp - ref.amp) < 1e-9
         tops.append(_top_occupied_sector(psi))
     assert WINDOW_STEP < tops[0] < tops[1] < m_max
-    if kind == "truncated":
-        assert cutoff < tops[1]
-        full = evolve_fluctuation("full", model, n, flow, vac, 0.0, times[-1], budget, ops=ops)
-        assert np.linalg.norm(psi.amp - full.amp) > 1e-6
 
 
 def test_cubic_term_by_term_oracle():
@@ -259,26 +232,17 @@ def test_cubic_term_by_term_oracle():
     assert np.max(np.abs(got - ref)) < 1e-13
 
 
-def test_truncated_limits(setup):
-    model, basis, phi, ops = setup
-    full = ops.assemble("full", 4, phi)
-    reduced = ops.assemble("reduced", 4, phi)
-    assert abs(ops.assemble("truncated", 4, phi, cutoff=basis.m_max + 3) - full).max() < 1e-12
-    # chi(N <= 0) annihilates everything the cubic monomials produce
-    assert abs(ops.assemble("truncated", 4, phi, cutoff=0) - reduced).max() == 0.0
-
-
 def test_limiting_kind_n_independent(setup):
     model, basis, phi, ops = setup
     assert abs(ops.assemble("limiting", 2, phi) - ops.assemble("limiting", 200, phi)).max() == 0.0
 
 
-def test_truncated_requires_cutoff(setup):
+def test_unknown_kind_is_rejected(setup):
+    # only GENERATOR_KINDS are assembled; any other name is refused by name
     _, _, phi, ops = setup
-    with pytest.raises(ValueError):
-        ops.assemble("truncated", 4, phi)
-    with pytest.raises(ValueError):
-        ops.assemble("bogus", 4, phi)
+    for kind in ("truncated", "bogus"):
+        with pytest.raises(ValueError, match=f"unknown generator kind '{kind}'"):
+            ops.assemble(kind, 4, phi)
 
 
 def test_evolution_identity_and_group_property(setup):
@@ -417,12 +381,7 @@ def test_vacuum_moments_bounded_for_every_kind(setup):
     model, _, phi, _ = setup
     basis = fl.build_basis(3, 18)
     budget = PropagationBudget(tol=1e-9, dt=0.02)
-    for kind, cut in (("full", None), ("reduced", None), ("truncated", 8), ("limiting", None)):
-        vals = [
-            number_growth_probe(
-                kind, model, n, phi, 1, [0.5], budget, basis=basis, cutoff=cut
-            )[0][4]
-            for n in (2, 4, 8)
-        ]
+    for kind in GENERATOR_KINDS:
+        vals = [number_growth_probe(kind, model, n, phi, 1, [0.5], budget, basis=basis)[0][4] for n in (2, 4, 8)]
         assert all(np.isfinite(v) and 0.0 <= v < 2.0 for v in vals)
         assert max(vals) <= 2.0 * min(vals) + 1e-9
