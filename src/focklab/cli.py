@@ -99,7 +99,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--threads must be >= 1, got {args.threads}")
             config.threads = args.threads
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out} cannot be used as an output directory: {exc}") from exc
         return _run(args.command, config, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,7 @@ def _build_phi(spec, d: int) -> np.ndarray:
     try:
         return np.array([complex(_float(re), _float(im)) for re, im in spec])
     except (TypeError, ValueError) as exc:
-        raise ConfigError("initial_phi must be a list of [re, im] pairs or a preset") from exc
+        raise ConfigError(f"initial_phi must be a preset or a list of finite [re, im] pairs: {exc}") from exc
 
 
 # the shape keys each potential kind reads; any other kind given one is an error
@@ -130,9 +131,16 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
+    """A finite float: every float key of a config passes through here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("expected a finite number, got an integer beyond the float range") from None
+    if not isfinite(out):
+        raise ValueError(f"expected a finite number, got {out}")
+    return out
 
 
 def _ints(values) -> list[int]:

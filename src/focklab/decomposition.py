@@ -195,7 +195,7 @@ def displaced_product_profile(
     n: int,
     theta: float,
     basis: OccupationBasis,
-    budget: PropagationBudget | None = None,
+    budget: PropagationBudget,
 ) -> FockVector:
     """psi(theta) = d_N e^{-i theta N} W*(e^{-i theta} sqrt(N) phi) phi^{x(N-1)};
     the integrand state of the product-state phase average, norm d_N."""
@@ -218,7 +218,7 @@ def remainder_probe(
     n: int,
     t: float,
     basis: OccupationBasis,
-    budget: PropagationBudget | None = None,
+    budget: PropagationBudget,
 ) -> RemainderProbeReport:
     """The one-particle remainder of the product-state phase average along
     the Hartree flow ``flow`` (which carries the model and phi_0):
@@ -234,7 +234,6 @@ def remainder_probe(
     """
     if n > basis.m_max:
         raise TruncationError(f"N={n} exceeds the basis cutoff m_max={basis.m_max}")
-    budget = budget or PropagationBudget()
     gen = generator_family(FluctuationOperators(flow.model, basis), "full", n, flow)
     psi = displaced_product_profile(flow.at(0.0), n, 0.0, basis, budget)
     fwd_psi = evolve_timedep(gen, psi, 0.0, t, budget)

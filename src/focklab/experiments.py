@@ -355,10 +355,7 @@ def run_coefficient_suite(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_hartree_trajectory(config: ExperimentConfig):
-    t_end = max(config.t_samples)
-    return evolve_hartree(
-        config.phi0, config.model, t_end, config.hartree_dt, sample_times=config.t_samples
-    )
+    return evolve_hartree(config.phi0, config.model, config.hartree_dt, config.t_samples)
 
 
 RATE_HEADER = ["N", "t", "trace_distance", "hs_distance", "fitted_slope", "truncation_loss"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import csr_matrix, identity
 
-from .basis import FockVector, OccupationBasis, annihilate, build_basis, number_moment
+from .basis import FockVector, OccupationBasis, annihilate, number_moment
 from .errors import TruncationError
 from .hartree import HartreeFlow, phase_rotate
 from .model import LatticeModel, build_fock_hamiltonian, interaction_diagonal
@@ -281,18 +281,17 @@ def check_truncation(psi: FockVector):
 
 
 def evolve_fluctuation(
+    ops: FluctuationOperators,
     kind: str,
-    model: LatticeModel,
     n: int,
     flow: HartreeFlow,
     psi: FockVector,
     s: float,
     t: float,
-    budget: PropagationBudget | None = None,
-    ops: FluctuationOperators | None = None,
+    budget: PropagationBudget,
 ) -> FockVector:
-    """U(t;s) psi for the requested generator kind (time-ordered midpoint rule)."""
-    ops = ops or FluctuationOperators(model, psi.basis)
+    """U(t;s) psi for the requested generator kind (time-ordered midpoint
+    rule), on the whole of ``ops.basis``, which holds psi."""
     gen = generator_family(ops, kind, n, flow)
     out = evolve_timedep(gen, psi, s, t, budget)
     check_truncation(out)
@@ -305,7 +304,7 @@ def fluctuation_trajectory(
     n: int,
     flow: HartreeFlow,
     times,
-    budget: PropagationBudget | None = None,
+    budget: PropagationBudget,
 ):
     """Yield (t, U(t;0) vacuum) at each distinct sample time, in increasing
     order.  The state is evolved once, segment by segment, and only the
@@ -319,7 +318,6 @@ def fluctuation_trajectory(
     the window is the whole basis, every segment is checked for truncation
     (``TOP_SECTOR_LIMIT``) as on a fixed cutoff.  ``evolve_fluctuation``
     evolves on the whole basis throughout and is the oracle."""
-    budget = budget or PropagationBudget()
     window = SectorWindow(ops.basis, budget.tol)
     gen = generator_family(ops, kind, n, flow, window=window)
 
@@ -340,10 +338,9 @@ def parity_element(psi: FockVector) -> float:
     )
 
 
-def _probe_inputs(model, phi0, m_max, hartree_dt, basis):
+def _probe_inputs(model, phi0, hartree_dt, basis):
     """Generator blocks and a Hartree flow for a stand-alone probe."""
-    ops = FluctuationOperators(model, basis or build_basis(model.d, m_max))
-    return ops, HartreeFlow(phi0, model, hartree_dt)
+    return FluctuationOperators(model, basis), HartreeFlow(phi0, model, hartree_dt)
 
 
 def _state_at(ops, kind, n, flow, t, budget) -> FockVector:
@@ -355,9 +352,9 @@ def conjugation_identity_residual(
     flow: HartreeFlow,
     n: int,
     t: float,
-    budget: PropagationBudget | None = None,
-    m_max: int | None = None,
-    basis: OccupationBasis | None = None,
+    budget: PropagationBudget,
+    *,
+    basis: OccupationBasis,
 ) -> float:
     """Residual of the conjugation identity behind the fluctuation dynamics.
 
@@ -383,13 +380,9 @@ def conjugation_identity_residual(
     displacement.  sigma_min equals that of the single-mode a - sqrt(N) cut
     at m_max (``weyl.displacement_floor``): 7.8e-4 at N=4, m_max=18, 2.1e-9
     at m_max=32.  The cutoff must push it well below the accuracy asked of
-    the residual, so the caller chooses it: pass ``m_max`` or ``basis``.
+    the residual, so the caller chooses it: ``basis`` has no default.
     """
-    if basis is None and m_max is None:
-        raise ValueError("pass m_max or basis: the cutoff sets the residual's floor")
     model = flow.model
-    basis = basis or build_basis(model.d, m_max)
-    budget = budget or PropagationBudget()
     f0 = np.sqrt(n) * flow.at(0.0)
     ft = np.sqrt(n) * flow.at(t)
     # the propagator is released after its one apply: the displacements
@@ -416,10 +409,10 @@ def number_growth_probe(
     phi0: np.ndarray,
     j: int,
     times,
-    budget: PropagationBudget | None = None,
-    m_max: int = 16,
+    budget: PropagationBudget,
+    *,
+    basis: OccupationBasis,
     hartree_dt: float = 1e-3,
-    basis: OccupationBasis | None = None,
 ) -> list[tuple[str, int, int, float, float]]:
     """Rows (kind, N, j, t, <N^j>) along U(t;0) vacuum, one per sample time in
     sorted order, moments from sector weights.  Raises TruncationError if the
@@ -427,7 +420,7 @@ def number_growth_probe(
     if j < 1:
         raise ValueError("moment order j must be >= 1")
     times = [float(t) for t in times]
-    ops, flow = _probe_inputs(model, phi0, m_max, hartree_dt, basis)
+    ops, flow = _probe_inputs(model, phi0, hartree_dt, basis)
     return [
         (kind, n, j, t, number_moment(psi, j))
         for t, psi in fluctuation_trajectory(ops, kind, n, flow, times, budget)
@@ -440,13 +433,13 @@ def dynamics_gap(
     n: int,
     phi0: np.ndarray,
     t: float,
-    budget: PropagationBudget | None = None,
-    m_max: int = 16,
+    budget: PropagationBudget,
+    *,
+    basis: OccupationBasis,
     hartree_dt: float = 1e-3,
-    basis: OccupationBasis | None = None,
 ) -> float:
     """|| (U_N(t;0) - U'(t;0)) vacuum || with U' the reduced dynamics."""
-    ops, flow = _probe_inputs(model, phi0, m_max, hartree_dt, basis)
+    ops, flow = _probe_inputs(model, phi0, hartree_dt, basis)
     u_full = _state_at(ops, "full", n, flow, t, budget)
     u_reduced = _state_at(ops, "reduced", n, flow, t, budget)
     return float(np.linalg.norm(u_full.amp - u_reduced.amp))
@@ -457,12 +450,12 @@ def parity_defect(
     n: int,
     phi0: np.ndarray,
     t: float,
-    budget: PropagationBudget | None = None,
-    m_max: int = 16,
+    budget: PropagationBudget,
+    *,
+    basis: OccupationBasis,
     hartree_dt: float = 1e-3,
-    basis: OccupationBasis | None = None,
 ) -> float:
     """max_x |<vac, U* a_x U vac>| along the reduced dynamics U; it
     vanishes because U conserves parity."""
-    ops, flow = _probe_inputs(model, phi0, m_max, hartree_dt, basis)
+    ops, flow = _probe_inputs(model, phi0, hartree_dt, basis)
     return parity_element(_state_at(ops, "reduced", n, flow, t, budget))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import ceil, floor, sqrt
+from math import ceil, floor, inf, sqrt
 from typing import Callable
 
 import numpy as np
@@ -145,8 +145,8 @@ class HartreeFlow:
         phi0 = np.asarray(phi0, dtype=complex)
         if abs(np.linalg.norm(phi0) - 1.0) > 1e-12:
             raise NormalizationError("phi0 must be normalized to unit mass")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < inf:  # NaN included
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         self.model = model
         self.dt = dt
         self._rhs = _rhs_kernel(model)
@@ -174,22 +174,11 @@ class HartreeFlow:
         return np.array(_integrate(self._node(k), t - k * self.dt, self.dt, self._rhs))
 
 
-def evolve_hartree(
-    phi0: np.ndarray,
-    model: LatticeModel,
-    t_final: float,
-    dt: float,
-    sample_times=None,
-) -> list[TrajectorySample]:
-    """Integrate to t_final, reporting mass and energy at each sample time."""
-    if sample_times is None:
-        sample_times = [0.0, t_final]
-    sample_times = [float(t) for t in sample_times]
-    if any(t > t_final + 1e-12 for t in sample_times) and t_final >= 0:
-        raise ValueError("sample times must not exceed t_final")
+def evolve_hartree(phi0: np.ndarray, model: LatticeModel, dt: float, sample_times) -> list[TrajectorySample]:
+    """phi_t with its mass and energy at each sample time, in the given order."""
     flow = HartreeFlow(phi0, model, dt)
     out = []
-    for t in sample_times:
+    for t in map(float, sample_times):
         phi = flow.at(t)
         out.append(TrajectorySample(t, phi, float(np.linalg.norm(phi)), energy(phi, model)))
     return out

@@ -20,7 +20,7 @@ Two engines and one sampling policy:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, isfinite, sqrt
+from math import ceil, inf, isfinite, sqrt
 from typing import Callable
 
 import numpy as np
@@ -60,8 +60,8 @@ class PropagationBudget:
     dt: float = 0.01          # step size for time-dependent generators
 
     def __post_init__(self):
-        if self.tol <= 0 or self.dt <= 0:
-            raise ValueError("tol and dt must be positive")
+        if not (0 < self.tol < inf and 0 < self.dt < inf):  # NaN included
+            raise ValueError(f"tol and dt must be positive and finite, got tol={self.tol}, dt={self.dt}")
 
 
 def _as_array(psi):
@@ -279,8 +279,8 @@ class StaticPropagator:
     every product.  ``h`` stays the H that was passed in.
     """
 
-    def __init__(self, h_sparse, budget: PropagationBudget | None = None, sectors=None):
-        self.budget = budget or PropagationBudget()
+    def __init__(self, h_sparse, budget: PropagationBudget, sectors=None):
+        self.budget = budget
         self.h = h_sparse
         self.dim = h_sparse.shape[0]
         self._dense = None
@@ -330,7 +330,7 @@ def evolve_timedep(
     psi,
     t0: float,
     t1: float,
-    budget: PropagationBudget | None = None,
+    budget: PropagationBudget,
     widen: Callable | None = None,
 ):
     """Midpoint-exponential integration of i d/dt psi = gen(t) psi from t0 to t1.
@@ -339,7 +339,6 @@ def evolve_timedep(
     returns None to accept the step, or a new start state (``start`` in a
     larger space, on which ``gen`` now acts) from which the step is redone;
     ``psi`` is then a plain amplitude array, as is the result."""
-    budget = budget or PropagationBudget()
     amp, basis = _as_array(psi)
     if t1 == t0:
         return _wrap(amp.copy(), basis)

@@ -41,13 +41,8 @@ def weyl_generator(f: np.ndarray, basis: OccupationBasis) -> csr_matrix:
     return (a.conj().T - a).tocsr()
 
 
-def weyl_apply(
-    f: np.ndarray,
-    psi: FockVector,
-    budget: PropagationBudget | None = None,
-) -> FockVector:
+def weyl_apply(f: np.ndarray, psi: FockVector, budget: PropagationBudget) -> FockVector:
     """W(f) psi = exp(a*(f) - a(f)) psi; exactly norm-preserving."""
-    budget = budget or PropagationBudget()
     f = np.asarray(f, dtype=complex)
     if not np.any(f):
         return psi.copy()

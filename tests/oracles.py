@@ -327,7 +327,7 @@ def fluctuation_probe_rows(config):
         return HartreeFlow(config.phi0, model, config.hartree_dt)
 
     def evolve(kind, n, hartree, psi, s, t):
-        return evolve_fluctuation(kind, model, n, hartree, psi, s, t, budget, ops=ops)
+        return evolve_fluctuation(ops, kind, n, hartree, psi, s, t, budget)
 
     rows = {"moments": [], "gaps": [], "parity": [], "limiting": []}
     for n in config.n_values:

@@ -181,7 +181,7 @@ def test_criterion_3_hamiltonian_consistency():
 def test_criterion_4_hartree_solver():
     model = _contact_model(8, 1.0)
     phi0 = _geometric(8)
-    samples = evolve_hartree(phi0, model, 2.0, 1e-3, sample_times=np.linspace(0.0, 2.0, 9))
+    samples = evolve_hartree(phi0, model, 1e-3, np.linspace(0.0, 2.0, 9))
     mass_drift = max(abs(s.mass - 1.0) for s in samples)
     e0 = samples[0].energy.total
     energy_drift = max(abs(s.energy.total - e0) for s in samples)
@@ -239,7 +239,7 @@ def test_criterion_6_conjugation_identity():
     assert floor < 1e-8, f"criterion 6: truncation floor {floor:.3e} at m_max={m_max} is not below 1e-2 x 1e-6"
     model = _contact_model(3, 1.0)
     residual = conjugation_identity_residual(
-        HartreeFlow(_geometric(3), model), 4, 0.5, PropagationBudget(tol=1e-11), m_max=m_max
+        HartreeFlow(_geometric(3), model), 4, 0.5, PropagationBudget(tol=1e-11), basis=fl.build_basis(3, m_max)
     )
     elapsed = time.monotonic() - start
     ok = residual < 1e-6 and elapsed < 300.0
@@ -300,26 +300,27 @@ def test_criterion_9_fluctuation_probes():
     phi0 = _geometric(3)
     budget = PropagationBudget(tol=1e-9, dt=0.01)
 
-    parity = parity_defect(model, 4, phi0, 1.0, budget, m_max=16)
+    parity = parity_defect(model, 4, phi0, 1.0, budget, basis=fl.build_basis(3, 16))
 
-    gap4 = dynamics_gap(model, 4, phi0, 0.5, budget, m_max=18)
-    gap16 = dynamics_gap(model, 16, phi0, 0.5, budget, m_max=18)
+    basis18 = fl.build_basis(3, 18)
+    gap4 = dynamics_gap(model, 4, phi0, 0.5, budget, basis=basis18)
+    gap16 = dynamics_gap(model, 16, phi0, 0.5, budget, basis=basis18)
     ratio = gap16 / gap4  # N quadrupled: expect 1/2 under N^{-1/2} scaling
 
+    basis22 = fl.build_basis(3, 22)
     moments = {
-        n: number_growth_probe("full", model, n, phi0, 1, [1.0], budget, m_max=22)[0][4]
+        n: number_growth_probe("full", model, n, phi0, 1, [1.0], budget, basis=basis22)[0][4]
         for n in (2, 4, 8)
     }
     spread = max(moments.values()) / min(moments.values())
 
-    basis = fl.build_basis(3, 18)
     flow = HartreeFlow(phi0, model, 1e-3)
-    ops = FluctuationOperators(model, basis)
-    vac = fl.FockVector.vacuum(basis)
-    u_lim = evolve_fluctuation("limiting", model, 1, flow, vac, 0.0, 0.5, budget, ops=ops)
+    ops = FluctuationOperators(model, basis18)
+    vac = fl.FockVector.vacuum(basis18)
+    u_lim = evolve_fluctuation(ops, "limiting", 1, flow, vac, 0.0, 0.5, budget)
     gaps = [
         float(np.linalg.norm(
-            evolve_fluctuation("full", model, n, flow, vac, 0.0, 0.5, budget, ops=ops).amp
+            evolve_fluctuation(ops, "full", n, flow, vac, 0.0, 0.5, budget).amp
             - u_lim.amp
         ))
         for n in (2, 3, 4, 6, 8, 12)

@@ -86,3 +86,17 @@ def test_claim_met_needs_nine_of_ten_wins_and_a_gap_beyond_the_parent_iqr():
     assert not table["met"]["ok_frac"]["claim_met"]  # ties win no pair
     lines = tool.verdicts(table)
     assert lines[0].endswith("claim_met True") and lines[2].endswith("claim_met False")
+
+
+def test_second_worse_counts_pairs_whose_later_run_reads_worse():
+    tool = _tool()
+    runs = _runs("order", [1.0, 1.2, 1.0, 1.2], [1.2, 1.0, 1.1, 1.3], change_ok=0.9)
+    for i, run in enumerate(runs):
+        run["first"] = ("parent", "change")[i % 2]
+    table = tool.end_to_end(runs, SPEC)["order"]
+    # the later run is slower in pairs 0, 1 and 2, whichever side it was
+    assert table["wall_s"]["second_worse"] == 3
+    # higher is better: the change's lower ok_frac is worse when it runs second
+    assert table["ok_frac"]["second_worse"] == 2
+    lines = tool.verdicts({"order": table})
+    assert "second_worse 3/4" in lines[0] and "second_worse 2/4" in lines[1]

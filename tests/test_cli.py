@@ -106,6 +106,14 @@ BAD_VALUES = {
     "eps_trunc-string": (("fock", "eps_trunc"), "1e-10"),
     "strength-true": (("model", "potential", "strength"), True),
     "propagation-string": (("tolerances",), {"propagation": "1e-10"}),
+    # non-finite numbers: an infinite tolerance ran with wrong numbers, a NaN
+    # sample or an infinite step ended in a traceback, as did an integer
+    # beyond the float range
+    "propagation-inf": (("tolerances",), {"propagation": float("inf")}),
+    "samples-nan": (("time", "samples"), [float("nan")]),
+    "dt-inf": (("time", "dt"), float("inf")),
+    "t_max-inf": (("time", "t_max"), float("inf")),
+    "propagation-401-digits": (("tolerances",), {"propagation": 10**400}),
 }
 
 
@@ -135,6 +143,19 @@ def test_cli_reports_bad_config_inputs(tiny_config, tmp_path, capsys, case):
         config = tiny_config
     assert main(["hartree", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+def test_cli_reports_an_unusable_out_directory(tiny_config, tmp_path, capsys, where):
+    # an --out that names a file, or a path below one, is one error line
+    # (exit 1), not a FileExistsError or NotADirectoryError traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if where == "file" else taken / "out"
+    assert main(["hartree", "--config", str(tiny_config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out {out} cannot be used as an output directory")
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_fluctuation_csvs_identical_across_threads(tiny_config, tmp_path):

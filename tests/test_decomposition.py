@@ -219,7 +219,7 @@ def test_remainder_probe_guards():
     basis = fl.build_basis(3, 8)
     phi = np.array([1.0, 0.0, 0.0], complex)
     with pytest.raises(fl.TruncationError):
-        remainder_probe(HartreeFlow(phi, model), 20, 0.1, basis)
+        remainder_probe(HartreeFlow(phi, model), 20, 0.1, basis, PropagationBudget())
 
 
 def test_invalid_arguments():

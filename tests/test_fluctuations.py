@@ -186,7 +186,7 @@ def test_windowed_trajectory_matches_whole_basis_evolution(kind):
     vac = fl.FockVector.vacuum(ops.basis)
     tops = []
     for t, psi in fluctuation_trajectory(ops, kind, n, flow, times, budget):
-        ref = evolve_fluctuation(kind, model, n, flow, vac, 0.0, t, budget, ops=ops)
+        ref = evolve_fluctuation(ops, kind, n, flow, vac, 0.0, t, budget)
         assert np.linalg.norm(psi.amp - ref.amp) < 1e-9
         tops.append(_top_occupied_sector(psi))
     assert WINDOW_STEP < tops[0] < tops[1] < m_max
@@ -250,50 +250,54 @@ def test_evolution_identity_and_group_property(setup):
     flow = HartreeFlow(phi, model, 1e-3)
     budget = PropagationBudget(tol=1e-10, dt=0.005)
     vac = fl.FockVector.vacuum(basis)
-    same = evolve_fluctuation("full", model, 3, flow, vac, 0.3, 0.3, budget, ops=ops)
+    same = evolve_fluctuation(ops, "full", 3, flow, vac, 0.3, 0.3, budget)
     assert np.array_equal(same.amp, vac.amp)
-    fwd = evolve_fluctuation("full", model, 3, flow, vac, 0.0, 0.4, budget, ops=ops)
+    fwd = evolve_fluctuation(ops, "full", 3, flow, vac, 0.0, 0.4, budget)
     assert abs(fwd.norm() - 1.0) < 1e-10
-    back = evolve_fluctuation("full", model, 3, flow, fwd, 0.4, 0.0, budget, ops=ops)
+    back = evolve_fluctuation(ops, "full", 3, flow, fwd, 0.4, 0.0, budget)
     assert np.linalg.norm(back.amp - vac.amp) < 1e-5
 
 
 def test_reduced_dynamics_parity_element(setup):
     model, basis, phi, _ = setup
-    val = parity_defect(model, 4, phi, 0.6, PropagationBudget(dt=0.01), m_max=12)
+    val = parity_defect(model, 4, phi, 0.6, PropagationBudget(dt=0.01), basis=fl.build_basis(3, 12))
     assert val < 1e-8
 
 
 def test_vacuum_moments_zero_cases(setup):
     model, _, phi, _ = setup
-    rows = number_growth_probe("full", model, 3, phi, 1, [0.0], m_max=8)
+    basis, budget = fl.build_basis(3, 8), PropagationBudget()
+    rows = number_growth_probe("full", model, 3, phi, 1, [0.0], budget, basis=basis)
     assert rows[0][4] == 0.0
     free = fl.LatticeModel(3, Potential.zero(3))
-    rows = number_growth_probe("full", free, 3, phi, 2, [0.0, 0.5, 1.0], m_max=8)
+    rows = number_growth_probe("full", free, 3, phi, 2, [0.0, 0.5, 1.0], budget, basis=basis)
     assert all(r[4] < 1e-20 for r in rows)
 
 
 def test_moment_probe_rejects_small_cutoff(setup):
     model, _, phi, _ = setup
+    budget = PropagationBudget()
     with pytest.raises(fl.TruncationError):
-        number_growth_probe("full", model, 4, phi, 1, [1.5], m_max=6)
+        number_growth_probe("full", model, 4, phi, 1, [1.5], budget, basis=fl.build_basis(3, 6))
     with pytest.raises(ValueError):
-        number_growth_probe("full", model, 4, phi, 0, [0.5], m_max=8)
+        number_growth_probe("full", model, 4, phi, 0, [0.5], budget, basis=fl.build_basis(3, 8))
 
 
 def test_dynamics_gap_zero_cases(setup):
     model, _, phi, _ = setup
-    assert dynamics_gap(model, 4, phi, 0.0, m_max=8) == 0.0
+    basis, budget = fl.build_basis(3, 8), PropagationBudget()
+    assert dynamics_gap(model, 4, phi, 0.0, budget, basis=basis) == 0.0
     free = fl.LatticeModel(3, Potential.zero(3))
-    assert dynamics_gap(free, 4, phi, 0.8, m_max=8) < 1e-12
+    assert dynamics_gap(free, 4, phi, 0.8, budget, basis=basis) < 1e-12
 
 
 def test_dynamics_gap_scales_like_inverse_sqrt_n():
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     phi = _phi(3)
     budget = PropagationBudget(tol=1e-9, dt=0.01)
-    g4 = dynamics_gap(model, 4, phi, 0.5, budget, m_max=18)
-    g16 = dynamics_gap(model, 16, phi, 0.5, budget, m_max=18)
+    basis = fl.build_basis(3, 18)
+    g4 = dynamics_gap(model, 4, phi, 0.5, budget, basis=basis)
+    g16 = dynamics_gap(model, 16, phi, 0.5, budget, basis=basis)
     assert g16 / g4 == pytest.approx(0.5, abs=0.15)
 
 
@@ -314,7 +318,7 @@ def test_footnote_propagator_matches_generator_ode():
     f0 = np.sqrt(n) * phi0
     ft = np.sqrt(n) * flow.at(t)
     u_foot = weyl_apply(-ft, prop.apply(weyl_apply(f0, vac, budget), t), budget)
-    u_ode = evolve_fluctuation("full", model, n, flow, vac, 0.0, t, budget)
+    u_ode = evolve_fluctuation(FluctuationOperators(model, basis), "full", n, flow, vac, 0.0, t, budget)
     ts = np.linspace(0.0, t, 201)
     pots = np.array([energy(flow.at(s), model).interaction for s in ts])
     phase = np.exp(1j * n * simpson(pots, x=ts))
@@ -333,7 +337,10 @@ def test_conjugation_residual_decays_with_cutoff():
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     phi = _phi(3)
     budget = PropagationBudget(tol=1e-11)
-    res = [conjugation_identity_residual(HartreeFlow(phi, model), 4, 0.5, budget, m_max=m) for m in (14, 18, 22)]
+    res = [
+        conjugation_identity_residual(HartreeFlow(phi, model), 4, 0.5, budget, basis=fl.build_basis(3, m))
+        for m in (14, 18, 22)
+    ]
     assert res[0] > res[1] > res[2]
     assert res[1] < 5e-3
     assert res[2] < 5e-4
@@ -346,16 +353,16 @@ def test_conjugation_residual_matches_full_route(n, m_max, t):
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     phi = _phi(3)
     budget = PropagationBudget(tol=1e-10)
-    got = conjugation_identity_residual(HartreeFlow(phi, model), n, t, budget, m_max=m_max)
+    got = conjugation_identity_residual(HartreeFlow(phi, model), n, t, budget, basis=fl.build_basis(3, m_max))
     ref = conjugation_residual_full_route(model, n, phi, t, budget, m_max)
     assert abs(got - ref) <= 2 * budget.tol
 
 
 def test_conjugation_residual_needs_a_cutoff():
-    # the cutoff sets the residual's floor, so there is no default
+    # the cutoff sets the residual's floor, so the basis has no default
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
-    with pytest.raises(ValueError, match="m_max or basis"):
-        conjugation_identity_residual(HartreeFlow(_phi(3), model), 4, 0.5)
+    with pytest.raises(TypeError, match="required keyword-only argument: 'basis'"):
+        conjugation_identity_residual(HartreeFlow(_phi(3), model), 4, 0.5, PropagationBudget())
 
 
 def test_conjugation_residual_truncation_floor_at_t0():
@@ -363,7 +370,9 @@ def test_conjugation_residual_truncation_floor_at_t0():
     # conjugation error, which shrinks with the cutoff
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     phi = _phi(3)
-    small = conjugation_identity_residual(HartreeFlow(phi, model), 2, 0.0, m_max=20)
+    small = conjugation_identity_residual(
+        HartreeFlow(phi, model), 2, 0.0, PropagationBudget(), basis=fl.build_basis(3, 20)
+    )
     assert small < 1e-6
 
 
@@ -372,7 +381,9 @@ def test_conjugation_residual_free_case():
     # small t is again the cutoff floor of the displaced states
     free = fl.LatticeModel(3, Potential.zero(3))
     phi = _phi(3)
-    res = conjugation_identity_residual(HartreeFlow(phi, free), 2, 0.2, m_max=20)
+    res = conjugation_identity_residual(
+        HartreeFlow(phi, free), 2, 0.2, PropagationBudget(), basis=fl.build_basis(3, 20)
+    )
     assert res < 1e-6
 
 

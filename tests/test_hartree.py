@@ -70,7 +70,7 @@ def test_free_eigenvector_evolves_by_phase():
 
 def test_mass_and_energy_conservation():
     model = _model(8, "contact", 1.0)
-    samples = evolve_hartree(_bump(8, 3), model, 2.0, 1e-3, sample_times=np.linspace(0, 2, 9))
+    samples = evolve_hartree(_bump(8, 3), model, 1e-3, np.linspace(0, 2, 9))
     e0 = samples[0].energy.total
     for s in samples:
         assert abs(s.mass - 1.0) < 1e-10
@@ -201,6 +201,13 @@ def test_energy_h1_two_sided_control():
         assert h1 <= c * (e + m2**2 + m2) + 1e-12
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_flow_rejects_a_step_that_is_not_positive_and_finite(dt):
+    # a NaN or infinite step would fail in the first step count, on a NaN
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        HartreeFlow(_bump(3, 9), _model(3, "contact", 1.0), dt=dt)
+
+
 def test_blowup_detection():
     model = _model(3, "contact", 1.0)
     with pytest.raises(fl.NormalizationError):
@@ -221,7 +228,7 @@ def test_blowup_detection():
 
 def test_sample_grid_and_csv_rows():
     model = _model(3, "contact", 0.5)
-    samples = evolve_hartree(_bump(3, 10), model, 1.0, 1e-2, sample_times=[0.0, 0.37, 1.0])
+    samples = evolve_hartree(_bump(3, 10), model, 1e-2, [0.0, 0.37, 1.0])
     assert [s.t for s in samples] == [0.0, 0.37, 1.0]
     rows = list(trajectory_csv_rows(samples))
     assert len(rows) == 9

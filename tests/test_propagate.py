@@ -41,7 +41,7 @@ def _random_vec(dim, seed):
 def test_zero_time_is_identity():
     h = _random_hermitian(50, 0)
     v = _random_vec(50, 1)
-    out = StaticPropagator(h).apply(v, 0.0)
+    out = StaticPropagator(h, PropagationBudget()).apply(v, 0.0)
     assert np.array_equal(out, v)
 
 
@@ -185,7 +185,7 @@ def test_krylov_every_dimension_check_beats_stride_four(n):
     flow = HartreeFlow(phi0, model, 1e-3)
     dt, share = 0.01, 1e-10 / 25
     vac = fl.FockVector.vacuum(basis)
-    psi = evolve_fluctuation("full", model, n, flow, vac, 0.0, 0.1, PropagationBudget(dt=dt), ops=ops).amp
+    psi = evolve_fluctuation(ops, "full", n, flow, vac, 0.0, 0.1, PropagationBudget(dt=dt)).amp
     gen = generator_family(ops, "full", n, flow)(0.1 + dt / 2)
     ref = expm(-1j * dt * gen.toarray()) @ psi
     counted, counted_oracle = _CountedMatvec(gen), _CountedMatvec(gen)
@@ -208,7 +208,7 @@ def test_krylov_rejects_non_finite_input(where):
         diag[7] = np.nan
     with pytest.raises(ConvergenceError, match="non-finite"):
         if where == "dense":
-            StaticPropagator(diags(diag))  # 200 <= DENSE_CUTOFF
+            StaticPropagator(diags(diag), PropagationBudget())  # 200 <= DENSE_CUTOFF
         else:
             expm_apply(diags(diag), v, 1.0, PropagationBudget())
 
@@ -246,7 +246,7 @@ def test_unitarity_and_energy_conservation():
 def test_static_propagator_reuse_and_backward():
     h = _random_hermitian(80, 6)
     v = _random_vec(80, 9)
-    prop = StaticPropagator(h)
+    prop = StaticPropagator(h, PropagationBudget())
     there = prop.apply(v, 0.9)
     back = prop.apply(there, -0.9)
     assert np.linalg.norm(back - v) < 1e-12
@@ -257,7 +257,7 @@ def test_fockvector_roundtrip():
     model = fl.LatticeModel(2, fl.Potential.contact(2, 1.0))
     h = fl.build_fock_hamiltonian(model, 2, basis).matrix
     psi = fl.embed_product_state(np.array([0.6, 0.8]), 3, basis)
-    out = StaticPropagator(h).apply(psi, 0.5)
+    out = StaticPropagator(h, PropagationBudget()).apply(psi, 0.5)
     assert isinstance(out, fl.FockVector)
     assert abs(out.norm() - 1.0) < 1e-12
 
@@ -335,6 +335,16 @@ def test_budget_validation():
         PropagationBudget(dt=-1.0)
 
 
+@pytest.mark.parametrize("key", ["tol", "dt"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_budget_rejects_non_finite_values(key, value):
+    # a NaN tol would fail 60 bisections later as "resolves no fraction", an
+    # infinite one would pass any state, and a NaN or infinite dt would fail
+    # in a step count: each is refused where it is set
+    with pytest.raises(ValueError, match="positive and finite"):
+        PropagationBudget(**{key: value})
+
+
 SECTOR_MODELS = pytest.mark.parametrize(
     "model",
     [
@@ -391,10 +401,10 @@ def test_sector_split_takes_fewer_matvecs(monkeypatch):
         return raw_expm(counted[-1], v, t, budget)
 
     monkeypatch.setattr(propagate, "expm_apply", counted_expm)
-    split_prop = StaticPropagator(h, sectors=basis.sector_offsets)
+    split_prop = StaticPropagator(h, PropagationBudget(), sectors=basis.sector_offsets)
     assert split_prop.h is h  # the centred operator is private
     split = split_prop.apply(psi, 1.0)
-    raw = StaticPropagator(h).apply(psi, 1.0)
+    raw = StaticPropagator(h, PropagationBudget()).apply(psi, 1.0)
     assert counted[0].calls < counted[1].calls
     assert np.linalg.norm(split.amp - raw.amp) < 2 * PropagationBudget().tol
 
@@ -405,4 +415,4 @@ def test_sector_split_rejects_coupled_sectors():
     assert basis.size > DENSE_CUTOFF
     h = 1j * weyl_generator(np.array([0.3, 0.2, 0.1]), basis)
     with pytest.raises(ValueError, match="couples two number sectors"):
-        StaticPropagator(h, sectors=basis.sector_offsets)
+        StaticPropagator(h, PropagationBudget(), sectors=basis.sector_offsets)

@@ -7,6 +7,8 @@ import focklab as fl
 from focklab.weyl import annihilation_of, displacement_floor, minimal_cutoff, poisson_tail
 from oracles import poisson_tails_mp
 
+BUDGET = fl.PropagationBudget()
+
 
 @pytest.fixture(scope="module")
 def basis30():
@@ -23,7 +25,7 @@ def test_weyl_of_zero_is_identity(basis30):
     amp = rng.standard_normal(basis30.size) + 0j
     amp /= np.linalg.norm(amp)
     psi = fl.FockVector(basis30, amp)
-    out = fl.weyl_apply(np.zeros(2), psi)
+    out = fl.weyl_apply(np.zeros(2), psi, BUDGET)
     assert np.array_equal(out.amp, psi.amp)
 
 
@@ -31,9 +33,9 @@ def test_weyl_unitary_and_inverse(basis30):
     rng = np.random.default_rng(1)
     f = _rand_f(rng, 2)
     psi = fl.coherent_state(_rand_f(rng, 2, 1.0), basis30)
-    wf = fl.weyl_apply(f, psi)
+    wf = fl.weyl_apply(f, psi, BUDGET)
     assert wf.norm() == pytest.approx(psi.norm(), abs=1e-12)
-    back = fl.weyl_apply(-f, wf)  # W(f)* = W(-f)
+    back = fl.weyl_apply(-f, wf, BUDGET)  # W(f)* = W(-f)
     assert np.linalg.norm(back.amp - psi.amp) < 1e-8
 
 
@@ -42,9 +44,9 @@ def test_weyl_composition_law(basis30):
     rng = np.random.default_rng(2)
     f, g = _rand_f(rng, 2, 1.2), _rand_f(rng, 2, 1.2)
     vac = fl.FockVector.vacuum(basis30)
-    lhs = fl.weyl_apply(f, fl.weyl_apply(g, vac))
+    lhs = fl.weyl_apply(f, fl.weyl_apply(g, vac, BUDGET), BUDGET)
     phase = np.exp(-1j * np.imag(np.vdot(f, g)))
-    rhs = fl.weyl_apply(f + g, vac)
+    rhs = fl.weyl_apply(f + g, vac, BUDGET)
     assert np.linalg.norm(lhs.amp - phase * rhs.amp) < 1e-8
 
 
@@ -53,8 +55,8 @@ def test_weyl_commutation_form(basis30):
     rng = np.random.default_rng(12)
     f, g = _rand_f(rng, 2, 1.2), _rand_f(rng, 2, 1.2)
     probe = fl.coherent_state(_rand_f(rng, 2, 0.8), basis30)
-    fg = fl.weyl_apply(f, fl.weyl_apply(g, probe))
-    gf = fl.weyl_apply(g, fl.weyl_apply(f, probe))
+    fg = fl.weyl_apply(f, fl.weyl_apply(g, probe, BUDGET), BUDGET)
+    gf = fl.weyl_apply(g, fl.weyl_apply(f, probe, BUDGET), BUDGET)
     phase = np.exp(-2j * np.imag(np.vdot(f, g)))
     assert np.linalg.norm(fg.amp - phase * gf.amp) < 1e-8
 
@@ -62,7 +64,7 @@ def test_weyl_commutation_form(basis30):
 def test_coherent_matches_weyl_displaced_vacuum(basis30):
     f = np.array([1 / np.sqrt(2), 1j / np.sqrt(2)])
     direct = fl.coherent_state(f, basis30)
-    displaced = fl.weyl_apply(f, fl.FockVector.vacuum(basis30))
+    displaced = fl.weyl_apply(f, fl.FockVector.vacuum(basis30), BUDGET)
     assert np.linalg.norm(direct.amp - displaced.amp) < 1e-8
 
 
@@ -94,7 +96,7 @@ def test_coherent_overlap_law(basis30):
     rng = np.random.default_rng(5)
     f, g = _rand_f(rng, 2), _rand_f(rng, 2)
     vac = fl.FockVector.vacuum(basis30)
-    ov = fl.weyl_apply(f, vac).inner(fl.weyl_apply(g, vac))
+    ov = fl.weyl_apply(f, vac, BUDGET).inner(fl.weyl_apply(g, vac, BUDGET))
     assert abs(ov) == pytest.approx(np.exp(-0.5 * np.linalg.norm(f - g) ** 2), abs=1e-8)
 
 

@@ -22,7 +22,10 @@ distance over its median), ``resolved``: a metric whose parent spread
 exceeds its bound is unresolved unless every change run beats every parent
 run, and ``claim_met``: the change wins at least 9 of 10 pairs and its
 median is better than the parent's by more than the parent's interquartile
-distance, the test a claimed gain must pass.  Keys of an existing output file other than these blocks are kept, so
+distance, the test a claimed gain must pass, and ``second_worse``: the pairs
+in which the side that ran second reads worse than the side that ran
+first, whichever side that was; with no order effect it sits near half the
+pairs.  Keys of an existing output file other than these blocks are kept, so
 notes added by hand survive a rerun.  The file is rewritten after every
 pair, and at the end one verdict line per workload and metric is printed.
 Only the standard library is used, and focklab is never imported here.
@@ -105,11 +108,15 @@ def end_to_end(runs: list[dict], spec: dict) -> dict:
             rel = c["median"] / p["median"] - 1.0 if p["median"] else 0.0
             spread = (p["q3"] - p["q1"]) / p["median"] if p["median"] else 0.0
             wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
+            # each pair's (first run, second run)
+            in_order = [(r[r["first"]][name], r["change" if r["first"] == "parent" else "parent"][name])
+                        for r in pairs]
             table[name] = {
                 "bound": metric["bound"], "parent": p, "change": c,
                 "change_vs_parent": rel, "worse_by": sign * rel,
                 "within_bound": sign * rel <= metric["bound"],
                 "change_wins": wins,
+                "second_worse": sum(sign * (b - a) > 0 for a, b in in_order),
                 "pairs": len(pairs),
                 "parent_spread": spread,
                 # every change run better than every parent run
@@ -129,6 +136,7 @@ def verdicts(table: dict) -> list[str]:
             lines.append(
                 f"{workload:12s} {name:12s} parent {m['parent']['median']:.4g} change {m['change']['median']:.4g}"
                 f" change_vs_parent {m['change_vs_parent']:+.1%} wins {m['change_wins']}/{m['pairs']}"
+                f" second_worse {m['second_worse']}/{m['pairs']}"
                 f" parent_spread {m['parent_spread']:.1%} within_bound {m['within_bound']}"
                 f" resolved {m['resolved']} claim_met {m['claim_met']}"
             )
