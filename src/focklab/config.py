@@ -50,11 +50,18 @@ class ExperimentConfig:
         if not self.t_samples:
             raise ConfigError("time.samples must be nonempty")
         if any(t < 0 for t in self.t_samples):
-            raise ConfigError("sample times must be nonnegative")
+            raise ConfigError("time.samples must be nonnegative")
         if not (self.hartree_dt > 0 and self.fluctuation_dt > 0):  # NaN included
             raise ConfigError("time steps must be positive")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ConfigError("scan.n_values must be positive integers")
+        if not self.n_values:
+            raise ConfigError("scan.n_values must be nonempty")
+        for key, values in (
+            ("scan.n_values", self.n_values),
+            ("coefficients.n_values", self.coeff_n_values),
+            ("coefficients.remainder_n_values", self.remainder_n_values),
+        ):
+            if any(n < 1 for n in values):
+                raise ConfigError(f"{key} must be positive integers, got {values}")
         if isinstance(self.m_max, str):
             if self.m_max != "auto":
                 raise ConfigError("fock.m_max must be an integer or 'auto'")
@@ -147,6 +154,10 @@ def _ints(values) -> list[int]:
     return [_int(v) for v in values]
 
 
+def _floats(values) -> list[float]:
+    return [_float(v) for v in values]
+
+
 def _cutoff(value) -> int | str:
     return value if isinstance(value, str) else _int(value)
 
@@ -168,42 +179,32 @@ _FIELDS = (
 )
 
 
+def _convert(key: str, convert, *args):
+    """``convert(*args)``, with a conversion error naming ``key``."""
+    try:
+        return convert(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {key}: {exc}") from exc
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """The config a parsed file describes; a value that does not convert, or
-    that the model or the dataclass rejects, is a ConfigError."""
-    try:
-        return _config_from_dict(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value: {exc}") from exc
-
-
-def _config_from_dict(raw: dict) -> ExperimentConfig:
-    _require_keys(
-        raw,
-        {
-            "model",
-            "initial_phi",
-            "time",
-            "scan",
-            "fock",
-            "tolerances",
-            "coefficients",
-            "parallelism",
-        },
-        "top level",
-    )
+    that the model or the dataclass rejects, is a ConfigError naming its key."""
+    groups = {group for group, _, _, _ in _FIELDS}
+    _require_keys(raw, {"model", "initial_phi", *groups}, "top level")
     model_spec = raw.get("model", {})
     _require_keys(model_spec, {"d", "potential"}, "model")
-    d = _int(model_spec.get("d", 3))
-    model = LatticeModel(d, _build_potential(model_spec.get("potential", {}), d))
+    d = _convert("model.d", _int, model_spec.get("d", 3))
+    if d < 2:  # before the potential, whose tables need a site
+        raise ConfigError(f"model.d must be >= 2, got {d}")
+    model = LatticeModel(d, _convert("model.potential", _build_potential, model_spec.get("potential", {}), d))
+    phi0 = _convert("initial_phi", _build_phi, raw.get("initial_phi", {"preset": "geometric"}), d)
 
-    phi0 = _build_phi(raw.get("initial_phi", {"preset": "geometric"}), d)
-
-    specs = {group: raw.get(group, {}) for group, _, _, _ in _FIELDS}
+    specs = {group: raw.get(group, {}) for group in groups}
     time_spec = specs["time"]
     _require_keys(time_spec, {"t_max", "dt", "samples", "fluctuation_dt"}, "time")
-    t_max = _float(time_spec.get("t_max", 1.0))
-    samples = [_float(t) for t in time_spec.get("samples", [0.25, 0.5, 1.0])]
+    t_max = _convert("time.t_max", _float, time_spec.get("t_max", 1.0))
+    samples = _convert("time.samples", _floats, time_spec.get("samples", [0.25, 0.5, 1.0]))
     if any(t > t_max + 1e-12 for t in samples):
         raise ConfigError("sample times must not exceed time.t_max")
 
@@ -211,7 +212,9 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         _require_keys(specs[group], {key for g, key, _, _ in _FIELDS if g == group}, group)
 
     settings = {
-        name: convert(specs[group][key]) for group, key, name, convert in _FIELDS if key in specs[group]
+        name: _convert(f"{group}.{key}", convert, specs[group][key])
+        for group, key, name, convert in _FIELDS
+        if key in specs[group]
     }
     return ExperimentConfig(model=model, phi0=phi0, t_samples=samples, **settings)
 

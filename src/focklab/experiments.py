@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +80,6 @@ class RateScanRow:
     hs_distance: float
     fitted_slope: float | None
     truncation_loss: float
-    flagged: bool = False
 
 
 def _fmt(x) -> str:
@@ -101,12 +100,6 @@ def write_csv(path: str | Path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def _check_remark3(trace: float, hs: float):
-    # rank-one comparisons keep the trace norm within twice the HS norm
-    if trace > 2.0 * hs + 1e-9:
-        raise FockLabError(f"emitted distances violate trace <= 2*HS: {trace} vs {hs}")
 
 
 def _run_cells(cells, threads: int):
@@ -143,47 +136,65 @@ def _merge_cells(tables: dict, cells, threads: int) -> list[tuple[str, str, str]
     return failures
 
 
-def _attach_slopes(rows: list[RateScanRow], t_samples) -> list[RateScanRow]:
-    for t in t_samples:
-        at_t = [r for r in rows if r.t == t]
-        if len(at_t) >= 3:
-            fit = fit_loglog_slope([(r.n, r.trace_distance) for r in at_t])
-            for r in at_t:
-                r.fitted_slope = fit.slope
-    return rows
+@dataclass
+class SuiteResult:
+    tables: dict
+    failures: list[tuple[str, str, str]]  # (probe, cell, message)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
-def _rate_scan(config: ExperimentConfig, start) -> list[RateScanRow]:
-    """Evolve each N's initial state once through the sorted sample times and
-    compare its one-particle marginal with the Hartree projector.
+def _rate_scan(config: ExperimentConfig, probe: str, start) -> SuiteResult:
+    """Evolve each N's initial state once through the sorted sample times,
+    compare its one-particle marginal with the Hartree projector, and fit
+    each sample time's slope across N.
 
     ``start(n)`` returns the state at t = 0, its ``StaticPropagator``, the
-    map from an evolved state to its marginal, and the truncation loss and
-    flag every row of that N carries.  Rows follow ``config.t_samples`` in
-    order and multiplicity."""
+    map from an evolved state to its marginal, and the truncation loss every
+    row of that N carries.  Rows follow ``config.t_samples`` in order and
+    multiplicity.  Each N is one cell.  An N whose loss reaches
+    ``tolerances.truncation_loss`` keeps its rows and is one failure; a fit
+    that raises leaves its time's slopes empty and is one failure."""
     flow = HartreeFlow(config.phi0, config.model, config.hartree_dt)
     targets = {t: rank_one(_unit(flow.at(t))) for t in config.t_samples}
 
     def cell(n):
-        def run():
-            psi, prop, marginal, loss, flagged = start(n)
-            distances = {}
-            for t, psi_t in through_times(lambda psi, s, t: prop.apply(psi, t - s), psi, config.t_samples):
-                gamma = marginal(psi_t)
-                td = trace_distance(gamma, targets[t])
-                hd = hs_distance(gamma, targets[t])
-                _check_remark3(td, hd)
-                distances[t] = (td, hd)
-            return [RateScanRow(n, t, *distances[t], None, loss, flagged) for t in config.t_samples]
+        psi, prop, marginal, loss = start(n)
+        distances = {}
+        for t, psi_t in through_times(lambda psi, s, t: prop.apply(psi, t - s), psi, config.t_samples):
+            gamma = marginal(psi_t)
+            td = trace_distance(gamma, targets[t])
+            hd = hs_distance(gamma, targets[t])
+            if td > 2.0 * hd + 1e-9:  # rank-one comparisons keep the trace norm within twice the HS norm
+                raise FockLabError(f"emitted distances violate trace <= 2*HS: {td} vs {hd}")
+            distances[t] = (td, hd)
+        return {"rate": [RateScanRow(n, t, *distances[t], None, loss) for t in config.t_samples]}
 
-        return run
+    def fit(at_t):
+        slope = fit_loglog_slope([(r.n, r.trace_distance) for r in at_t]).slope
+        for r in at_t:
+            r.fitted_slope = slope
+        return {}
 
-    results = _run_cells([cell(n) for n in config.n_values], config.threads)
-    rows = [r for chunk in results for r in chunk]
-    return _attach_slopes(rows, config.t_samples)
+    tables = {"rate": []}
+    cells = [_guarded(probe, f"N={n}", lambda n=n: cell(n)) for n in config.n_values]
+    failures = _merge_cells(tables, cells, config.threads)
+    rows, tol = tables["rate"], config.truncation_loss_tol
+    failures += [
+        (probe, f"N={r.n}", f"truncation_loss {r.truncation_loss:.3g} reaches tolerances.truncation_loss {tol:.3g}")
+        for r in rows[:: len(config.t_samples)]  # the first row of each N
+        if r.truncation_loss >= tol
+    ]
+    for t in dict.fromkeys(config.t_samples):
+        at_t = [r for r in rows if r.t == t]
+        if len(at_t) >= 3:
+            failures += _guarded(probe, f"t={t}", lambda: fit(at_t))()[1]
+    return SuiteResult(tables, failures)
 
 
-def run_product_rate_scan(config: ExperimentConfig) -> list[RateScanRow]:
+def run_product_rate_scan(config: ExperimentConfig) -> SuiteResult:
     """Evolve embedded product states sector by sector and compare their
     one-particle marginals with the Hartree projector."""
     model = config.model
@@ -200,22 +211,22 @@ def run_product_rate_scan(config: ExperimentConfig) -> list[RateScanRow]:
             return marginal_from_sector(FockVector(basis, amp))
 
         psi = embed_product_state(config.phi0, n, basis).amp[sl]
-        return psi, StaticPropagator(sector.matrix, budget), marginal, 0.0, False
+        return psi, StaticPropagator(sector.matrix, budget), marginal, 0.0
 
-    return _rate_scan(config, start)
+    return _rate_scan(config, "product", start)
 
 
-def run_coherent_rate_scan(config: ExperimentConfig) -> list[RateScanRow]:
+def run_coherent_rate_scan(config: ExperimentConfig) -> SuiteResult:
     """Evolve coherent states of amplitude sqrt(N) phi0 under the full
     Hamiltonian and compare marginals with the Hartree projector.
 
     An N's Poisson tail beyond the cutoff is its rows' truncation loss: the
-    scan builds the state whatever that tail is, reports it, and flags the
-    rows when it reaches ``tolerances.truncation_loss``.  H conserves
-    particle number, so every sector keeps its weight in time and the tail
-    is the loss at every t.  Under ``m_max = "auto"`` each N therefore runs
-    on its own ``minimal_cutoff(N, eps_trunc)``, where that tail is below
-    ``eps_trunc``; an integer ``m_max`` is every N's cutoff."""
+    scan builds the state whatever that tail is, reports it, and records a
+    failure for the N when it reaches ``tolerances.truncation_loss``.  H
+    conserves particle number, so every sector keeps its weight in time and
+    the tail is the loss at every t.  Under ``m_max = "auto"`` each N
+    therefore runs on its own ``minimal_cutoff(N, eps_trunc)``, where that
+    tail is below ``eps_trunc``; an integer ``m_max`` is every N's cutoff."""
     model = config.model
     budget = PropagationBudget(tol=config.propagation_tol)
     shared = None if config.m_max == "auto" else build_basis(model.d, config.m_max, capacity=config.capacity)
@@ -223,23 +234,13 @@ def run_coherent_rate_scan(config: ExperimentConfig) -> list[RateScanRow]:
     def start(n):
         basis = shared or build_basis(model.d, minimal_cutoff(float(n), config.eps_trunc), capacity=config.capacity)
         loss = poisson_tail(float(n), basis.m_max)
-        psi = coherent_state(np.sqrt(n) * config.phi0, basis, eps_trunc=1.0)  # any tail: the rows report and flag it
+        psi = coherent_state(np.sqrt(n) * config.phi0, basis, eps_trunc=1.0)  # any tail: the rows report it
         prop = StaticPropagator(
             build_fock_hamiltonian(model, n, basis).matrix, budget, sectors=basis.sector_offsets
         )
-        return psi, prop, marginal_from_fock, loss, loss >= config.truncation_loss_tol
+        return psi, prop, marginal_from_fock, loss
 
-    return _rate_scan(config, start)
-
-
-@dataclass
-class SuiteResult:
-    tables: dict
-    failures: list[tuple[str, str, str]]  # (probe, cell, message)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    return _rate_scan(config, "coherent", start)
 
 
 def _suite_m_max(config: ExperimentConfig) -> int:
@@ -258,7 +259,7 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     along one shared Hartree flow.  The limiting state at t_end is taken
     before the cell pool; the moments, gaps, parity and limiting gaps are
     reductions over those states.  A failed cell flags every probe it
-    serves, and the suite continues."""
+    serves, and the suite continues; a blow-up of the flow stops it."""
     model = config.model
     m_max = _suite_m_max(config)
     budget = PropagationBudget(tol=config.propagation_tol, dt=config.fluctuation_dt)
@@ -267,6 +268,7 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     flow = HartreeFlow(config.phi0, model, config.hartree_dt)
     repeats = Counter(float(t) for t in config.t_samples)
     t_end = max(repeats)
+    flow.at(t_end)  # a blow-up of the shared flow stops the suite here, outside every cell
     tables = {"moments": [], "gaps": [], "parity": [], "conjugation": [], "limiting": []}
 
     def limiting_state():
@@ -335,6 +337,7 @@ def run_coefficient_suite(config: ExperimentConfig) -> SuiteResult:
     budget = PropagationBudget(tol=config.propagation_tol, dt=config.fluctuation_dt)
     t_rem = max(config.t_samples)
     flow = HartreeFlow(config.phi0, model, config.hartree_dt)
+    flow.at(t_rem)  # a blow-up of the shared flow stops the suite here, outside every cell
 
     def reconstruction_cell(n):
         _, err = reconstruct_product(config.phi0, n, k_points, basis, config.eps_trunc)
@@ -377,14 +380,8 @@ COEFFICIENT_FILES = {
 
 
 def emit_rate_csv(path, rows: list[RateScanRow]):
-    write_csv(
-        path,
-        RATE_HEADER,
-        [
-            (r.n, r.t, r.trace_distance, r.hs_distance, r.fitted_slope, r.truncation_loss)
-            for r in sorted(rows, key=lambda r: (r.t, r.n))
-        ],
-    )
+    # a row's fields are the CSV's columns, in order
+    write_csv(path, RATE_HEADER, [astuple(r) for r in sorted(rows, key=lambda r: (r.t, r.n))])
 
 
 def emit_suite_csvs(out_dir, result: SuiteResult, files: dict[str, tuple[str, list[str]]]):

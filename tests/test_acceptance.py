@@ -288,10 +288,10 @@ def test_criterion_8_coherent_state_rate():
         model=_contact_model(3, 1.0), phi0=_geometric(3), t_samples=[0.5], n_values=[2, 3, 4, 6],
         propagation_tol=1e-10,
     )
-    rows = run_coherent_rate_scan(config)
-    slope = rows[0].fitted_slope
+    result = run_coherent_rate_scan(config)
+    slope = result.tables["rate"][0].fitted_slope
     elapsed = time.monotonic() - start
-    ok = abs(slope - (-1.0)) <= 0.25 and not any(r.flagged for r in rows) and elapsed < 600.0
+    ok = abs(slope - (-1.0)) <= 0.25 and result.ok and elapsed < 600.0
     _report(8, ok, f"coherent-state marginal error slope {slope:.3f} (-1 +- 0.25); {elapsed:.1f}s (< 10 min)")
 
 

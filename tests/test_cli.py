@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -96,8 +97,8 @@ BAD_VALUES = {
     "d-fraction": (("model", "d"), 3.7),
     "m_max-fraction": (("fock", "m_max"), 12.9),
     "n_values-fraction": (("scan", "n_values"), [2.7]),
-    "threads-fraction": (("parallelism",), {"threads": 1.9}),
-    "threads-true": (("parallelism",), {"threads": True}),
+    "threads-fraction": (("parallelism", "threads"), 1.9),
+    "threads-true": (("parallelism", "threads"), True),
     "uniform-ratio": (("initial_phi",), {"preset": "uniform", "ratio": 0.5}),
     "delta-ratio": (("initial_phi",), {"preset": "delta", "ratio": 0.5}),
     "dt-true": (("time", "dt"), True),
@@ -105,15 +106,21 @@ BAD_VALUES = {
     "samples-false": (("time", "samples"), [False]),  # [true] also exceeds t_max
     "eps_trunc-string": (("fock", "eps_trunc"), "1e-10"),
     "strength-true": (("model", "potential", "strength"), True),
-    "propagation-string": (("tolerances",), {"propagation": "1e-10"}),
+    "propagation-string": (("tolerances", "propagation"), "1e-10"),
     # non-finite numbers: an infinite tolerance ran with wrong numbers, a NaN
     # sample or an infinite step ended in a traceback, as did an integer
     # beyond the float range
-    "propagation-inf": (("tolerances",), {"propagation": float("inf")}),
+    "propagation-inf": (("tolerances", "propagation"), float("inf")),
     "samples-nan": (("time", "samples"), [float("nan")]),
     "dt-inf": (("time", "dt"), float("inf")),
     "t_max-inf": (("time", "t_max"), float("inf")),
-    "propagation-401-digits": (("tolerances",), {"propagation": 10**400}),
+    "propagation-401-digits": (("tolerances", "propagation"), 10**400),
+    # N lists: a coefficient or remainder N below 1 ended in a traceback, as
+    # did d=0
+    "coeff-n_values-0": (("coefficients", "n_values"), [0, 2]),
+    "remainder-0": (("coefficients", "remainder_n_values"), [0]),
+    "remainder-negative": (("coefficients", "remainder_n_values"), [-1]),
+    "d-0": (("model", "d"), 0),
 }
 
 
@@ -125,7 +132,9 @@ def test_cli_reports_bad_config_inputs(tiny_config, tmp_path, capsys, case):
     # potential or orbital key its kind does not read,
     # a NaN time step or orbital, and a config path that cannot be read as
     # text are config errors (exit 1), not tracebacks, a silently truncated
-    # value or a run that fails later
+    # value or a run that fails later; a bad value's message names its
+    # group.key
+    key = "config error:"
     if case == "directory":
         config = tmp_path / "dir"
         config.mkdir()
@@ -136,13 +145,15 @@ def test_cli_reports_bad_config_inputs(tiny_config, tmp_path, capsys, case):
         keys, value = BAD_VALUES[case]
         cfg = json.loads(tiny_config.read_text())
         node = cfg
-        for key in keys[:-1]:
-            node = node[key]
+        for group in keys[:-1]:
+            node = node.setdefault(group, {})
         node[keys[-1]] = value
         tiny_config.write_text(json.dumps(cfg))
         config = tiny_config
+        key = ".".join(keys[:2])
     assert main(["hartree", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
 
 
 @pytest.mark.parametrize("where", ["file", "under-a-file"])
@@ -196,7 +207,9 @@ def test_cli_remainder_cutoff_below_n_is_recorded(tiny_config, tmp_path, capsys)
     assert (out / "remainder.csv").read_text().strip() == "N,t,site,abs_value,total_square"
 
 
-def test_cli_capacity_error_exit_code(tmp_path):
+def test_cli_capacity_error_exit_code(tmp_path, capsys):
+    # the fluctuation suite's trajectories share one basis, built outside
+    # every cell: over fock.capacity it stops the run with exit 2
     cfg = {
         "model": {"d": 5, "potential": {"kind": "contact"}},
         "scan": {"n_values": [30]},
@@ -205,7 +218,63 @@ def test_cli_capacity_error_exit_code(tmp_path):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert main(["product-scan", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert main(["fluctuation-suite", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("capacity error:")
+
+
+def test_cli_rate_scan_cell_capacity_error_is_recorded(tmp_path, capsys):
+    # each product-scan N builds its own basis inside its cell: N=30 at d=5
+    # exceeds fock.capacity, is one recorded failure, and N=2 keeps its rows
+    cfg = {
+        "model": {"d": 5, "potential": {"kind": "contact"}},
+        "scan": {"n_values": [2, 30]},
+        "time": {"samples": [0.1], "t_max": 0.1},
+        "fock": {"m_max": 30, "capacity": 100},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["product-scan", "--config", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "product-scan FLAG [product N=30]: CapacityError" in captured.err
+    assert "product-scan: 1 rows, 1 failed cells" in captured.out
+    rows = (out / "product_rate.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["2"]
+
+
+def test_cli_all_records_a_failed_slope_fit(tmp_path, capsys):
+    # at t=8e-7 only N=2 of the desk scan lies above the slope floor: the fit
+    # of that time is one recorded failure with empty slopes, and every suite
+    # still runs and writes its CSVs
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "desk.json").read_text())
+    cfg["time"]["samples"] = [8e-7, 0.25]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(path), "--out", str(out)]) == 3
+    flags = [line for line in capsys.readouterr().err.splitlines() if "FLAG" in line]
+    assert len(flags) == 1 and flags[0].startswith("coherent-scan FLAG [coherent t=8e-07]: FockLabError")
+    assert len(list(out.glob("*.csv"))) == 12
+    rows = [line.split(",") for line in (out / "coherent_rate.csv").read_text().splitlines()[1:]]
+    assert {r[4] for r in rows if float(r[1]) == 8e-7} == {""}
+    assert all(r[4] for r in rows if float(r[1]) == 0.25)
+
+
+@pytest.mark.parametrize("suite", ["product-scan", "coherent-scan", "fluctuation-suite", "coeff-suite"])
+def test_cli_hartree_blowup_stops_the_suite(tmp_path, capsys, suite):
+    # RK4 at dt=0.9 leaves the unit sphere by the first node; the flow a
+    # suite shares is outside every cell, so its blow-up is one error line
+    # (exit 3), not one recorded failure per cell
+    cfg = {
+        "model": {"d": 3, "potential": {"kind": "contact", "strength": 1.0}},
+        "time": {"t_max": 1.0, "dt": 0.9, "samples": [1.0]},
+        "scan": {"n_values": [2, 3, 4]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([suite, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: mass drift") and len(err.splitlines()) == 1
 
 
 def test_cli_tolerance_violation_exit_code(tmp_path, capsys):

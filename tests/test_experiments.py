@@ -77,7 +77,7 @@ def test_product_scan_zero_cases():
     # free evolution keeps factorization exactly; what remains is integrator
     # noise, which sits at the slope floor and fits to a flat line
     cfg = _config(model=LatticeModel(3, Potential.zero(3)))
-    rows = run_product_rate_scan(cfg)
+    rows = run_product_rate_scan(cfg).tables["rate"]
     assert all(r.trace_distance < 1e-10 for r in rows)
     assert all(r.fitted_slope is None or abs(r.fitted_slope) < 0.1 for r in rows)
     assert all(r.truncation_loss == 0.0 for r in rows)
@@ -85,7 +85,7 @@ def test_product_scan_zero_cases():
 
 def test_product_scan_t0_is_zero_and_slopes_attach():
     cfg = _config(t_samples=[0.0, 0.4])
-    rows = run_product_rate_scan(cfg)
+    rows = run_product_rate_scan(cfg).tables["rate"]
     at0 = [r for r in rows if r.t == 0.0]
     assert all(r.trace_distance < 1e-12 for r in at0)
     at_t = [r for r in rows if r.t == 0.4]
@@ -95,11 +95,12 @@ def test_product_scan_t0_is_zero_and_slopes_attach():
 
 def test_coherent_scan_reports_truncation_loss():
     cfg = _config(n_values=[2, 3, 4], m_max="auto", t_samples=[0.0, 0.3])
-    rows = run_coherent_rate_scan(cfg)
+    result = run_coherent_rate_scan(cfg)
+    rows = result.tables["rate"]
     at0 = [r for r in rows if r.t == 0.0]
     assert all(r.trace_distance < 1e-8 for r in at0)
     assert all(0.0 <= r.truncation_loss < 1e-10 for r in rows)
-    assert not any(r.flagged for r in rows)
+    assert result.ok
     # under "auto" each N runs on its own cutoff, and its tail there is the loss
     for r in rows:
         assert r.truncation_loss == poisson_tail(float(r.n), minimal_cutoff(float(r.n), cfg.eps_trunc))
@@ -126,10 +127,11 @@ def test_auto_coherent_scan_matches_single_cutoff_oracle():
     cfg = _config(n_values=[2, 3, 4, 6], m_max="auto", t_samples=[0.0, 0.3, 0.6])
     eps, tol = cfg.eps_trunc, cfg.propagation_tol
     top = minimal_cutoff(6.0, eps)
-    rows = run_coherent_rate_scan(cfg)
+    result = run_coherent_rate_scan(cfg)
+    rows = result.tables["rate"]
     ref = rate_rows_from_zero(dataclasses.replace(cfg, m_max=top), "coherent")
     assert [(r.n, r.t) for r in rows] == [row[:2] for row in ref]
-    assert not any(r.flagged for r in rows)
+    assert result.ok
     for r, row in zip(rows, ref):
         m = minimal_cutoff(float(r.n), eps)
         assert m <= top
@@ -153,20 +155,22 @@ def test_coherent_rate_scan_zero_cases():
         cfg = ExperimentConfig(
             model=LatticeModel(3, potential), phi0=phi, t_samples=[t], n_values=[3], propagation_tol=1e-10
         )
-        [row] = run_coherent_rate_scan(cfg)
-        assert row.trace_distance < 1e-9 and not row.flagged
+        result = run_coherent_rate_scan(cfg)
+        [row] = result.tables["rate"]
+        assert row.trace_distance < 1e-9 and result.ok
 
 
 def test_coherent_scan_flags_instead_of_aborting(tmp_path):
-    # with an integer cutoff every N's state is built and the rows whose
-    # Poisson tail reaches tolerances.truncation_loss (1e-6) are flagged: at
-    # m_max=16 the tails are 5.6e-11, 2.2e-8 and 1.13e-6 for N=2, 3, 4, the
-    # last two beyond eps_trunc (1e-10)
-    rows = run_coherent_rate_scan(_config(m_max=16))
+    # with an integer cutoff every N's state is built; an N whose Poisson
+    # tail reaches tolerances.truncation_loss (1e-6) keeps its rows and is
+    # one failure: at m_max=16 the tails are 5.6e-11, 2.2e-8 and 1.13e-6
+    # for N=2, 3, 4, the last two beyond eps_trunc (1e-10)
+    result = run_coherent_rate_scan(_config(m_max=16))
+    rows = result.tables["rate"]
     assert [(r.n, r.t) for r in rows] == [(n, t) for n in (2, 3, 4) for t in (0.0, 0.3)]
     for r in rows:
         assert r.truncation_loss == poisson_tail(float(r.n), 16)
-        assert r.flagged == (r.n == 4)
+    assert [(probe, cell) for probe, cell, _ in result.failures] == [("coherent", "N=4")]
     cfg = {
         "model": {"d": 3, "potential": {"kind": "contact", "strength": 1.0}},
         "initial_phi": {"preset": "geometric", "ratio": 0.6},
@@ -194,16 +198,18 @@ def test_rate_scans_match_per_sample_evolutions(kind, tol, eps_trunc):
     # every sample from t = 0.  The coherent space (dimension 969) takes the
     # Krylov route; scan and oracle build every N's state whatever its
     # Poisson tail, and eps_trunc does not enter: only N=4, whose tail at
-    # m_max=16 (1.1e-6) reaches tolerances.truncation_loss, is flagged, also
-    # where eps_trunc (1e-10) is below the tails of N=3 and 4.  The product
-    # sectors take the dense route
+    # m_max=16 (1.1e-6) reaches tolerances.truncation_loss, is a failure,
+    # also where eps_trunc (1e-10) is below the tails of N=3 and 4.  The
+    # product sectors take the dense route
     cfg = _config(t_samples=[0.4, 0.0, 0.2, 0.4], m_max=16, eps_trunc=eps_trunc)
     scan = run_product_rate_scan if kind == "product" else run_coherent_rate_scan
-    rows = scan(cfg)
+    result = scan(cfg)
+    rows = result.tables["rate"]
+    failed = {cell for _, cell, _ in result.failures}
     ref = rate_rows_from_zero(cfg, kind)
     assert [(r.n, r.t) for r in rows] == [row[:2] for row in ref]
-    assert [(r.truncation_loss, r.flagged) for r in rows] == [row[4:] for row in ref]
-    assert {r.n for r in rows if r.flagged} == ({4} if kind == "coherent" else set())
+    assert [(r.truncation_loss, f"N={r.n}" in failed) for r in rows] == [row[4:] for row in ref]
+    assert failed == ({"N=4"} if kind == "coherent" else set())
     for r, row in zip(rows, ref):
         assert abs(r.trace_distance - row[2]) < tol
         assert abs(r.hs_distance - row[3]) < tol
@@ -320,15 +326,16 @@ def test_coefficient_suite_tables():
 def test_threads_give_identical_results():
     cfg1 = _config(t_samples=[0.0, 0.3])
     cfg4 = _config(t_samples=[0.0, 0.3], threads=4)
-    rows1 = run_product_rate_scan(cfg1)
-    rows4 = run_product_rate_scan(cfg4)
+    rows1 = run_product_rate_scan(cfg1).tables["rate"]
+    rows4 = run_product_rate_scan(cfg4).tables["rate"]
     assert [(r.n, r.t, r.trace_distance) for r in rows1] == [
         (r.n, r.t, r.trace_distance) for r in rows4
     ]
     # under "auto" the coherent scan builds every N's basis inside its pool cell
     def coherent(threads):
         cfg = _config(n_values=[2, 3, 4, 6], m_max="auto", t_samples=[0.0, 0.3], threads=threads)
-        return [(r.n, r.t, r.trace_distance, r.hs_distance, r.truncation_loss) for r in run_coherent_rate_scan(cfg)]
+        rows = run_coherent_rate_scan(cfg).tables["rate"]
+        return [(r.n, r.t, r.trace_distance, r.hs_distance, r.truncation_loss) for r in rows]
 
     assert coherent(1) == coherent(4)
 
