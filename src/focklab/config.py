@@ -62,6 +62,8 @@ class ExperimentConfig:
         ):
             if any(n < 1 for n in values):
                 raise ConfigError(f"{key} must be positive integers, got {values}")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} must not repeat a value, got {values}")
         if isinstance(self.m_max, str):
             if self.m_max != "auto":
                 raise ConfigError("fock.m_max must be an integer or 'auto'")
@@ -74,6 +76,8 @@ class ExperimentConfig:
         ):
             if not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value}")
+        if self.capacity < 1:
+            raise ConfigError(f"fock.capacity must be >= 1, got {self.capacity}")
         if self.threads < 1:
             raise ConfigError("parallelism.threads must be >= 1")
 

@@ -175,8 +175,11 @@ def reconstruct_product(
     By gauge covariance the node-theta coherent state is the theta=0 state
     with each sector-m amplitude times e^{-i theta m}.  So the average is one
     coherent state with sector m weighted by (1/K) sum_k e^{i theta_k (N - m)}:
-    1 on sector N and, up to rounding, 0 on the others.
+    1 on sector N and, up to rounding, 0 on the others.  An N above the
+    cutoff is a ``TruncationError``.
     """
+    if n > basis.m_max:
+        raise TruncationError(f"N={n} exceeds the basis cutoff m_max={basis.m_max}")
     if k_points <= basis.m_max:
         raise AliasingError(
             f"K={k_points} <= m_max={basis.m_max} aliases sectors congruent mod K"

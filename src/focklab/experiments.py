@@ -27,7 +27,7 @@ from .decomposition import (
     remainder_probe,
     scaled_from_r,
 )
-from .errors import FockLabError
+from .errors import FockLabError, TruncationError
 from .fluctuations import (
     FluctuationOperators,
     conjugation_identity_residual,
@@ -224,16 +224,19 @@ def run_coherent_rate_scan(config: ExperimentConfig) -> SuiteResult:
     scan builds the state whatever that tail is, reports it, and records a
     failure for the N when it reaches ``tolerances.truncation_loss``.  H
     conserves particle number, so every sector keeps its weight in time and
-    the tail is the loss at every t.  Under ``m_max = "auto"`` each N
-    therefore runs on its own ``minimal_cutoff(N, eps_trunc)``, where that
-    tail is below ``eps_trunc``; an integer ``m_max`` is every N's cutoff."""
+    the tail is the loss at every t.  Each N builds its basis on
+    ``_cutoff(config, N)`` inside its cell: under ``m_max = "auto"`` that is
+    ``minimal_cutoff(N, eps_trunc)``, where the tail is below ``eps_trunc``.
+    An N above its cutoff is a ``TruncationError``."""
     model = config.model
     budget = PropagationBudget(tol=config.propagation_tol)
-    shared = None if config.m_max == "auto" else build_basis(model.d, config.m_max, capacity=config.capacity)
 
     def start(n):
-        basis = shared or build_basis(model.d, minimal_cutoff(float(n), config.eps_trunc), capacity=config.capacity)
-        loss = poisson_tail(float(n), basis.m_max)
+        m_max = _cutoff(config, n)
+        if n > m_max:
+            raise TruncationError(f"N={n} exceeds the basis cutoff m_max={m_max}")
+        basis = build_basis(model.d, m_max, capacity=config.capacity)
+        loss = poisson_tail(float(n), m_max)
         psi = coherent_state(np.sqrt(n) * config.phi0, basis, eps_trunc=1.0)  # any tail: the rows report it
         prop = StaticPropagator(
             build_fock_hamiltonian(model, n, basis).matrix, budget, sectors=basis.sector_offsets
@@ -243,9 +246,11 @@ def run_coherent_rate_scan(config: ExperimentConfig) -> SuiteResult:
     return _rate_scan(config, "coherent", start)
 
 
-def _suite_m_max(config: ExperimentConfig) -> int:
+def _cutoff(config: ExperimentConfig, n: int) -> int:
+    """The cutoff of a basis for N: the integer ``fock.m_max``, or else
+    ``minimal_cutoff(N, eps_trunc)``."""
     if isinstance(config.m_max, str):
-        return minimal_cutoff(float(max(config.n_values)), config.eps_trunc)
+        return minimal_cutoff(float(n), config.eps_trunc)
     return config.m_max
 
 
@@ -261,9 +266,8 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     reductions over those states.  A failed cell flags every probe it
     serves, and the suite continues; a blow-up of the flow stops it."""
     model = config.model
-    m_max = _suite_m_max(config)
     budget = PropagationBudget(tol=config.propagation_tol, dt=config.fluctuation_dt)
-    basis = build_basis(model.d, m_max, capacity=config.capacity)
+    basis = build_basis(model.d, _cutoff(config, max(config.n_values)), capacity=config.capacity)
     ops = FluctuationOperators(model, basis)
     flow = HartreeFlow(config.phi0, model, config.hartree_dt)
     repeats = Counter(float(t) for t in config.t_samples)
@@ -298,9 +302,7 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
         # displaces to amplitude sqrt(N), so this cell sizes its own basis
         m_conj = minimal_cutoff(float(n), config.eps_trunc)
         res = conjugation_identity_residual(
-            flow, n, t_end,
-            PropagationBudget(tol=config.propagation_tol),
-            basis=build_basis(model.d, m_conj, capacity=config.capacity),
+            flow, n, t_end, budget, basis=build_basis(model.d, m_conj, capacity=config.capacity)
         )
         return {"conjugation": [("conjugation", n, "", t_end, res, displacement_floor(n, m_conj))]}
 
@@ -331,8 +333,7 @@ def run_coefficient_suite(config: ExperimentConfig) -> SuiteResult:
             partial += am * am
             tables["coefficients"].append((n, m, str(r), am, abs(partial - dn2) / dn2))
 
-    m_rec = _suite_m_max(config)
-    basis = build_basis(model.d, m_rec, capacity=config.capacity)
+    basis = build_basis(model.d, _cutoff(config, max(config.n_values)), capacity=config.capacity)
     k_points = basis.m_max + 1  # the smallest alias-free quadrature
     budget = PropagationBudget(tol=config.propagation_tol, dt=config.fluctuation_dt)
     t_rem = max(config.t_samples)
@@ -348,11 +349,7 @@ def run_coefficient_suite(config: ExperimentConfig) -> SuiteResult:
         rep = remainder_probe(flow, n, t_rem, build_basis(model.d, m_fn, capacity=config.capacity), budget)
         return {"remainder": [(n, t_rem, x, float(val), rep.total_square) for x, val in enumerate(rep.site_abs)]}
 
-    cells = [
-        _guarded("reconstruction", f"N={n}", lambda n=n: reconstruction_cell(n))
-        for n in config.n_values
-        if n <= basis.m_max
-    ]
+    cells = [_guarded("reconstruction", f"N={n}", lambda n=n: reconstruction_cell(n)) for n in config.n_values]
     cells += [_guarded("remainder", f"N={n}", lambda n=n: remainder_cell(n)) for n in config.remainder_n_values]
     return SuiteResult(tables, _merge_cells(tables, cells, config.threads))
 

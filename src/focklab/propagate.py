@@ -6,9 +6,9 @@ Two engines and one sampling policy:
   a cached dense eigendecomposition up to ``DENSE_CUTOFF`` and, above it, a
   Lanczos/Krylov approximation on the three-term recurrence (no full
   reorthogonalization) in adaptive substeps, each basis stopping at the
-  first dimension whose iterate has converged.  Given the number sectors H
-  conserves, the Krylov route runs on H minus each sector's mean diagonal,
-  held as a complex matrix, and restores the sector phases exactly.
+  first dimension whose iterate has converged.  The Krylov route runs on H
+  minus each number sector's mean diagonal (one sector by default), held
+  as a complex matrix, and restores the sector phases exactly.
 * ``evolve_timedep`` integrates a time-dependent generator family with the
   midpoint exponential rule (second-order Magnus): one Krylov exponential of
   gen(t + dt/2) per step.  Steps may run backward (t1 < t0).  An optional
@@ -264,36 +264,33 @@ class StaticPropagator:
     """Reusable exp(-i H t) for a fixed Hermitian H.
 
     Dense spectral factorization is computed once when the dimension permits;
-    otherwise each apply falls back to the Krylov engine.
+    otherwise each apply runs the Krylov engine on H centred on its number
+    sectors.
 
-    ``sectors``, the offsets of the number sectors H conserves (as
-    ``OccupationBasis.sector_offsets``), centres the Krylov route (above
-    ``DENSE_CUTOFF``) on each sector.  With f(k) the mean diagonal of H over
-    sector k and F the operator that is f(k) on sector k, F commutes with
-    H, so exp(-i H t) = exp(-i F t) exp(-i (H - F) t) exactly.  The Krylov
-    engine then resolves the spread of H within the sectors, not the spread
-    of their centres, and each apply restores the sector phases
-    exp(-i f(k) t).  On that route an H with an entry between two sectors
-    is a ``ValueError``.  Every Krylov route holds its operator (H, or
-    H - F) once as a complex matrix: scipy would convert a real one on
-    every product.  ``h`` stays the H that was passed in.
+    ``sectors`` holds the offsets of the number sectors H conserves (as
+    ``OccupationBasis.sector_offsets``); by default the whole space is one
+    sector.  With f(k) the mean diagonal of H over sector k and F the
+    operator that is f(k) on sector k, F commutes with H, so
+    exp(-i H t) = exp(-i F t) exp(-i (H - F) t) exactly, for one sector
+    whatever H is.  The Krylov engine then resolves the spread of H within
+    the sectors, not the spread of their centres, and each apply restores
+    the sector phases exp(-i f(k) t).  An H with an entry between two given
+    sectors is a ``ValueError``.  The route holds H - F once as a complex
+    matrix (scipy would convert a real one on every product) and keeps no
+    reference to the H passed in.
     """
 
     def __init__(self, h_sparse, budget: PropagationBudget, sectors=None):
         self.budget = budget
-        self.h = h_sparse
         self.dim = h_sparse.shape[0]
         self._dense = None
-        self._centres = None
         if self.dim <= DENSE_CUTOFF:
             dense = np.asarray(h_sparse.todense())
             if not np.isfinite(dense).all():
                 raise ConvergenceError(_NON_FINITE)
             self._dense = eigh(dense)
             return
-        op = h_sparse
-        if sectors is not None:
-            op, self._centres, self._sizes = _centre_sectors(h_sparse, sectors)
+        op, self._centres, self._sizes = _centre_sectors(h_sparse, (0, self.dim) if sectors is None else sectors)
         self._krylov_op = op.astype(np.complex128, copy=False)
 
     def apply(self, psi, t: float):
@@ -305,8 +302,7 @@ class StaticPropagator:
             out = u @ (np.exp(-1j * w * t) * (u.conj().T @ amp))
         else:
             out = expm_apply(self._krylov_op, amp, t, self.budget)
-            if self._centres is not None:
-                out *= np.repeat(np.exp(-1j * t * self._centres), self._sizes)
+            out *= np.repeat(np.exp(-1j * t * self._centres), self._sizes)
         return _wrap(out, basis)
 
 

@@ -121,6 +121,13 @@ BAD_VALUES = {
     "remainder-0": (("coefficients", "remainder_n_values"), [0]),
     "remainder-negative": (("coefficients", "remainder_n_values"), [-1]),
     "d-0": (("model", "d"), 0),
+    # a repeated N wrote its rows twice and entered the slope fit twice; a
+    # capacity below 1 failed every basis later, at run time
+    "n_values-repeat": (("scan", "n_values"), [2, 2, 3, 4]),
+    "coeff-n_values-repeat": (("coefficients", "n_values"), [1, 2, 2]),
+    "remainder-repeat": (("coefficients", "remainder_n_values"), [2, 2]),
+    "capacity-negative": (("fock", "capacity"), -1),
+    "capacity-0": (("fock", "capacity"), 0),
 }
 
 
@@ -194,17 +201,35 @@ def test_cli_rejects_non_positive_threads(tiny_config, tmp_path, capsys, threads
 
 
 def test_cli_remainder_cutoff_below_n_is_recorded(tiny_config, tmp_path, capsys):
-    # eps_trunc 0.9 sizes the remainder basis for N=2 at m_max=0, below N:
-    # the cell records a TruncationError, the CSVs are written, exit 3
+    # eps_trunc 0.9 sizes the remainder basis for N=2 at m_max=0, below N,
+    # and the reconstruction basis at minimal_cutoff(4, 0.9) = 2: each of
+    # those cells records a TruncationError (a reconstruction N above the
+    # cutoff is not dropped without a trace), the CSVs are written, exit 3
     cfg = json.loads(tiny_config.read_text())
     cfg["fock"]["eps_trunc"] = 0.9
     tiny_config.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["coeff-suite", "--config", str(tiny_config), "--out", str(out)]) == 3
-    assert "FLAG [remainder N=2]: TruncationError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    for cell in ("remainder N=2", "reconstruction N=3", "reconstruction N=4"):
+        assert f"FLAG [{cell}]: TruncationError" in err
     for name in ("coefficients.csv", "parseval.csv", "reconstruction.csv", "remainder.csv"):
         assert (out / name).exists()
     assert (out / "remainder.csv").read_text().strip() == "N,t,site,abs_value,total_square"
+    rows = (out / "reconstruction.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["2"]
+
+
+def test_cli_coherent_scan_n_above_its_cutoff_is_recorded(tiny_config, tmp_path, capsys):
+    # eps_trunc 0.9 sizes the coherent basis for N=2 at m_max=0, the vacuum
+    # alone: the N records a TruncationError, the CSV is written, exit 3
+    cfg = json.loads(tiny_config.read_text())
+    cfg["fock"]["eps_trunc"] = 0.9
+    tiny_config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["coherent-scan", "--config", str(tiny_config), "--out", str(out)]) == 3
+    assert "coherent-scan FLAG [coherent N=2]: TruncationError" in capsys.readouterr().err
+    assert (out / "coherent_rate.csv").exists()
 
 
 def test_cli_capacity_error_exit_code(tmp_path, capsys):
