@@ -11,6 +11,7 @@ number-operator moments cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, lgamma
 from typing import Iterator
 
@@ -54,7 +55,9 @@ class OccupationBasis:
     tuple -> index map is stored, and the tuples are built by unranking
     every position.  The per-site annihilation matrices, from
     which every composite operator in the package is built, are built here
-    from that rank, so a basis is read-only once constructed.
+    from that rank, so a basis is read-only once constructed.  The tables
+    of the Weyl operators (``mode_rotation``) are built on first use and
+    kept with the basis.
     """
 
     def __init__(self, d: int, m_max: int, capacity: int = DEFAULT_CAPACITY):
@@ -138,6 +141,14 @@ class OccupationBasis:
         """Adjoint of annihilator(x); the image beyond m_max is dropped."""
         return self.annihilator(x).conj().T.tocsr()
 
+    @cached_property
+    def mode_rotation(self):
+        """The index tables and block factorizations ``weyl.weyl_apply`` runs
+        on (``weyl.ModeRotation``), built on first use."""
+        from .weyl import ModeRotation  # weyl builds on this module
+
+        return ModeRotation(self)
+
     def number_diagonal(self) -> np.ndarray:
         return self.totals.astype(float)
 
@@ -190,9 +201,6 @@ class FockVector:
         w = np.abs(self.amp) ** 2
         off = self.basis.sector_offsets
         return np.add.reduceat(w, off[:-1])
-
-    def top_sector_weight(self) -> float:
-        return float(np.sum(np.abs(self.amp[self.basis.sector_slice(self.basis.m_max)]) ** 2))
 
 
 def annihilate(x: int, psi: FockVector) -> FockVector:

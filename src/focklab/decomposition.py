@@ -201,10 +201,12 @@ def displaced_product_profile(
     budget: PropagationBudget,
 ) -> FockVector:
     """psi(theta) = d_N e^{-i theta N} W*(e^{-i theta} sqrt(N) phi) phi^{x(N-1)};
-    the integrand state of the product-state phase average, norm d_N."""
+    the integrand state of the product-state phase average, norm d_N.
+    ``budget`` is unused, since W is applied exactly (``weyl.weyl_apply``):
+    it stays only because the benchmark's gate passes it."""
     dn = product_norm_constant(n)
     base = embed_product_state(phi, n - 1, basis)
-    shifted = weyl_apply(-np.exp(-1j * theta) * sqrt(n) * np.asarray(phi, complex), base, budget)
+    shifted = weyl_apply(-np.exp(-1j * theta) * sqrt(n) * np.asarray(phi, complex), base)
     return FockVector(basis, dn.value * np.exp(-1j * theta * n) * shifted.amp)
 
 

@@ -9,6 +9,10 @@ from the instantaneous Hartree orbital phi_t:
 * ``reduced``  — full without the cubic term (parity conserving);
 * ``limiting`` — the quadratic form only; independent of N.
 
+``full`` acts on the whole basis.  ``reduced`` and ``limiting`` conserve the
+parity of the number, and every probe starts them from the vacuum, so they
+act on the even sectors only (``Space``).
+
 The probes below certify algebraic identities (Weyl conjugation of the
 Heisenberg-evolved ladder operator), growth of the number of particles,
 and the gaps between the dynamics, all from the vacuum.  The vacuum probes
@@ -128,6 +132,40 @@ def _entry_keys(coo) -> np.ndarray:
     return coo.row.astype(np.int64) * coo.shape[1] + coo.col
 
 
+class Space:
+    """The states a generator kind acts on, in basis order: every sector of
+    ``basis``, or (``even``) the even sectors only.  ``positions`` are their
+    basis positions, ``offsets[k]`` counts them in the sectors below k, and
+    ``top`` is the highest sector they reach."""
+
+    def __init__(self, basis: OccupationBasis, even: bool):
+        keep = basis.totals % 2 == 0 if even else np.ones(basis.size, dtype=bool)
+        self.basis = basis
+        self.positions = np.flatnonzero(keep)
+        self._outside = np.flatnonzero(~keep)
+        per_sector = np.bincount(basis.totals[keep], minlength=basis.m_max + 1)
+        self.offsets = np.concatenate(([0], np.cumsum(per_sector)))
+        self.top = basis.m_max - basis.m_max % 2 if even else basis.m_max
+
+    @property
+    def size(self) -> int:
+        return len(self.positions)
+
+    def restrict(self, psi: FockVector) -> np.ndarray:
+        """psi's amplitudes on the space; a psi with amplitude elsewhere is
+        a ``ValueError``."""
+        if np.any(psi.amp[self._outside]):
+            raise ValueError("the state has amplitude outside the sectors this generator acts on")
+        return psi.amp[self.positions]
+
+    def embed(self, amp: np.ndarray) -> FockVector:
+        """The state on the space's first len(amp) states as a vector on the
+        whole basis."""
+        out = np.zeros(self.basis.size, dtype=complex)
+        out[self.positions[: len(amp)]] = amp
+        return FockVector(self.basis, out)
+
+
 def bogoliubov_pair(model: LatticeModel, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Hermitian A = T + diag(v * |phi|^2) + v(x-y) phi_x conj(phi_y) and
     the symmetric B = v(x-y) phi_x phi_y of the quadratic generator at phi,
@@ -146,9 +184,12 @@ class FluctuationOperators:
     diagonal.  ``bogoliubov_pair`` weights a*_x a_y (x != y) by A_xy and
     a*_x a*_y (x <= y, halved when x = y) by B_xy; the cubic a*_x a*_y a_x
     carries v(x-y) phi_t(y) N^{-1/2}; the diagonal is occupation @ Re diag(A)
-    plus quartic/N.  ``__init__`` lays out one pattern for ``full`` and one
-    shared by ``reduced`` and ``limiting``; an assembly is then one small
-    sparse product into the pattern's data.
+    plus quartic/N.  ``__init__`` lays out one pattern for ``full`` on the
+    whole basis and one shared by ``reduced`` and ``limiting`` on the even
+    sectors (``space``): their monomials are built on the whole basis, since
+    their ladder factors pass through the odd sectors, and restricted to the
+    even states.  An assembly is then one small sparse product into the
+    pattern's data.
     """
 
     def __init__(self, model: LatticeModel, basis: OccupationBasis):
@@ -170,39 +211,50 @@ class FluctuationOperators:
         pairs = [ad[x] @ ad[y] * (0.5 if x == y else 1.0) for x, y in zip(*self._pair_sites)]  # a*_x a*_y
         cubic = [ad[x] @ (ad[y] @ a[x]) for x, y in zip(*self._cubic_sites)]                   # a*_x a*_y a_x
         quadratic = [*hops, *pairs, *(m.T for m in pairs)]
-        self._reduced = _Layout(quadratic, basis.size)
         self._full = _Layout(quadratic + cubic + [m.T for m in cubic], basis.size)
+        self._whole = Space(basis, even=False)
+        self._even = Space(basis, even=True)
+        keep = self._even.positions
+        self._reduced = _Layout([m[keep][:, keep] for m in quadratic], self._even.size)
+        self._even_diagonals = (self.occupation[keep], self.quartic_diag[keep])
+
+    def space(self, kind: str) -> Space:
+        """The states the generator of ``kind`` acts on."""
+        return self._whole if kind == "full" else self._even
 
     def _fill(self, kind: str, n: int, phi: np.ndarray, rows: int) -> csr_matrix:
         """The generator's first ``rows`` rows (see ``_Layout.fill``)."""
         a, b = bogoliubov_pair(self.model, phi)
         coefficients = np.concatenate([a[self._hop_sites], b[self._pair_sites], b[self._pair_sites].conj()])
-        diagonal = self.occupation[:rows] @ a.diagonal().real
+        occupation, quartic = (self.occupation, self.quartic_diag) if kind == "full" else self._even_diagonals
+        diagonal = occupation[:rows] @ a.diagonal().real
         if kind == "limiting":
             return self._reduced.fill(coefficients, diagonal)
-        diagonal = diagonal + self.quartic_diag[:rows] / n
+        diagonal = diagonal + quartic[:rows] / n
         if kind == "reduced":
             return self._reduced.fill(coefficients, diagonal)
         cubic = (self.model.vmat * phi)[self._cubic_sites] / np.sqrt(n)
         return self._full.fill(np.concatenate([coefficients, cubic, np.conj(cubic)]), diagonal)
 
     def assemble(self, kind: str, n: int, phi: np.ndarray, top: int | None = None):
-        """The generator of the requested kind at Hartree orbital phi.
+        """The generator of the requested kind at Hartree orbital phi, on
+        ``space(kind)``.
 
-        With ``top`` below the basis cutoff, the generator on the sectors
-        [0, top] only: the leading block of the whole generator, which is
-        the generator on the basis cut at ``top`` (see ``SectorWindow``):
-        only the block's rows are filled, and a ``_LeadingBlock`` is
-        returned."""
+        With ``top`` below the space's top sector, the generator on its
+        sectors [0, top] only: the leading block of the whole generator,
+        which is the generator on the basis cut at ``top`` (see
+        ``SectorWindow``): only the block's rows are filled, and a
+        ``_LeadingBlock`` is returned."""
         if kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {kind!r}")
         if kind != "limiting" and n < 1:
             raise ValueError("N must be >= 1")
-        rows = self.basis.size
-        if top is not None and top < self.basis.m_max:
-            rows = int(self.basis.sector_offsets[top + 1])
+        space = self.space(kind)
+        rows = space.size
+        if top is not None and top < space.top:
+            rows = int(space.offsets[top + 1])
         gen = self._fill(kind, n, phi, rows)
-        return gen if rows == self.basis.size else _LeadingBlock(gen)
+        return gen if rows == space.size else _LeadingBlock(gen)
 
 
 def generator_family(
@@ -229,54 +281,54 @@ def generator_family(
 
 
 class SectorWindow:
-    """The leading sectors [0, top] of ``basis`` a trajectory is evolved on.
+    """The leading sectors [0, top] of a ``Space`` a trajectory is evolved on.
 
     Every generator term is normal ordered (a*a, aa, a*a*, a*a*a, a*aa and
     occupation diagonals), so no factor of a matrix element passes through a
     sector above both of its ends: the generator on the basis cut at m is
-    exactly the leading block of the generator on ``basis``.  A state held
-    on [0, top] therefore evolves exactly as on the basis cut at top.  The
-    window starts at [0, WINDOW_STEP]; ``widen`` is the per-step hook of
-    ``evolve_timedep`` that grows it.
+    exactly the leading block of the generator on the space, and the space's
+    sector order keeps that block leading.  A state held on [0, top]
+    therefore evolves exactly as on the basis cut at top.  The window starts
+    at [0, WINDOW_STEP] and grows by WINDOW_STEP sectors up to the space's
+    top, so on the even sectors every top is even; ``widen`` is the per-step
+    hook of ``evolve_timedep`` that grows it.
     """
 
-    def __init__(self, basis: OccupationBasis, tol: float):
-        self.basis = basis
+    def __init__(self, space: Space, tol: float):
+        self.space = space
         self.tol = tol
-        self.top = min(WINDOW_STEP, basis.m_max)
+        self.top = min(WINDOW_STEP, space.top)
 
     @property
     def dim(self) -> int:
-        return int(self.basis.sector_offsets[self.top + 1])
+        return int(self.space.offsets[self.top + 1])
 
     def widen(self, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
         """None to accept a step from ``start`` to ``end``.  If ``end`` holds
         more than tol**2 of its squared norm in the top sector, and the
-        window is not yet the whole basis, grow the window by WINDOW_STEP
+        window is not yet the whole space, grow the window by WINDOW_STEP
         sectors and return ``start`` zero-padded to it, to redo the step."""
-        if self.top == self.basis.m_max:
+        if self.top == self.space.top:
             return None
-        top = end[self.basis.sector_offsets[self.top]:]
+        top = end[self.space.offsets[self.top]:]
         if np.vdot(top, top).real <= self.tol**2 * np.vdot(end, end).real:
             return None
-        self.top = min(self.top + WINDOW_STEP, self.basis.m_max)
+        self.top = min(self.top + WINDOW_STEP, self.space.top)
         grown = np.zeros(self.dim, dtype=complex)
         grown[: len(start)] = start
         return grown
 
-    def embed(self, amp: np.ndarray) -> FockVector:
-        """A window state as a vector on the whole basis."""
-        out = np.zeros(self.basis.size, dtype=complex)
-        out[: len(amp)] = amp
-        return FockVector(self.basis, out)
 
-
-def check_truncation(psi: FockVector):
-    top = psi.top_sector_weight()
-    total = float(np.vdot(psi.amp, psi.amp).real)
-    if top > TOP_SECTOR_LIMIT * total:
+def check_truncation(amp: np.ndarray, space: Space):
+    """Raise TruncationError if ``amp``, a state on the leading states of
+    ``space``, holds more than TOP_SECTOR_LIMIT of its squared norm in the
+    space's top sector: the highest sector the state can reach, which for
+    the even sectors at an odd cutoff is m_max - 1."""
+    top = amp[space.offsets[space.top]:]
+    weight = float(np.vdot(top, top).real)
+    if weight > TOP_SECTOR_LIMIT * float(np.vdot(amp, amp).real):
         raise TruncationError(
-            f"top-sector occupancy {top:.3e} exceeds {TOP_SECTOR_LIMIT:.0e} of the norm; raise m_max"
+            f"top-sector occupancy {weight:.3e} exceeds {TOP_SECTOR_LIMIT:.0e} of the norm; raise m_max"
         )
 
 
@@ -291,11 +343,13 @@ def evolve_fluctuation(
     budget: PropagationBudget,
 ) -> FockVector:
     """U(t;s) psi for the requested generator kind (time-ordered midpoint
-    rule), on the whole of ``ops.basis``, which holds psi."""
-    gen = generator_family(ops, kind, n, flow)
-    out = evolve_timedep(gen, psi, s, t, budget)
-    check_truncation(out)
-    return out
+    rule), on the whole of ``ops.space(kind)``.  psi lies on ``ops.basis``;
+    for ``reduced`` and ``limiting`` it must be even (no amplitude on an
+    odd sector), else ``ValueError``."""
+    space = ops.space(kind)
+    amp = evolve_timedep(generator_family(ops, kind, n, flow), space.restrict(psi), s, t, budget)
+    check_truncation(amp, space)
+    return space.embed(amp)
 
 
 def fluctuation_trajectory(
@@ -307,27 +361,31 @@ def fluctuation_trajectory(
     budget: PropagationBudget,
 ):
     """Yield (t, U(t;0) vacuum) at each distinct sample time, in increasing
-    order.  The state is evolved once, segment by segment, and only the
-    current state is held.
+    order, as vectors on ``ops.basis``.  The state is evolved once, segment
+    by segment, and only the current state is held.
 
-    Each segment is one ``evolve_timedep`` call on the leading sectors the
-    state occupies (``SectorWindow``).  The window grows whenever a step
-    leaves more than ``budget.tol**2`` of the squared norm in its top
-    sector, and that step is redone from its zero-padded start; so the
-    window's top sector never holds an amplitude above ``budget.tol``.  Once
-    the window is the whole basis, every segment is checked for truncation
-    (``TOP_SECTOR_LIMIT``) as on a fixed cutoff.  ``evolve_fluctuation``
-    evolves on the whole basis throughout and is the oracle."""
-    window = SectorWindow(ops.basis, budget.tol)
+    Each segment is one ``evolve_timedep`` call on the leading sectors of
+    ``ops.space(kind)`` the state occupies (``SectorWindow``).  The window
+    grows whenever a step leaves more than ``budget.tol**2`` of the squared
+    norm in its top sector, and that step is redone from its zero-padded
+    start; so the window's top sector never holds an amplitude above
+    ``budget.tol``.  Once the window is the whole space, every segment is
+    checked for truncation (``TOP_SECTOR_LIMIT``) as on a fixed cutoff.
+    ``evolve_fluctuation`` evolves on the whole space throughout and is the
+    oracle."""
+    space = ops.space(kind)
+    window = SectorWindow(space, budget.tol)
     gen = generator_family(ops, kind, n, flow, window=window)
 
-    def advance(psi, s, t):
-        amp = evolve_timedep(gen, psi.amp[: window.dim], s, t, budget, widen=window.widen)
-        psi = window.embed(amp)
-        check_truncation(psi)
-        return psi
+    def advance(amp, s, t):
+        amp = evolve_timedep(gen, amp, s, t, budget, widen=window.widen)
+        check_truncation(amp, space)
+        return amp
 
-    yield from through_times(advance, FockVector.vacuum(ops.basis), times)
+    vacuum = np.zeros(window.dim, dtype=complex)
+    vacuum[0] = 1.0
+    for t, amp in through_times(advance, vacuum, times):
+        yield t, space.embed(amp)
 
 
 def parity_element(psi: FockVector) -> float:
@@ -369,8 +427,9 @@ def conjugation_identity_residual(
 
     The reduction is exact on the truncated space, where W (the exponential
     of a skew-Hermitian matrix) and e^{-iHt} (H Hermitian) are exactly
-    unitary; their Krylov routes preserve norms to the propagation budget,
-    so the untrimmed two-sided route agrees to within that budget.
+    unitary; W is applied exactly (``weyl.weyl_apply``) and the Krylov route
+    of e^{-iHt} preserves norms to the propagation budget, so the untrimmed
+    two-sided route agrees to within that budget.
 
     The identity is exact only in the untruncated algebra.  At a finite
     cutoff the residual has a floor: at t = 0 every unit vector v obeys
@@ -385,19 +444,18 @@ def conjugation_identity_residual(
     model = flow.model
     f0 = np.sqrt(n) * flow.at(0.0)
     ft = np.sqrt(n) * flow.at(t)
-    # the propagator is released after its one apply: the displacements
-    # below hold Krylov bases of their own
+    # the propagator is released after its one apply
     prop = StaticPropagator(
         build_fock_hamiltonian(model, n, basis).matrix, budget, sectors=basis.sector_offsets
     )
-    psi2 = prop.apply(weyl_apply(f0, FockVector.vacuum(basis), budget), t)
+    psi2 = prop.apply(weyl_apply(f0, FockVector.vacuum(basis)), t)
     del prop
     # second side inner displacement, shared across sites
-    chi_b = weyl_apply(-ft, psi2, budget)
+    chi_b = weyl_apply(-ft, psi2)
     worst = 0.0
     for x in range(model.d):
         lhs = annihilate(x, psi2).amp - ft[x] * psi2.amp
-        rhs = weyl_apply(ft, annihilate(x, chi_b), budget).amp
+        rhs = weyl_apply(ft, annihilate(x, chi_b)).amp
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
 

@@ -4,7 +4,9 @@ The tensor-grid routines work on the full N-particle grid (d^N amplitudes)
 and are kept deliberately independent of the package's occupation-number
 machinery.  The fluctuation and remainder routines are the direct paths the
 package replaced by exact identities or faster layouts: generators summed
-term by term with sparse `+`, every probe evolving its own
+term by term with sparse `+` on the whole basis (for the parity-conserving
+kinds, which the package lays out on the even sectors only), the evolution
+on the whole basis, every probe evolving its own
 trajectories, the conjugation residual routed through both of its sides'
 shared unitary tail, the remainder's K-node phase average, the product
 reconstruction summing one coherent state per quadrature node, rate
@@ -12,7 +14,10 @@ scans evolving every sample time from t = 0, the Lanczos step that
 discards an unconverged basis and bisects its interval, the Lanczos
 substep that orthogonalizes every new vector against its whole basis, and
 the one that checks convergence only at every 4th dimension, and the
-Hartree RK4 step on numpy arrays, which the scalar kernel replaced.  The
+Hartree RK4 step on numpy arrays, which the scalar kernel replaced, and
+the Krylov exponential of the compressed Weyl generator (built from the
+smeared annihilator ``annihilation_of``), which the mode rotation
+replaced.  The
 sector expansion of the displaced product profile is the second route to
 that profile, and the Laguerre sum the second closed form of R_m.  The
 60-digit mpmath routes are the package's former arithmetic for the scaled
@@ -260,6 +265,32 @@ def _reference_substep(matvec, v, t, tol, m_cap, full_reorth, converged):
     return (y * beta0) @ vs, frac
 
 
+def annihilation_of(f, basis):
+    """a(f) = sum_x conj(f_x) a_x (antilinear in f), as a sparse matrix."""
+    f = np.asarray(f, dtype=complex)
+    out = csr_matrix((basis.size, basis.size), dtype=complex)
+    for x in range(basis.d):
+        if f[x] != 0:
+            out = out + np.conj(f[x]) * basis.annihilator(x)
+    return out.tocsr()
+
+
+def weyl_generator(f, basis):
+    """The skew-Hermitian a*(f) - a(f)."""
+    a = annihilation_of(f, basis)
+    return (a.conj().T - a).tocsr()
+
+
+def weyl_apply_krylov(f, psi, budget):
+    """W(f) psi = exp(a*(f) - a(f)) psi by the Krylov exponential of the
+    compressed generator, to ``budget.tol``."""
+    f = np.asarray(f, dtype=complex)
+    if not np.any(f):
+        return psi.copy()
+    h = (1j * weyl_generator(f, psi.basis)).tocsr()  # Hermitian; exp(S) = exp(-i H) with H = iS
+    return FockVector(psi.basis, expm_apply(h, psi.amp, 1.0, budget))
+
+
 def scaled_coefficient_mp(n: int, m: int) -> float:
     """A_m = R_m / (sqrt(m!) N^{m/2}) in mpmath at MP_DPS digits, R_m by the Leibniz form."""
     r = coeff_leibniz_form(n, m)
@@ -486,7 +517,9 @@ def cubic(ops, phi, n):
 
 
 def assemble_by_terms(ops, kind, n, phi):
-    """The generator of the requested kind, summed term by term."""
+    """The generator of the requested kind on the whole basis, summed term by
+    term from ladder products (the package lays ``reduced`` and ``limiting``
+    out on the even sectors only)."""
     out = quadratic(ops, phi)
     if kind == "limiting":
         return out
@@ -494,6 +527,12 @@ def assemble_by_terms(ops, kind, n, phi):
     if kind == "full":
         out = out + cubic(ops, phi, n)
     return out.tocsr()
+
+
+def evolve_whole_basis(ops, kind, n, flow, psi, t, budget):
+    """U(t;0) psi on the whole basis, with the generator summed term by term
+    (``assemble_by_terms``) at every midpoint and no window."""
+    return evolve_timedep(lambda s: assemble_by_terms(ops, kind, n, flow.at(s)), psi, 0.0, t, budget)
 
 
 def conjugation_residual_full_route(model, n, phi0, t, budget, m_max, hartree_dt=1e-3):
@@ -507,14 +546,14 @@ def conjugation_residual_full_route(model, n, phi0, t, budget, m_max, hartree_dt
     def prop(psi, t):  # the Krylov route on the raw H, not the cell's centred one
         return FockVector(basis, expm_apply(h, psi.amp, t, budget))
 
-    psi2 = prop(weyl_apply(f0, FockVector.vacuum(basis), budget), t)
-    chi_b = weyl_apply(-ft, psi2, budget)
+    psi2 = prop(weyl_apply(f0, FockVector.vacuum(basis)), t)
+    chi_b = weyl_apply(-ft, psi2)
     worst = 0.0
     for x in range(model.d):
         lhs = annihilate(x, psi2)
         lhs.amp -= ft[x] * psi2.amp
-        lhs = weyl_apply(-f0, prop(lhs, -t), budget)
-        rhs = weyl_apply(ft, annihilate(x, chi_b), budget)
-        rhs = weyl_apply(-f0, prop(rhs, -t), budget)
+        lhs = weyl_apply(-f0, prop(lhs, -t))
+        rhs = weyl_apply(ft, annihilate(x, chi_b))
+        rhs = weyl_apply(-f0, prop(rhs, -t))
         worst = max(worst, float(np.linalg.norm(lhs.amp - rhs.amp)))
     return worst

@@ -156,7 +156,7 @@ def test_lemma_bounds_random(d, m, seed):
     rng = np.random.default_rng(seed)
     psi = _random_state(b, rng, max_sector=m - 2)
     f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    from focklab.weyl import annihilation_of
+    from oracles import annihilation_of
 
     a = annihilation_of(f, b)
     nf = np.linalg.norm(f)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -20,7 +22,7 @@ from focklab.hartree import HartreeFlow, energy
 from focklab.model import Potential, build_sector_hamiltonian, kinetic_matrix
 from focklab.propagate import PropagationBudget, StaticPropagator
 from focklab.weyl import weyl_apply
-from oracles import assemble_by_terms, conjugation_residual_full_route
+from oracles import assemble_by_terms, conjugation_residual_full_route, evolve_whole_basis
 
 
 def _phi(d, seed=0):
@@ -37,6 +39,13 @@ def setup():
     return model, basis, _phi(d), FluctuationOperators(model, basis)
 
 
+def _on_space(matrix, ops, kind):
+    """The rows and columns of ``matrix`` (on the whole basis) that
+    ``ops.space(kind)`` holds."""
+    keep = ops.space(kind).positions
+    return matrix.tocsr()[keep][:, keep]
+
+
 def test_all_kinds_hermitian(setup):
     model, basis, phi, ops = setup
     for kind in GENERATOR_KINDS:
@@ -51,10 +60,20 @@ def parity_commutator_norm(gen, basis):
 
 
 def test_parity_conservation_pattern(setup):
-    model, basis, phi, ops = setup
-    assert parity_commutator_norm(ops.assemble("reduced", 4, phi), basis) == 0.0
-    assert parity_commutator_norm(ops.assemble("limiting", 4, phi), basis) == 0.0
-    assert parity_commutator_norm(ops.assemble("full", 4, phi), basis) > 0.1
+    # the whole-basis reduced and limiting generators have an exactly empty
+    # block between the even and the odd sectors, at every phi and N, which
+    # is what lets the package lay them out on the even sectors only; full
+    # couples them
+    model, basis, _, ops = setup
+    even = basis.totals % 2 == 0
+    for seed, n in [(0, 1), (1, 4), (2, 17)]:
+        phi = _phi(3, seed)
+        for kind in ("reduced", "limiting"):
+            whole = assemble_by_terms(ops, kind, n, phi)
+            assert whole[even][:, ~even].nnz == whole[~even][:, even].nnz == 0
+            assert parity_commutator_norm(whole, basis) == 0.0
+        assert parity_commutator_norm(ops.assemble("full", n, phi), basis) > 0.1
+    assert ops.space("reduced").size == ops.space("limiting").size == np.count_nonzero(even)
 
 
 def test_free_model_all_kinds_are_kinetic(setup):
@@ -68,7 +87,7 @@ def test_free_model_all_kinds_are_kinetic(setup):
     free_ops = FluctuationOperators(model, basis)
     for kind in GENERATOR_KINDS:
         g = free_ops.assemble(kind, 7, phi)
-        assert abs(g - kinetic).max() == 0.0
+        assert abs(g - _on_space(kinetic, free_ops, kind)).max() == 0.0
 
 
 def _flux_kinetic(d, flux):
@@ -100,7 +119,7 @@ def test_assemble_matches_term_by_term_oracle(model):
     phi = _phi(model.d, 3)
     for kind in GENERATOR_KINDS:
         got = ops.assemble(kind, 4, phi)
-        ref = assemble_by_terms(ops, kind, 4, phi)
+        ref = _on_space(assemble_by_terms(ops, kind, 4, phi), ops, kind)
         assert abs(got - ref).max() < 1e-13
 
 
@@ -113,12 +132,13 @@ def test_layout_holds_one_monomial_per_distinct_operator(model):
     ops = FluctuationOperators(model, basis)
     coupled = model.vmat != 0.0
     unordered = sum(coupled[x, y] for x in range(model.d) for y in range(x, model.d))
-    for layout in (ops._reduced, ops._full):
+    for layout, kind in ((ops._reduced, "reduced"), (ops._full, "full")):
+        positions = ops.space(kind).positions
         entries = np.repeat(np.arange(len(layout.indices)), np.diff(layout.term_map.indptr))
-        rows = np.repeat(np.arange(basis.size), np.diff(layout.indptr))[entries]
+        rows = np.repeat(np.arange(len(positions)), np.diff(layout.indptr))[entries]
         cols = layout.indices[entries]
         assert not np.any(rows == cols)
-        raised = basis.totals[rows] - basis.totals[cols]
+        raised = basis.totals[positions[rows]] - basis.totals[positions[cols]]
         terms = layout.term_map.indices
         assert len(np.unique(terms[raised == 2])) == len(np.unique(terms[raised == -2])) == unordered
     a, b = bogoliubov_pair(model, _phi(model.d, 3))
@@ -139,7 +159,7 @@ def test_zero_hopping_builds_both_operators():
     ops = FluctuationOperators(model, basis)
     phi = _phi(d, 3)
     for kind in GENERATOR_KINDS:
-        ref = assemble_by_terms(ops, kind, n, phi)
+        ref = _on_space(assemble_by_terms(ops, kind, n, phi), ops, kind)
         assert abs(ops.assemble(kind, n, phi) - ref).max() < 1e-13
 
 
@@ -148,16 +168,16 @@ def test_windowed_assembly_is_the_generator_at_the_window_cutoff(model):
     # every term is normal ordered, so the generator on the sectors [0, m]
     # is the generator of the basis cut at m, entry for entry (its products
     # with the unit vectors are its columns), and so is its product with
-    # any vector
+    # any vector; on the even sectors too, whose order keeps the block leading
     m_max, n = 8, 4
     ops = FluctuationOperators(model, fl.build_basis(model.d, m_max))
     phi = _phi(model.d, 3)
     rng = np.random.default_rng(4)
     for m in range(m_max):
         cut_ops = FluctuationOperators(model, fl.build_basis(model.d, m))
-        dim = cut_ops.basis.size
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         for kind in GENERATOR_KINDS:
+            dim = cut_ops.space(kind).size
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             got = ops.assemble(kind, n, phi, top=m)
             want = cut_ops.assemble(kind, n, phi)
             assert got.shape == want.shape == (dim, dim)
@@ -192,6 +212,46 @@ def test_windowed_trajectory_matches_whole_basis_evolution(kind):
     assert WINDOW_STEP < tops[0] < tops[1] < m_max
 
 
+@pytest.mark.parametrize("kind", ["reduced", "limiting"])
+def test_even_sector_trajectory_matches_whole_basis_oracle(kind):
+    # the trajectory on the even sectors against the whole-basis evolution
+    # of the term-by-term generator, whose odd part stays exactly zero
+    model = fl.LatticeModel(3, Potential.soft_coulomb_1d(3, 1.3))
+    phi, n, times = _phi(3, 7), 3, [0.05, 0.15]
+    ops = FluctuationOperators(model, fl.build_basis(3, 21))
+    flow = HartreeFlow(phi, model, 1e-3)
+    budget = PropagationBudget(tol=1e-10, dt=0.025)
+    odd = ops.basis.totals % 2 == 1
+    for t, psi in fluctuation_trajectory(ops, kind, n, flow, times, budget):
+        ref = evolve_whole_basis(ops, kind, n, flow, fl.FockVector.vacuum(ops.basis), t, budget)
+        assert not np.any(ref.amp[odd])
+        assert not np.any(psi.amp[odd])
+        assert np.linalg.norm(psi.amp - ref.amp) < 10 * budget.tol
+
+
+@pytest.mark.parametrize("kind", ["reduced", "limiting"])
+def test_even_kinds_refuse_a_state_with_odd_amplitude(setup, kind):
+    model, basis, phi, ops = setup
+    flow = HartreeFlow(phi, model, 1e-3)
+    odd = fl.FockVector.unit(basis, (1, 0, 0))
+    with pytest.raises(ValueError, match="outside the sectors"):
+        evolve_fluctuation(ops, kind, 3, flow, odd, 0.0, 0.1, PropagationBudget())
+    out = evolve_fluctuation(ops, "full", 3, flow, odd, 0.0, 0.01, PropagationBudget())
+    assert abs(out.norm() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["reduced", "limiting"])
+@pytest.mark.parametrize("m_max", [6, 7])
+def test_undersized_cutoff_is_caught_at_odd_and_even_cutoffs(kind, m_max):
+    # the desk model at N=2, t=1 leaves 4.7e-4 of the norm in sector 6; at
+    # m_max = 7 the even sectors end at 6, the sector the check must read
+    cfg = fl.load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.json")
+    with pytest.raises(fl.TruncationError):
+        number_growth_probe(
+            kind, cfg.model, 2, cfg.phi0, 1, [1.0], PropagationBudget(), basis=fl.build_basis(cfg.model.d, m_max)
+        )
+
+
 def test_cubic_term_by_term_oracle():
     # independent assembly of the cubic monomials by explicit occupation moves
     d, m_max, n = 2, 4, 3
@@ -199,7 +259,7 @@ def test_cubic_term_by_term_oracle():
     basis = fl.build_basis(d, m_max)
     phi = _phi(d, 5)
     ops = FluctuationOperators(model, basis)
-    got = (ops.assemble("full", n, phi) - ops.assemble("reduced", n, phi)).toarray()
+    got = (ops.assemble("full", n, phi) - assemble_by_terms(ops, "reduced", n, phi)).toarray()
 
     v = model.vmat
     ref = np.zeros((basis.size, basis.size), complex)
@@ -317,7 +377,7 @@ def test_footnote_propagator_matches_generator_ode():
     prop = StaticPropagator(fl.build_fock_hamiltonian(model, n, basis).matrix, budget)
     f0 = np.sqrt(n) * phi0
     ft = np.sqrt(n) * flow.at(t)
-    u_foot = weyl_apply(-ft, prop.apply(weyl_apply(f0, vac, budget), t), budget)
+    u_foot = weyl_apply(-ft, prop.apply(weyl_apply(f0, vac), t))
     u_ode = evolve_fluctuation(FluctuationOperators(model, basis), "full", n, flow, vac, 0.0, t, budget)
     ts = np.linspace(0.0, t, 201)
     pots = np.array([energy(flow.at(s), model).interaction for s in ts])

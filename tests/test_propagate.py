@@ -19,8 +19,8 @@ from focklab.propagate import (
     expm_apply,
     through_times,
 )
-from focklab.weyl import coherent_state, weyl_generator
-from oracles import lanczos_bisect, lanczos_full_reorth, lanczos_stride4
+from focklab.weyl import coherent_state
+from oracles import lanczos_bisect, lanczos_full_reorth, lanczos_stride4, weyl_generator
 from test_fluctuations import _flux_kinetic
 
 

@@ -1,13 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import focklab as fl
-from focklab.weyl import annihilation_of, displacement_floor, minimal_cutoff, poisson_tail
-from oracles import poisson_tails_mp
-
-BUDGET = fl.PropagationBudget()
+from focklab.weyl import displacement_floor, minimal_cutoff, poisson_tail
+from oracles import annihilation_of, poisson_tails_mp, weyl_apply_krylov
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def test_weyl_of_zero_is_identity(basis30):
     amp = rng.standard_normal(basis30.size) + 0j
     amp /= np.linalg.norm(amp)
     psi = fl.FockVector(basis30, amp)
-    out = fl.weyl_apply(np.zeros(2), psi, BUDGET)
+    out = fl.weyl_apply(np.zeros(2), psi)
     assert np.array_equal(out.amp, psi.amp)
 
 
@@ -33,9 +33,9 @@ def test_weyl_unitary_and_inverse(basis30):
     rng = np.random.default_rng(1)
     f = _rand_f(rng, 2)
     psi = fl.coherent_state(_rand_f(rng, 2, 1.0), basis30)
-    wf = fl.weyl_apply(f, psi, BUDGET)
+    wf = fl.weyl_apply(f, psi)
     assert wf.norm() == pytest.approx(psi.norm(), abs=1e-12)
-    back = fl.weyl_apply(-f, wf, BUDGET)  # W(f)* = W(-f)
+    back = fl.weyl_apply(-f, wf)  # W(f)* = W(-f)
     assert np.linalg.norm(back.amp - psi.amp) < 1e-8
 
 
@@ -44,9 +44,9 @@ def test_weyl_composition_law(basis30):
     rng = np.random.default_rng(2)
     f, g = _rand_f(rng, 2, 1.2), _rand_f(rng, 2, 1.2)
     vac = fl.FockVector.vacuum(basis30)
-    lhs = fl.weyl_apply(f, fl.weyl_apply(g, vac, BUDGET), BUDGET)
+    lhs = fl.weyl_apply(f, fl.weyl_apply(g, vac))
     phase = np.exp(-1j * np.imag(np.vdot(f, g)))
-    rhs = fl.weyl_apply(f + g, vac, BUDGET)
+    rhs = fl.weyl_apply(f + g, vac)
     assert np.linalg.norm(lhs.amp - phase * rhs.amp) < 1e-8
 
 
@@ -55,16 +55,84 @@ def test_weyl_commutation_form(basis30):
     rng = np.random.default_rng(12)
     f, g = _rand_f(rng, 2, 1.2), _rand_f(rng, 2, 1.2)
     probe = fl.coherent_state(_rand_f(rng, 2, 0.8), basis30)
-    fg = fl.weyl_apply(f, fl.weyl_apply(g, probe, BUDGET), BUDGET)
-    gf = fl.weyl_apply(g, fl.weyl_apply(f, probe, BUDGET), BUDGET)
+    fg = fl.weyl_apply(f, fl.weyl_apply(g, probe))
+    gf = fl.weyl_apply(g, fl.weyl_apply(f, probe))
     phase = np.exp(-2j * np.imag(np.vdot(f, g)))
     assert np.linalg.norm(fg.amp - phase * gf.amp) < 1e-8
+
+
+# (d, m_max, f): odd and even cutoffs, zero components, single sites (the
+# first site needs no rotation), and |f|^2 near the cutoff
+ROUTE_CASES = [
+    (2, 9, [0.8 - 0.3j, 1.1j]),
+    (2, 10, [-0.6, 0.9 + 0.4j]),
+    (3, 11, [0.7, 0.0, -0.4 + 0.9j]),
+    (3, 12, [0.0, 0.0, 1.3j]),
+    (3, 9, [1.2, 0.0, 0.0]),
+    (3, 10, [2.1, -1.5j, 1.2]),  # |f|^2 = 8.1
+    (4, 7, [0.0, 0.5, 0.0, -0.2j]),
+    (4, 8, [0.4 + 0.3j, -0.5, 0.6j, 0.25]),
+]
+
+
+def _random_state(basis, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    return fl.FockVector(basis, amp / np.linalg.norm(amp))
+
+
+@pytest.mark.parametrize("d, m_max, f", ROUTE_CASES)
+def test_rotation_route_matches_krylov_oracle(d, m_max, f):
+    # the mode rotation is exact on the truncated space, so it agrees with
+    # the Krylov exponential of the compressed generator to that route's tol
+    basis = fl.build_basis(d, m_max)
+    budget = fl.PropagationBudget(tol=1e-10)
+    for psi in (fl.FockVector.vacuum(basis), _random_state(basis, m_max)):
+        got = fl.weyl_apply(np.array(f), psi)
+        assert np.linalg.norm(got.amp - weyl_apply_krylov(np.array(f), psi, budget).amp) < budget.tol
+
+
+@pytest.mark.parametrize("d, m_max, f", ROUTE_CASES)
+def test_rotation_route_is_unitary(d, m_max, f):
+    basis = fl.build_basis(d, m_max)
+    f = np.array(f)
+    psi = _random_state(basis, d)
+    out = fl.weyl_apply(f, psi)
+    assert abs(out.norm() - 1.0) < 1e-13
+    assert np.linalg.norm(fl.weyl_apply(-f, out).amp - psi.amp) < 1e-13  # W(-f) W(f) = 1
+
+
+def test_rotation_tables_shared_between_threads():
+    # threads that apply W(f) on a fresh basis at once build its tables
+    # concurrently; every thread gets the single-thread result
+    f = np.array([0.9 - 0.2j, 0.4j, -0.7])
+    psi = _random_state(fl.build_basis(3, 14), 5)
+    want = fl.weyl_apply(f, psi).amp
+    fresh = fl.build_basis(3, 14)
+    psi = fl.FockVector(fresh, psi.amp)
+    results = [None] * 6
+
+    def work(i):
+        results[i] = fl.weyl_apply(f, psi).amp
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(np.array_equal(r, want) for r in results)
 
 
 def test_coherent_matches_weyl_displaced_vacuum(basis30):
     f = np.array([1 / np.sqrt(2), 1j / np.sqrt(2)])
     direct = fl.coherent_state(f, basis30)
-    displaced = fl.weyl_apply(f, fl.FockVector.vacuum(basis30), BUDGET)
+    displaced = fl.weyl_apply(f, fl.FockVector.vacuum(basis30))
     assert np.linalg.norm(direct.amp - displaced.amp) < 1e-8
 
 
@@ -96,7 +164,7 @@ def test_coherent_overlap_law(basis30):
     rng = np.random.default_rng(5)
     f, g = _rand_f(rng, 2), _rand_f(rng, 2)
     vac = fl.FockVector.vacuum(basis30)
-    ov = fl.weyl_apply(f, vac, BUDGET).inner(fl.weyl_apply(g, vac, BUDGET))
+    ov = fl.weyl_apply(f, vac).inner(fl.weyl_apply(g, vac))
     assert abs(ov) == pytest.approx(np.exp(-0.5 * np.linalg.norm(f - g) ** 2), abs=1e-8)
 
 
@@ -104,8 +172,6 @@ def test_coherent_eigenvector_of_annihilation(basis30):
     f = np.array([0.8, 0.4 - 0.3j])
     g = np.array([0.2 + 0.1j, -0.5])
     psi = fl.coherent_state(f, basis30)
-    from focklab.weyl import annihilation_of
-
     out = annihilation_of(g, basis30) @ psi.amp
     assert np.linalg.norm(out - np.vdot(g, f) * psi.amp) < 1e-9
 
