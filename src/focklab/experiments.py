@@ -28,12 +28,7 @@ from .decomposition import (
     scaled_from_r,
 )
 from .errors import FockLabError, TruncationError
-from .fluctuations import (
-    FluctuationOperators,
-    conjugation_identity_residual,
-    fluctuation_trajectory,
-    parity_element,
-)
+from .fluctuations import FluctuationOperators, displacement_residual, fluctuation_trajectory, parity_element
 from .hartree import HartreeFlow, evolve_hartree, trajectory_csv_rows
 from .marginals import hs_distance, marginal_from_fock, marginal_from_sector, rank_one, trace_distance
 from .model import build_fock_hamiltonian, build_sector_hamiltonian, embed_product_state
@@ -260,11 +255,13 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     limiting-dynamics gap, across the configured N scan.
 
     Each (kind, N) trajectory is evolved once from the vacuum through the
-    sample times: full and reduced once per N, limiting once per run, all
-    along one shared Hartree flow.  The limiting state at t_end is taken
-    before the cell pool; the moments, gaps, parity and limiting gaps are
-    reductions over those states.  A failed cell flags every probe it
-    serves, and the suite continues; a blow-up of the flow stops it."""
+    sample times, on one basis: full and reduced once per N, limiting once
+    per run, all along one shared Hartree flow.  The limiting state at
+    t_end is taken before the cell pool; every probe is a reduction over
+    those states, the conjugation residual (``displacement_residual``) over
+    the full state at t_end, with its floor at the suite's cutoff.  A failed
+    cell flags every probe it serves, and the suite continues; a blow-up of
+    the flow stops it."""
     model = config.model
     budget = PropagationBudget(tol=config.propagation_tol, dt=config.fluctuation_dt)
     basis = build_basis(model.d, _cutoff(config, max(config.n_values)), capacity=config.capacity)
@@ -293,24 +290,17 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
             moments += [("full", n, 1, t, number_moment(psi_f, 1))] * repeats[t]
             gaps.append(("full-vs-reduced", n, "", t, float(np.linalg.norm(psi_f.amp - psi_r.amp))))
         rows = {"moments": moments, "gaps": gaps, "parity": [("reduced", n, "", t_end, parity_element(psi_r))]}
+        res = displacement_residual(np.sqrt(n) * flow.at(t_end), psi_f)
+        rows["conjugation"] = [("conjugation", n, "", t_end, res, displacement_floor(n, basis.m_max))]
         if u_lim is not None:
             gap = float(np.linalg.norm(psi_f.amp - u_lim.amp))
             rows["limiting"] = [("full-vs-limiting", n, "", t_end, gap)]
         return rows
 
-    def conjugation_cell(n):
-        # displaces to amplitude sqrt(N), so this cell sizes its own basis
-        m_conj = minimal_cutoff(float(n), config.eps_trunc)
-        res = conjugation_identity_residual(
-            flow, n, t_end, budget, basis=build_basis(model.d, m_conj, capacity=config.capacity)
-        )
-        return {"conjugation": [("conjugation", n, "", t_end, res, displacement_floor(n, m_conj))]}
-
     cells = [
-        _guarded("moments", f"N={n}", lambda n=n: trajectory_cell(n), ("gaps", "parity", "limiting"))
+        _guarded("moments", f"N={n}", lambda n=n: trajectory_cell(n), ("gaps", "parity", "conjugation", "limiting"))
         for n in config.n_values
     ]
-    cells += [_guarded("conjugation", f"N={n}", lambda n=n: conjugation_cell(n)) for n in config.n_values]
     failures += _merge_cells(tables, cells, config.threads)
     return SuiteResult(tables, failures)
 

@@ -13,11 +13,13 @@ from the instantaneous Hartree orbital phi_t:
 parity of the number, and every probe starts them from the vacuum, so they
 act on the even sectors only (``Space``).
 
-The probes below certify algebraic identities (Weyl conjugation of the
-Heisenberg-evolved ladder operator), growth of the number of particles,
-and the gaps between the dynamics, all from the vacuum.  The vacuum probes
-are reductions over ``fluctuation_trajectory``, which evolves one (kind, N)
-pair once through the sample times, on the leading sectors it occupies.
+The probes below certify the Weyl conjugation identity, growth of the
+number of particles, and the gaps between the dynamics, all from the
+vacuum.  They are reductions over ``fluctuation_trajectory``, which evolves
+one (kind, N) pair once through the sample times, on the leading sectors it
+occupies: the conjugation residual (``displacement_residual``) is read on
+the full state; ``conjugation_identity_residual`` reaches that state by the
+static route on the Fock Hamiltonian instead.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import csr_matrix, identity
 
-from .basis import FockVector, OccupationBasis, annihilate, number_moment
+from .basis import FockVector, OccupationBasis, number_moment
 from .errors import TruncationError
 from .hartree import HartreeFlow, phase_rotate
 from .model import LatticeModel, build_fock_hamiltonian, interaction_diagonal
@@ -406,6 +408,19 @@ def _state_at(ops, kind, n, flow, t, budget) -> FockVector:
     return psi
 
 
+def displacement_residual(f: np.ndarray, chi: FockVector) -> float:
+    """max_x ||(a_x - f(x)) W(f) chi - W(f) a_x chi||: the conjugation
+    identity W*(f) a_x W(f) = a_x + f(x) read on a fluctuation state chi,
+    in which the dynamics drop out (``conjugation_identity_residual``); a
+    finite cutoff keeps it from 0 (``weyl.displacement_floor``).  W(f) is
+    applied once, to the stack [chi, a_0 chi, ..., a_{d-1} chi]."""
+    ladders = [chi.basis.annihilator(x) for x in range(chi.basis.d)]
+    stack = np.column_stack([chi.amp] + [a @ chi.amp for a in ladders])
+    moved = chi.basis.mode_rotation.apply(f, stack) if np.any(f) else stack
+    shifted = moved[:, 0]  # W(f) chi
+    return max(float(np.linalg.norm(a @ shifted - fx * shifted - w)) for a, fx, w in zip(ladders, f, moved.T[1:]))
+
+
 def conjugation_identity_residual(
     flow: HartreeFlow,
     n: int,
@@ -423,8 +438,9 @@ def conjugation_identity_residual(
     W(-f_0) e^{iHt}, which is unitary, so it is dropped: with
     psi2 = e^{-iHt} W(f_0) vac this returns
 
-        max_x || (a_x - f_t(x)) psi2 - W(f_t) a_x W(-f_t) psi2 ||.
+        max_x || (a_x - f_t(x)) psi2 - W(f_t) a_x W(-f_t) psi2 ||,
 
+    ``displacement_residual`` on W(-f_t) psi2 = U(t;0) vac up to a phase.
     The reduction is exact on the truncated space, where W (the exponential
     of a skew-Hermitian matrix) and e^{-iHt} (H Hermitian) are exactly
     unitary; W is applied exactly (``weyl.weyl_apply``) and the Krylov route
@@ -441,23 +457,15 @@ def conjugation_identity_residual(
     at m_max=32.  The cutoff must push it well below the accuracy asked of
     the residual, so the caller chooses it: ``basis`` has no default.
     """
-    model = flow.model
     f0 = np.sqrt(n) * flow.at(0.0)
     ft = np.sqrt(n) * flow.at(t)
     # the propagator is released after its one apply
     prop = StaticPropagator(
-        build_fock_hamiltonian(model, n, basis).matrix, budget, sectors=basis.sector_offsets
+        build_fock_hamiltonian(flow.model, n, basis).matrix, budget, sectors=basis.sector_offsets
     )
     psi2 = prop.apply(weyl_apply(f0, FockVector.vacuum(basis)), t)
     del prop
-    # second side inner displacement, shared across sites
-    chi_b = weyl_apply(-ft, psi2)
-    worst = 0.0
-    for x in range(model.d):
-        lhs = annihilate(x, psi2).amp - ft[x] * psi2.amp
-        rhs = weyl_apply(ft, annihilate(x, chi_b)).amp
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    return displacement_residual(ft, weyl_apply(-ft, psi2))
 
 
 def number_growth_probe(

@@ -100,14 +100,14 @@ class _BlockPass:
 
     def apply(self, blocks: list[np.ndarray], amp: np.ndarray, inverse: bool = False) -> np.ndarray:
         """The factor whose block of size s is ``blocks[s - 1]``, or its
-        inverse, each block's transpose."""
+        inverse, each block's transpose, on a vector or a stack's columns."""
         src = amp[self.order]
         dst = np.empty_like(src)
         at = 0
         for size, (count, block) in enumerate(zip(self.counts, blocks), start=1):
             end = at + size * count
-            x = src[at:end].view(np.float64).reshape(size, 2 * count)
-            y = dst[at:end].view(np.float64).reshape(size, 2 * count)
+            x = src[at:end].view(np.float64).reshape(size, -1)
+            y = dst[at:end].view(np.float64).reshape(size, -1)
             np.matmul(block.T if inverse else block, x, out=y)
             at = end
         out = np.empty_like(amp)
@@ -152,7 +152,7 @@ class ModeRotation:
         self._displacement = _BlockFamily(m + 1, lambda s: np.sqrt(np.arange(1.0, s)))
 
     def apply(self, f: np.ndarray, amp: np.ndarray) -> np.ndarray:
-        """W(f) amp, for f != 0."""
+        """W(f) amp, for f != 0; amp a vector or a (size x k) stack of them."""
         mags = np.abs(f)
         norm = float(np.linalg.norm(mags))
         u = mags / norm
@@ -163,6 +163,7 @@ class ModeRotation:
         phase = powers[0][self._sites[0]]
         for x in range(1, len(self._sites)):
             phase *= powers[x][self._sites[x]]
+        phase = phase.reshape(phase.shape + (1,) * (amp.ndim - 1))  # over a stack's columns
         rotations = [(plane, self._rotation.blocks(beta)) for plane, beta in zip(self._planes, betas) if beta != 0.0]
         amp = amp * phase.conj()
         for plane, blocks in reversed(rotations):

@@ -17,7 +17,8 @@ the one that checks convergence only at every 4th dimension, and the
 Hartree RK4 step on numpy arrays, which the scalar kernel replaced, and
 the Krylov exponential of the compressed Weyl generator (built from the
 smeared annihilator ``annihilation_of``), which the mode rotation
-replaced.  The
+replaced, and the mode rotation's single-vector block pass, which the
+stacked one replaced.  The
 sector expansion of the displaced product profile is the second route to
 that profile, and the Laguerre sum the second closed form of R_m.  The
 60-digit mpmath routes are the package's former arithmetic for the scaled
@@ -60,7 +61,7 @@ from focklab.propagate import (
     evolve_timedep,
     expm_apply,
 )
-from focklab.weyl import coherent_state, minimal_cutoff, poisson_tail, weyl_apply
+from focklab.weyl import coherent_state, displacement_floor, minimal_cutoff, poisson_tail, weyl_apply
 
 
 def first_quantized_hamiltonian(model, n):
@@ -291,6 +292,23 @@ def weyl_apply_krylov(f, psi, budget):
     return FockVector(psi.basis, expm_apply(h, psi.amp, 1.0, budget))
 
 
+def block_pass_per_vector(self, blocks, amp, inverse=False):
+    """``weyl._BlockPass.apply`` on one vector only, each size's amplitudes
+    viewed as (s x 2 count): the layout the stacked pass generalized."""
+    src = amp[self.order]
+    dst = np.empty_like(src)
+    at = 0
+    for size, (count, block) in enumerate(zip(self.counts, blocks), start=1):
+        end = at + size * count
+        x = src[at:end].view(np.float64).reshape(size, 2 * count)
+        y = dst[at:end].view(np.float64).reshape(size, 2 * count)
+        np.matmul(block.T if inverse else block, x, out=y)
+        at = end
+    out = np.empty_like(amp)
+    out[self.order] = dst
+    return out
+
+
 def scaled_coefficient_mp(n: int, m: int) -> float:
     """A_m = R_m / (sqrt(m!) N^{m/2}) in mpmath at MP_DPS digits, R_m by the Leibniz form."""
     r = coeff_leibniz_form(n, m)
@@ -346,8 +364,10 @@ def laguerre_times_factorial(n: int, m: int) -> int:
 
 
 def fluctuation_probe_rows(config):
-    """Moments, gaps, parity and limiting rows of the fluctuation suite, each
-    probe evolving its own trajectories from the vacuum (integer m_max)."""
+    """Moments, gaps, parity, conjugation and limiting rows of the fluctuation
+    suite, each probe evolving its own trajectories from the vacuum (integer
+    m_max).  The conjugation residual is read off the whole-basis full state
+    at t_end site by site, W(f_t) applied once per vector."""
     model = config.model
     basis = build_basis(model.d, config.m_max)
     ops = FluctuationOperators(model, basis)
@@ -361,7 +381,7 @@ def fluctuation_probe_rows(config):
     def evolve(kind, n, hartree, psi, s, t):
         return evolve_fluctuation(ops, kind, n, hartree, psi, s, t, budget)
 
-    rows = {"moments": [], "gaps": [], "parity": [], "limiting": []}
+    rows = {"moments": [], "gaps": [], "parity": [], "conjugation": [], "limiting": []}
     for n in config.n_values:
         hartree, psi, t_prev = flow(), vac, 0.0
         for t in sorted(config.t_samples):
@@ -381,6 +401,14 @@ def fluctuation_probe_rows(config):
     for n in config.n_values:
         u_n = evolve("full", n, hartree, vac, 0.0, t_end)
         rows["limiting"].append(("full-vs-limiting", n, "", t_end, float(np.linalg.norm(u_n.amp - u_lim.amp))))
+        ft = np.sqrt(n) * hartree.at(t_end)
+        psi2 = weyl_apply(ft, u_n)
+        worst = 0.0
+        for x in range(model.d):
+            lhs = annihilate(x, psi2).amp - ft[x] * psi2.amp
+            rhs = weyl_apply(ft, annihilate(x, u_n)).amp
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        rows["conjugation"].append(("conjugation", n, "", t_end, worst, displacement_floor(n, config.m_max)))
     return rows
 
 

@@ -22,6 +22,7 @@ from focklab.experiments import (
     write_csv,
 )
 from focklab.fluctuations import GENERATOR_KINDS
+from focklab.hartree import HartreeFlow
 from focklab.model import LatticeModel, Potential
 from focklab.weyl import displacement_floor, minimal_cutoff, poisson_tail
 from oracles import fluctuation_probe_rows, rate_rows_from_zero
@@ -215,16 +216,36 @@ def test_rate_scans_match_per_sample_evolutions(kind, tol, eps_trunc):
         assert abs(r.hs_distance - row[3]) < tol
 
 
+SUITE_PROBES = ("moments", "gaps", "parity", "conjugation", "limiting")
+
+
 def test_fluctuation_suite_records_failures_and_continues():
+    # cutoff 8 cannot hold the growth at t=2: the limiting scan and every
+    # N's trajectory cell fail, and a trajectory cell flags all five probes
+    # it serves, conjugation included, since its residual is read off the
+    # cell's full state
     strong = LatticeModel(3, Potential.contact(3, 2.5))
     cfg = _config(model=strong, m_max=8, n_values=[2, 8], t_samples=[2.0], fluctuation_dt=0.05)
     result = run_fluctuation_suite(cfg)
-    assert result.failures  # cutoff 8 cannot hold the growth at t=2
-    assert not result.ok
-    probes = {p for p, _, _ in result.failures}
-    assert probes <= {"moments", "gaps", "parity", "conjugation", "limiting"}
-    # surviving cells still produced rows
-    assert any(result.tables.values())
+    assert [(p, cell) for p, cell, _ in result.failures] == [("limiting", "scan")] + [
+        (p, f"N={n}") for n in cfg.n_values for p in SUITE_PROBES
+    ]
+    assert all(msg.startswith("TruncationError: top-sector occupancy") for _, _, msg in result.failures)
+    assert not any(result.tables.values())
+
+
+def test_fluctuation_suite_failed_n_leaves_the_others_rows():
+    # a strong coupling at m_max=14, t=0.3 splits the N scan: the full
+    # state's top-sector weight is 1.3e-7 at N=1 and 5.2e-6 at N=3, either
+    # side of the 1e-6 limit (reduced 1.4e-13 and 5.1e-10, limiting 5.2e-7),
+    # so N=3 fails while N=1 writes every row, limiting included
+    strong = LatticeModel(3, Potential.contact(3, 2.5))
+    cfg = _config(model=strong, m_max=14, n_values=[1, 3], t_samples=[0.3])
+    result = run_fluctuation_suite(cfg)
+    assert [(p, cell) for p, cell, _ in result.failures] == [(p, "N=3") for p in SUITE_PROBES]
+    assert all(msg.startswith("TruncationError") for _, _, msg in result.failures)
+    for table in SUITE_PROBES:
+        assert [row[1] for row in result.tables[table]] == [1]
 
 
 def test_tridiagonal_solver_failure_is_a_recorded_cell(monkeypatch):
@@ -283,28 +304,32 @@ def test_fluctuation_suite_free_model_all_probes_vanish():
     assert all(row[-1] < 1e-12 for row in result.tables["gaps"])
     assert all(row[-1] < 1e-12 for row in result.tables["parity"])
     assert all(row[-1] < 1e-12 for row in result.tables["limiting"])
-    # the conjugation probe still displaces states, so it sits at the
-    # truncation floor of its per-N cutoff rather than at zero
-    assert all(row[4] < 1e-4 for row in result.tables["conjugation"])
-    for _, n, _, _, _, floor in result.tables["conjugation"]:
-        assert floor == displacement_floor(n, minimal_cutoff(float(n), cfg.eps_trunc))
+    # the fluctuation state stays the vacuum, so the residual is
+    # max_x ||(a_x - f_t(x)) W(f_t) vac|| at the suite's cutoff: it sits on
+    # the truncation floor, above the bound floor / sum_x |phi_t(x)| and at
+    # most twice the floor (measured 0.88x at N=2, 1.30x at N=4)
+    phi_t = HartreeFlow(cfg.phi0, cfg.model, cfg.hartree_dt).at(0.5)
+    for _, n, _, _, res, floor in result.tables["conjugation"]:
+        assert floor == displacement_floor(n, cfg.m_max)
+        assert floor / np.abs(phi_t).sum() <= res <= 2.0 * floor
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_fluctuation_suite_matches_per_probe_evolutions(threads):
     # the suite evolves each (kind, N) trajectory once; the oracle evolves
     # every probe's own, as the suite did before.  Moments and gaps take the
-    # same steps in the same order; parity and the limiting gap compare
-    # against single-segment evolutions, whose midpoints differ by rounding
+    # same steps in the same order; parity, the conjugation residual and the
+    # limiting gap compare against single-segment evolutions, whose
+    # midpoints differ by rounding
     cfg = _config(n_values=[2, 3], t_samples=[0.4, 0.0, 0.2], m_max=12, threads=threads)
     result = run_fluctuation_suite(cfg)
     assert result.ok
     ref = fluctuation_probe_rows(cfg)
     assert result.tables["moments"] == ref["moments"]
     assert result.tables["gaps"] == ref["gaps"]
-    for table in ("parity", "limiting"):
+    for table in ("parity", "conjugation", "limiting"):
         got, want = result.tables[table], ref[table]
-        assert [row[:4] for row in got] == [row[:4] for row in want]
+        assert [row[:4] + row[5:] for row in got] == [row[:4] + row[5:] for row in want]  # and the floors
         assert max(abs(a[4] - b[4]) for a, b in zip(got, want)) < 1e-13
 
 

@@ -73,3 +73,14 @@ def test_tracer_names_rate_cells_and_counts_one_apply_per_segment(tmp_path):
     assert m["experiments.cell_s.coherent"] > 0
     segments = len(samples) - 1  # t=0 needs no apply
     assert m["propagate.static_applies"] == 2 * len(n_values) * segments
+
+
+def test_fluctuation_suite_runs_on_one_basis(tmp_path):
+    # every probe is read off the trajectories on the suite's one basis: no
+    # second basis, Fock Hamiltonian or static propagator for the
+    # conjugation residual
+    path = _write_config(tmp_path, [2, 3], [0.0, 0.15, 0.3], [2])
+    m = _traced(path, tmp_path / "out", ("fluctuation-suite",))
+    assert m["basis.builds"] == 1
+    assert m["model.fock_h_builds"] == 0
+    assert m["propagate.static_builds"] == 0

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import focklab as fl
-from focklab.weyl import displacement_floor, minimal_cutoff, poisson_tail
-from oracles import annihilation_of, poisson_tails_mp, weyl_apply_krylov
+from focklab.weyl import _BlockPass, displacement_floor, minimal_cutoff, poisson_tail
+from oracles import annihilation_of, block_pass_per_vector, poisson_tails_mp, weyl_apply_krylov
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,28 @@ def test_rotation_route_is_unitary(d, m_max, f):
     out = fl.weyl_apply(f, psi)
     assert abs(out.norm() - 1.0) < 1e-13
     assert np.linalg.norm(fl.weyl_apply(-f, out).amp - psi.amp) < 1e-13  # W(-f) W(f) = 1
+
+
+@pytest.mark.parametrize("d, m_max, f", ROUTE_CASES[:4])
+def test_stacked_rotation_matches_each_column(d, m_max, f):
+    # d = 2 and 3 at odd and even cutoffs; a stack shares one computation
+    # of the blocks, and each column is W(f) of that column
+    basis = fl.build_basis(d, m_max)
+    f = np.array(f)
+    stack = np.column_stack([_random_state(basis, seed).amp for seed in range(d + 1)])
+    got = basis.mode_rotation.apply(f, stack)
+    for k in range(d + 1):
+        assert np.linalg.norm(got[:, k] - basis.mode_rotation.apply(f, stack[:, k])) < 1e-14
+
+
+@pytest.mark.parametrize("d, m_max, f", ROUTE_CASES)
+def test_rotation_of_one_vector_is_the_single_vector_pass(d, m_max, f, monkeypatch):
+    # a vector takes the same products as before stacks were accepted, so
+    # every 1-D W(f) is bit for bit the single-vector block pass's
+    psi = _random_state(fl.build_basis(d, m_max), m_max)
+    got = fl.weyl_apply(np.array(f), psi).amp
+    monkeypatch.setattr(_BlockPass, "apply", block_pass_per_vector)
+    assert np.array_equal(got, fl.weyl_apply(np.array(f), psi).amp)
 
 
 def test_rotation_tables_shared_between_threads():
