@@ -30,9 +30,6 @@ from .experiments import (
     run_product_rate_scan,
 )
 
-COMMANDS = ("hartree", "product-scan", "coherent-scan", "fluctuation-suite", "coeff-suite", "all")
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="focklab",

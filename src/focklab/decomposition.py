@@ -134,6 +134,8 @@ class ParsevalReport:
     rel_error: float
     decay_constant: float
     converged: bool
+    r: list[int]              # R_0, ..., R_{m_reached}
+    residuals: list[float]    # the partial sum's relative residual through each m
 
 
 def parseval_identity_check(n: int, tol: float = 1e-8, m_cap: int | None = None) -> ParsevalReport:
@@ -142,11 +144,12 @@ def parseval_identity_check(n: int, tol: float = 1e-8, m_cap: int | None = None)
 
     The partial sum through m is the exact fraction S_m / (N^m m!) with
     S_m = N m S_{m-1} + R_m^2; only its comparison with d_N^2 = e^N N!/N^N
-    is rounded, to MP_DPS digits."""
+    is rounded, to MP_DPS digits, once per m."""
     if m_cap is None:
         m_cap = 8 * n + 80
     rs = expansion_coefficients(n, max(m_cap, n))
     kras = max(abs(scaled_from_r(n, m, rs[m])) * m**0.25 for m in range(1, n + 1))
+    residuals = []
     with localcontext() as ctx:
         ctx.prec = MP_DPS
         target = Decimal(n).exp() * factorial(n) / n**n
@@ -156,10 +159,11 @@ def parseval_identity_check(n: int, tol: float = 1e-8, m_cap: int | None = None)
                 total *= n * m
                 denom *= n * m
             total += rs[m] * rs[m]
-            rel = float(abs(total / Decimal(denom) - target) / target)
-            if rel < tol:
-                return ParsevalReport(n, m, rel, kras, True)
-        return ParsevalReport(n, m_cap, rel, kras, False)
+            residuals.append(float(abs(total / Decimal(denom) - target) / target))
+            if residuals[-1] < tol:
+                break
+    m = len(residuals) - 1
+    return ParsevalReport(n, m, residuals[-1], kras, residuals[-1] < tol, rs[: m + 1], residuals)
 
 
 def reconstruct_product(

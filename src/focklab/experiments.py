@@ -19,14 +19,7 @@ import numpy as np
 
 from .basis import FockVector, build_basis, number_moment
 from .config import ExperimentConfig
-from .decomposition import (
-    expansion_coefficients,
-    parseval_identity_check,
-    product_norm_constant,
-    reconstruct_product,
-    remainder_probe,
-    scaled_from_r,
-)
+from .decomposition import parseval_identity_check, reconstruct_product, remainder_probe, scaled_from_r
 from .errors import FockLabError, TruncationError
 from .fluctuations import FluctuationOperators, displacement_residual, fluctuation_trajectory, parity_element
 from .hartree import HartreeFlow, evolve_hartree, trajectory_csv_rows
@@ -308,29 +301,30 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
 def run_coefficient_suite(config: ExperimentConfig) -> SuiteResult:
     """Coefficient tables, the partial-sum identity, product-state
     reconstruction by phase quadrature, and the one-particle remainder.
-    Each reconstruction and remainder N is one cell; a failed cell flags
-    its probe, and the suite continues."""
+
+    Every coefficient, reconstruction and remainder N is one cell; a failed
+    cell flags its probe, and the suite continues.  A coefficient N's rows
+    are read off its one Parseval walk.  A reconstruction N builds its basis
+    on ``_cutoff(config, N)``, a remainder N on ``minimal_cutoff(N,
+    eps_trunc)``."""
     model = config.model
     tables = {"coefficients": [], "parseval": [], "reconstruction": [], "remainder": []}
-
-    for n in config.coeff_n_values:
-        rep = parseval_identity_check(n)
-        tables["parseval"].append((n, rep.m_reached, rep.rel_error, rep.decay_constant, rep.converged))
-        dn2 = product_norm_constant(n).squared
-        partial = 0.0
-        for m, r in enumerate(expansion_coefficients(n, min(rep.m_reached, 40))):
-            am = scaled_from_r(n, m, r)
-            partial += am * am
-            tables["coefficients"].append((n, m, str(r), am, abs(partial - dn2) / dn2))
-
-    basis = build_basis(model.d, _cutoff(config, max(config.n_values)), capacity=config.capacity)
-    k_points = basis.m_max + 1  # the smallest alias-free quadrature
     budget = PropagationBudget(tol=config.propagation_tol, dt=config.fluctuation_dt)
     t_rem = max(config.t_samples)
     flow = HartreeFlow(config.phi0, model, config.hartree_dt)
     flow.at(t_rem)  # a blow-up of the shared flow stops the suite here, outside every cell
 
+    def coefficient_cell(n):
+        rep = parseval_identity_check(n)
+        rows = zip(range(41), rep.r, rep.residuals)  # the table stops at m = 40
+        return {
+            "coefficients": [(n, m, str(r), scaled_from_r(n, m, r), res) for m, r, res in rows],
+            "parseval": [(n, rep.m_reached, rep.rel_error, rep.decay_constant, rep.converged)],
+        }
+
     def reconstruction_cell(n):
+        basis = build_basis(model.d, _cutoff(config, n), capacity=config.capacity)
+        k_points = basis.m_max + 1  # the smallest alias-free quadrature
         _, err = reconstruct_product(config.phi0, n, k_points, basis, config.eps_trunc)
         return {"reconstruction": [(n, k_points, err)]}
 
@@ -339,7 +333,8 @@ def run_coefficient_suite(config: ExperimentConfig) -> SuiteResult:
         rep = remainder_probe(flow, n, t_rem, build_basis(model.d, m_fn, capacity=config.capacity), budget)
         return {"remainder": [(n, t_rem, x, float(val), rep.total_square) for x, val in enumerate(rep.site_abs)]}
 
-    cells = [_guarded("reconstruction", f"N={n}", lambda n=n: reconstruction_cell(n)) for n in config.n_values]
+    cells = [_guarded("coefficients", f"N={n}", lambda n=n: coefficient_cell(n)) for n in config.coeff_n_values]
+    cells += [_guarded("reconstruction", f"N={n}", lambda n=n: reconstruction_cell(n)) for n in config.n_values]
     cells += [_guarded("remainder", f"N={n}", lambda n=n: remainder_cell(n)) for n in config.remainder_n_values]
     return SuiteResult(tables, _merge_cells(tables, cells, config.threads))
 

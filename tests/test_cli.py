@@ -200,24 +200,73 @@ def test_cli_rejects_non_positive_threads(tiny_config, tmp_path, capsys, threads
     assert f"config error: --threads must be >= 1, got {threads}" in capsys.readouterr().err
 
 
+def _flagged_cells(err: str) -> set[str]:
+    """The "probe cell" of each FLAG line on stderr."""
+    return {line.split("[", 1)[1].split("]", 1)[0] for line in err.splitlines() if "FLAG [" in line}
+
+
 def test_cli_remainder_cutoff_below_n_is_recorded(tiny_config, tmp_path, capsys):
-    # eps_trunc 0.9 sizes the remainder basis for N=2 at m_max=0, below N,
-    # and the reconstruction basis at minimal_cutoff(4, 0.9) = 2: each of
-    # those cells records a TruncationError (a reconstruction N above the
-    # cutoff is not dropped without a trace), the CSVs are written, exit 3
+    # eps_trunc 0.9 sizes every coeff-suite basis below its N: the remainder
+    # basis for N=2 at m_max=0, and each reconstruction N's own at 0, 1 and 2
+    # for N = 2, 3, 4.  Each of those cells records a TruncationError (an N
+    # above its cutoff is not dropped without a trace), the coefficient
+    # tables and every CSV are written, exit 3
     cfg = json.loads(tiny_config.read_text())
     cfg["fock"]["eps_trunc"] = 0.9
     tiny_config.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["coeff-suite", "--config", str(tiny_config), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    for cell in ("remainder N=2", "reconstruction N=3", "reconstruction N=4"):
+    failed = {"remainder N=2", "reconstruction N=2", "reconstruction N=3", "reconstruction N=4"}
+    assert _flagged_cells(err) == failed
+    for cell in failed:
         assert f"FLAG [{cell}]: TruncationError" in err
     for name in ("coefficients.csv", "parseval.csv", "reconstruction.csv", "remainder.csv"):
         assert (out / name).exists()
+    assert len((out / "parseval.csv").read_text().strip().splitlines()) == 1 + 2
     assert (out / "remainder.csv").read_text().strip() == "N,t,site,abs_value,total_square"
-    rows = (out / "reconstruction.csv").read_text().strip().splitlines()[1:]
-    assert [row.split(",")[0] for row in rows] == ["2"]
+    assert (out / "reconstruction.csv").read_text().strip() == "N,K,error"
+
+
+def test_cli_reconstruction_n_within_its_cutoff_keeps_its_row(tiny_config, tmp_path, capsys):
+    # eps_trunc 0.58 gives N = 2, 3, 4 the cutoffs 2, 2 and 3: N=2 writes its
+    # row with K = 2 + 1 and the remainder N=2 its rows, while N=3 and N=4
+    # lie above their own cutoffs and record a TruncationError each
+    cfg = json.loads(tiny_config.read_text())
+    cfg["fock"]["eps_trunc"] = 0.58
+    tiny_config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["coeff-suite", "--config", str(tiny_config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert _flagged_cells(err) == {"reconstruction N=3", "reconstruction N=4"}
+    for cell in ("reconstruction N=3", "reconstruction N=4"):
+        assert f"FLAG [{cell}]: TruncationError" in err
+    rows = [row.split(",") for row in (out / "reconstruction.csv").read_text().strip().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["2", "3"]]
+    assert len((out / "remainder.csv").read_text().strip().splitlines()) == 1 + 2  # one row per site
+
+
+def test_cli_coeff_suite_reconstruction_over_capacity_is_recorded(tiny_config, tmp_path, capsys):
+    # each reconstruction N builds its own basis inside its cell: at d=2 they
+    # hold 153, 210 and 276 states and the remainder basis 153, so under
+    # fock.capacity 250 only reconstruction N=4 fails, as one recorded
+    # failure, and every other table keeps its rows
+    cfg = json.loads(tiny_config.read_text())
+    cfg["fock"]["capacity"] = 250
+    tiny_config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["coeff-suite", "--config", str(tiny_config), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert _flagged_cells(captured.err) == {"reconstruction N=4"}
+    assert "coeff-suite FLAG [reconstruction N=4]: CapacityError" in captured.err
+
+    def rows(name):
+        return [row.split(",") for row in (out / name).read_text().strip().splitlines()[1:]]
+
+    assert {row[0] for row in rows("coefficients.csv")} == {"1", "2"}
+    assert [row[0] for row in rows("parseval.csv")] == ["1", "2"]
+    assert [row[:2] for row in rows("reconstruction.csv")] == [["2", "17"], ["3", "20"]]
+    assert [row[0] for row in rows("remainder.csv")] == ["2", "2"]
 
 
 def test_cli_coherent_scan_n_above_its_cutoff_is_recorded(tiny_config, tmp_path, capsys):

@@ -115,6 +115,7 @@ def test_decimal_arithmetic_matches_mpmath_oracles():
         assert [scaled_coefficient(n, m) for m in range(41)] == [scaled_coefficient_mp(n, m) for m in range(41)]
         rep = parseval_identity_check(n)
         assert (rep.m_reached, rep.rel_error) == parseval_sum_mp(n)
+        assert rep.r == [coeff_leibniz_form(n, m) for m in range(rep.m_reached + 1)]
     rep = parseval_identity_check(30, m_cap=5)
     assert (rep.m_reached, rep.rel_error) == parseval_sum_mp(30, m_cap=5)
 
@@ -128,6 +129,9 @@ def test_parseval_decay_constant_bounded():
 def test_parseval_cap_flag():
     rep = parseval_identity_check(30, tol=1e-8, m_cap=5)
     assert not rep.converged
+    # the report carries the walk through the cap: R_m and the residual at each m
+    assert rep.r == expansion_coefficients(30, 5)
+    assert len(rep.residuals) == 6 and rep.residuals[-1] == rep.rel_error
 
 
 def test_reconstruct_product_exact_with_enough_points():

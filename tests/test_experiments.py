@@ -10,8 +10,10 @@ from scipy.linalg.lapack import dstevd
 import focklab as fl
 import focklab.experiments as experiments
 import focklab.propagate as propagate
+from focklab.basis import build_basis
 from focklab.cli import main
 from focklab.config import ExperimentConfig, config_from_dict, load_config
+from focklab.decomposition import reconstruct_product
 from focklab.experiments import (
     RateScanRow,
     fit_loglog_slope,
@@ -25,7 +27,7 @@ from focklab.fluctuations import GENERATOR_KINDS
 from focklab.hartree import HartreeFlow
 from focklab.model import LatticeModel, Potential
 from focklab.weyl import displacement_floor, minimal_cutoff, poisson_tail
-from oracles import fluctuation_probe_rows, rate_rows_from_zero
+from oracles import fluctuation_probe_rows, parseval_sum_mp, rate_rows_from_zero
 
 
 def _config(**overrides):
@@ -346,6 +348,36 @@ def test_coefficient_suite_tables():
     assert len(result.tables["remainder"]) == 3  # one row per site
     first = result.tables["coefficients"][0]
     assert first[0] == 1 and first[1] == 0 and first[2] == "1"
+
+
+def test_coefficient_residuals_are_the_exact_walks():
+    # every partial_sum_residual is the 60-digit residual of its partial sum,
+    # rounded once: it matches the mpmath walk of the oracle to rounding,
+    # where a float re-summation would be off by up to 8e-8 relative
+    cfg = _config(coeff_n_values=[1, 2, 4], remainder_n_values=[], t_samples=[0.2], n_values=[2], m_max="auto")
+    result = run_coefficient_suite(cfg)
+    assert result.ok
+    rows = result.tables["coefficients"]
+    assert {n for n, *_ in rows} == {1, 2, 4}
+    for n, m, _, _, residual in rows:
+        _, ref = parseval_sum_mp(n, tol=0.0, m_cap=m)  # the residual through m
+        assert residual == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m_max", ["auto", 24])
+def test_reconstruction_rows_use_each_n_cutoff(m_max):
+    # each reconstruction N runs on its own cutoff with K = cutoff + 1; under
+    # an integer m_max that is the one basis and K the rows always had
+    cfg = _config(m_max=m_max, n_values=[2, 3, 4], remainder_n_values=[], t_samples=[0.2])
+    result = run_coefficient_suite(cfg)
+    assert result.ok
+    rows = result.tables["reconstruction"]
+    assert [(n, k) for n, k, _ in rows] == [(n, experiments._cutoff(cfg, n) + 1) for n in cfg.n_values]
+    assert all(err < 1e-14 for _, _, err in rows)
+    if m_max == 24:
+        basis = build_basis(cfg.model.d, 24)
+        ref = [(n, 25, reconstruct_product(cfg.phi0, n, 25, basis, cfg.eps_trunc)[1]) for n in cfg.n_values]
+        assert rows == ref
 
 
 def test_threads_give_identical_results():
