@@ -21,7 +21,13 @@ from .basis import FockVector, build_basis, number_moment
 from .config import ExperimentConfig
 from .decomposition import parseval_identity_check, reconstruct_product, remainder_probe, scaled_from_r
 from .errors import FockLabError, TruncationError
-from .fluctuations import FluctuationOperators, displacement_residual, fluctuation_trajectory, parity_element
+from .fluctuations import (
+    FluctuationOperators,
+    conjugated_trajectory,
+    displacement_residual,
+    fluctuation_trajectory,
+    parity_element,
+)
 from .hartree import HartreeFlow, evolve_hartree, trajectory_csv_rows
 from .marginals import hs_distance, marginal_from_fock, marginal_from_sector, rank_one, trace_distance
 from .model import build_fock_hamiltonian, build_sector_hamiltonian, embed_product_state
@@ -248,13 +254,15 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     limiting-dynamics gap, across the configured N scan.
 
     Each (kind, N) trajectory is evolved once from the vacuum through the
-    sample times, on one basis: full and reduced once per N, limiting once
-    per run, all along one shared Hartree flow.  The limiting state at
-    t_end is taken before the cell pool; every probe is a reduction over
-    those states, the conjugation residual (``displacement_residual``) over
-    the full state at t_end, with its floor at the suite's cutoff.  A failed
-    cell flags every probe it serves, and the suite continues; a blow-up of
-    the flow stops it."""
+    sample times, on one basis, along one shared Hartree flow: full once
+    per N by the Weyl conjugation identity (``conjugated_trajectory``: one
+    static evolution of W(f_0) vac under H_N, no time step), reduced once
+    per N and limiting once per run by their midpoint generators.  The
+    limiting state at t_end is taken before the cell pool; every probe is a
+    reduction over those states, the conjugation residual
+    (``displacement_residual``) over the full state at t_end, with its
+    floor at the suite's cutoff.  A failed cell flags every probe it
+    serves, and the suite continues; a blow-up of the flow stops it."""
     model = config.model
     budget = PropagationBudget(tol=config.propagation_tol, dt=config.fluctuation_dt)
     basis = build_basis(model.d, _cutoff(config, max(config.n_values)), capacity=config.capacity)
@@ -276,7 +284,7 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     u_lim = lim.get("u_lim")
 
     def trajectory_cell(n):
-        full = fluctuation_trajectory(ops, "full", n, flow, repeats, budget)
+        full = conjugated_trajectory(ops, n, flow, repeats, budget)
         reduced = fluctuation_trajectory(ops, "reduced", n, flow, repeats, budget)
         moments, gaps = [], []
         for (t, psi_f), (_, psi_r) in zip(full, reduced):

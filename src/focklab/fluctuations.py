@@ -16,27 +16,40 @@ act on the even sectors only (``Space``).
 The probes below certify the Weyl conjugation identity, growth of the
 number of particles, and the gaps between the dynamics, all from the
 vacuum.  They are reductions over ``fluctuation_trajectory``, which evolves
-one (kind, N) pair once through the sample times, on the leading sectors it
-occupies: the conjugation residual (``displacement_residual``) is read on
-the full state; ``conjugation_identity_residual`` reaches that state by the
-static route on the Fock Hamiltonian instead.
+one (kind, N) pair once through the sample times by the midpoint rule, on
+the leading sectors it occupies.
+
+The full dynamics is the Weyl-conjugated Schroedinger evolution,
+U_N(t;0) = e^{-iN g(t)} W*(sqrt(N) phi_t) e^{-iH_N t} W(sqrt(N) phi_0), with
+g the scalar term the generator omits (``mean_field_phase``).  H_N
+conserves the number and does not depend on t, so
+``conjugated_trajectory`` reaches the full state by one static evolution,
+with no time step; the fluctuation suite takes its full states from it, and
+the midpoint route of ``full`` is its oracle.  The conjugation residual
+(``displacement_residual``) is read on the full state;
+``conjugation_identity_residual`` reaches that state by the same static
+route.
 """
 
 from __future__ import annotations
+
+from functools import cache, cached_property
+from math import ceil
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity
 
 from .basis import FockVector, OccupationBasis, number_moment
 from .errors import TruncationError
-from .hartree import HartreeFlow, phase_rotate
+from .hartree import HartreeFlow, energy, phase_rotate
 from .model import LatticeModel, build_fock_hamiltonian, interaction_diagonal
-from .propagate import PropagationBudget, StaticPropagator, evolve_timedep, through_times
+from .propagate import PropagationBudget, StaticPropagator, _tridiag_eigh, evolve_timedep, through_times
 from .weyl import weyl_apply
 
 GENERATOR_KINDS = ("full", "reduced", "limiting")
 TOP_SECTOR_LIMIT = 1e-6
 WINDOW_STEP = 4  # a trajectory's first window top, and the sectors each growth adds
+PHASE_PIECE = 0.125  # the longest piece of time one Gauss rule of mean_field_phase spans
 
 
 class _Layout:
@@ -186,12 +199,12 @@ class FluctuationOperators:
     diagonal.  ``bogoliubov_pair`` weights a*_x a_y (x != y) by A_xy and
     a*_x a*_y (x <= y, halved when x = y) by B_xy; the cubic a*_x a*_y a_x
     carries v(x-y) phi_t(y) N^{-1/2}; the diagonal is occupation @ Re diag(A)
-    plus quartic/N.  ``__init__`` lays out one pattern for ``full`` on the
-    whole basis and one shared by ``reduced`` and ``limiting`` on the even
-    sectors (``space``): their monomials are built on the whole basis, since
-    their ladder factors pass through the odd sectors, and restricted to the
-    even states.  An assembly is then one small sparse product into the
-    pattern's data.
+    plus quartic/N.  ``__init__`` lays out one pattern shared by ``reduced``
+    and ``limiting`` on the even sectors (``space``): their monomials are
+    built on the whole basis, since their ladder factors pass through the
+    odd sectors, and restricted to the even states.  The pattern of ``full``,
+    on the whole basis, is laid out on its first assembly.  An assembly is
+    then one small sparse product into the pattern's data.
     """
 
     def __init__(self, model: LatticeModel, basis: OccupationBasis):
@@ -200,25 +213,39 @@ class FluctuationOperators:
         self.model = model
         self.basis = basis
         d = model.d
-        a = [basis.annihilator(x) for x in range(d)]
-        ad = [basis.creator(x) for x in range(d)]
         self.quartic_diag = interaction_diagonal(basis.states, model)
         self.occupation = basis.states.astype(float)
         coupled = model.vmat != 0.0
         self._hop_sites = np.nonzero((coupled | (model.kinetic != 0.0)) & ~np.eye(d, dtype=bool))
         self._pair_sites = np.nonzero(np.triu(coupled))
         self._cubic_sites = np.nonzero(coupled)
-        # the ladder monomials are real, so each transpose is the adjoint
-        hops = [ad[x] @ a[y] for x, y in zip(*self._hop_sites)]                                # a*_x a_y
-        pairs = [ad[x] @ ad[y] * (0.5 if x == y else 1.0) for x, y in zip(*self._pair_sites)]  # a*_x a*_y
-        cubic = [ad[x] @ (ad[y] @ a[x]) for x, y in zip(*self._cubic_sites)]                   # a*_x a*_y a_x
-        quadratic = [*hops, *pairs, *(m.T for m in pairs)]
-        self._full = _Layout(quadratic + cubic + [m.T for m in cubic], basis.size)
         self._whole = Space(basis, even=False)
         self._even = Space(basis, even=True)
         keep = self._even.positions
-        self._reduced = _Layout([m[keep][:, keep] for m in quadratic], self._even.size)
+        self._reduced = _Layout([m[keep][:, keep] for m in self._quadratic()], self._even.size)
         self._even_diagonals = (self.occupation[keep], self.quartic_diag[keep])
+
+    def _ladders(self) -> tuple[list, list]:
+        basis = self.basis
+        return [basis.annihilator(x) for x in range(basis.d)], [basis.creator(x) for x in range(basis.d)]
+
+    def _quadratic(self) -> list:
+        """The quadratic monomials on the whole basis, in the order of
+        ``_fill``'s coefficients."""
+        a, ad = self._ladders()
+        # the ladder monomials are real, so each transpose is the adjoint
+        hops = [ad[x] @ a[y] for x, y in zip(*self._hop_sites)]                                # a*_x a_y
+        pairs = [ad[x] @ ad[y] * (0.5 if x == y else 1.0) for x, y in zip(*self._pair_sites)]  # a*_x a*_y
+        return [*hops, *pairs, *(m.T for m in pairs)]
+
+    @cached_property
+    def _full(self) -> _Layout:
+        """The layout of ``full`` on the whole basis, built on first use: the
+        suite evolves ``full`` by ``conjugated_trajectory``, so only the
+        midpoint route (probes, oracles) assembles it."""
+        a, ad = self._ladders()
+        cubic = [ad[x] @ (ad[y] @ a[x]) for x, y in zip(*self._cubic_sites)]  # a*_x a*_y a_x
+        return _Layout(self._quadratic() + cubic + [m.T for m in cubic], self.basis.size)
 
     def space(self, kind: str) -> Space:
         """The states the generator of ``kind`` acts on."""
@@ -388,6 +415,71 @@ def fluctuation_trajectory(
     vacuum[0] = 1.0
     for t, amp in through_times(advance, vacuum, times):
         yield t, space.embed(amp)
+
+
+@cache
+def _gauss_legendre(points: int) -> list[tuple[float, float]]:
+    """(node, weight) of the Gauss-Legendre rule on [-1, 1]: the eigenvalues
+    of the Jacobi matrix of the Legendre polynomials, and twice the squared
+    first components of its eigenvectors (Golub-Welsch).  Computed on first
+    use, so importing the package runs no LAPACK call."""
+    k = np.arange(1, points)
+    nodes, vectors = _tridiag_eigh(np.zeros(points), k / np.sqrt(4.0 * k * k - 1.0))
+    return list(zip(nodes.tolist(), (2.0 * vectors[0] ** 2).tolist()))
+
+
+def mean_field_phase(flow: HartreeFlow, s: float, t: float) -> float:
+    """g(t) - g(s), with g(t) = (1/2) int_0^t sum_xy v(x-y) |phi_r(x)|^2
+    |phi_r(y)|^2 dr the integral of the interaction energy along the flow,
+    by 8-node Gauss-Legendre on equal pieces of at most PHASE_PIECE."""
+    pieces = max(1, ceil(abs(t - s) / PHASE_PIECE))
+    half = (t - s) / (2 * pieces)
+    rule = _gauss_legendre(8)
+    total = 0.0
+    for k in range(pieces):
+        mid = s + (2 * k + 1) * half
+        total += sum(w * energy(flow.at(mid + half * x), flow.model).interaction for x, w in rule)
+    return half * total
+
+
+def conjugated_trajectory(
+    ops: FluctuationOperators,
+    n: int,
+    flow: HartreeFlow,
+    times,
+    budget: PropagationBudget,
+):
+    """Yield (t, U_N(t;0) vacuum) of the ``full`` kind at each distinct
+    sample time, in increasing order, as ``fluctuation_trajectory`` does,
+    by the Weyl conjugation identity
+    U_N(t;0) = e^{-iN g(t)} W(-f_t) e^{-iH_N t} W(f_0), f_t = sqrt(N) phi_t
+    and g the scalar term the generator omits (``mean_field_phase``).
+
+    H_N conserves the number and does not depend on t, so W(f_0) vacuum is
+    walked through the times by one sector-centred ``StaticPropagator``: no
+    time step, only the Krylov tolerance (per segment) and the cutoff.  W is
+    exact (``weyl_apply``).  At t = 0 the vacuum itself is yielded; every
+    other state is checked for truncation (``TOP_SECTOR_LIMIT``) on the
+    whole basis.  The midpoint route, ``fluctuation_trajectory(ops, "full",
+    ...)``, is the oracle."""
+    basis = ops.basis
+    space = ops.space("full")
+    prop = StaticPropagator(
+        build_fock_hamiltonian(ops.model, n, basis).matrix, budget, sectors=basis.sector_offsets
+    )
+    root = np.sqrt(n)
+    vacuum = FockVector.vacuum(basis)
+    start = weyl_apply(root * flow.at(0.0), vacuum)
+    phase, at = 0.0, 0.0
+    for t, psi in through_times(lambda psi, s, t: prop.apply(psi, t - s), start, times):
+        if t == 0.0:
+            yield t, vacuum.copy()
+            continue
+        phase, at = phase + mean_field_phase(flow, at, t), t
+        xi = weyl_apply(-root * flow.at(t), psi)
+        xi.amp *= np.exp(-1j * n * phase)
+        check_truncation(xi.amp, space)
+        yield t, xi
 
 
 def parity_element(psi: FockVector) -> float:

@@ -31,6 +31,7 @@ import math
 
 import mpmath
 import numpy as np
+from scipy.linalg import eigh
 from scipy.sparse import csr_matrix, diags
 
 from focklab.basis import FockVector, _sector_tuples, annihilate, build_basis, number_moment
@@ -137,6 +138,34 @@ def hartree_at_numpy(phi0, model, dt, t):
         for _ in range(n_steps):
             phi = rk4_step_numpy(phi, span / n_steps, model)
     return phi
+
+
+def mean_field_phase_simpson(phi0, model, dt, t):
+    """g(t) = (1/2) int_0^t sum_xy v(x-y) |phi_s(x)|^2 |phi_s(y)|^2 ds by
+    composite Simpson on the numpy RK4 nodes of an even number of equal
+    steps of at most dt/2."""
+    steps = 2 * max(1, math.ceil(abs(t) / dt))
+    h = t / steps
+    energies = [0.5 * np.abs(p) ** 2 @ model.vmat @ np.abs(p) ** 2 for p in hartree_nodes_numpy(phi0, model, h, steps)]
+    return h / 3 * (energies[0] + energies[-1] + 4 * sum(energies[1:-1:2]) + 2 * sum(energies[2:-1:2]))
+
+
+def conjugated_state_dense(model, n, phi0, t, basis, budget, hartree_dt=1e-3):
+    """U_N(t;0) vac of the full kind by the Weyl conjugation identity
+    e^{-iN g(t)} W(-f_t) e^{-iH_N t} W(f_0) vac, each factor by a second
+    route: e^{-iH_N t} by a dense eigendecomposition of each number sector
+    of H_N, W by the Krylov exponential of its generator (to budget.tol),
+    phi_t by the numpy RK4 and g by ``mean_field_phase_simpson``."""
+    h = build_fock_hamiltonian(model, n, basis).matrix
+    amp = weyl_apply_krylov(np.sqrt(n) * np.asarray(phi0, dtype=complex), FockVector.vacuum(basis), budget).amp
+    for k in range(basis.m_max + 1):
+        sector = basis.sector_slice(k)
+        w, u = eigh(h[sector, sector].toarray())
+        amp[sector] = u @ (np.exp(-1j * w * t) * (u.conj().T @ amp[sector]))
+    ft = np.sqrt(n) * hartree_at_numpy(phi0, model, hartree_dt, t)
+    xi = weyl_apply_krylov(-ft, FockVector(basis, amp), budget)
+    xi.amp *= np.exp(-1j * n * mean_field_phase_simpson(phi0, model, hartree_dt, t))
+    return xi
 
 
 def lanczos_bisect(matvec, v, t, tol, m_cap, depth=0):
@@ -366,8 +395,10 @@ def laguerre_times_factorial(n: int, m: int) -> int:
 def fluctuation_probe_rows(config):
     """Moments, gaps, parity, conjugation and limiting rows of the fluctuation
     suite, each probe evolving its own trajectories from the vacuum (integer
-    m_max).  The conjugation residual is read off the whole-basis full state
-    at t_end site by site, W(f_t) applied once per vector."""
+    m_max): every full state by ``conjugated_state_dense`` from t = 0 (its
+    Weyl operators to 1e-12), the reduced and limiting ones by the midpoint
+    rule on the whole basis.  The conjugation residual is read off the full
+    state at t_end site by site, W(f_t) applied once per vector."""
     model = config.model
     basis = build_basis(model.d, config.m_max)
     ops = FluctuationOperators(model, basis)
@@ -381,25 +412,24 @@ def fluctuation_probe_rows(config):
     def evolve(kind, n, hartree, psi, s, t):
         return evolve_fluctuation(ops, kind, n, hartree, psi, s, t, budget)
 
+    def full(n, t):
+        return conjugated_state_dense(model, n, config.phi0, t, basis, PropagationBudget(tol=1e-12), config.hartree_dt)
+
     rows = {"moments": [], "gaps": [], "parity": [], "conjugation": [], "limiting": []}
     for n in config.n_values:
-        hartree, psi, t_prev = flow(), vac, 0.0
         for t in sorted(config.t_samples):
-            psi, t_prev = evolve("full", n, hartree, psi, t_prev, t), t
-            rows["moments"].append(("full", n, 1, t, number_moment(psi, 1)))
-        hartree, psi_f, psi_r, t_prev = flow(), vac, vac, 0.0
+            rows["moments"].append(("full", n, 1, t, number_moment(full(n, t), 1)))
+        hartree, psi_r, t_prev = flow(), vac, 0.0
         for t in sorted(set(config.t_samples)):
-            psi_f = evolve("full", n, hartree, psi_f, t_prev, t)
-            psi_r = evolve("reduced", n, hartree, psi_r, t_prev, t)
-            t_prev = t
-            rows["gaps"].append(("full-vs-reduced", n, "", t, float(np.linalg.norm(psi_f.amp - psi_r.amp))))
+            psi_r, t_prev = evolve("reduced", n, hartree, psi_r, t_prev, t), t
+            rows["gaps"].append(("full-vs-reduced", n, "", t, float(np.linalg.norm(full(n, t).amp - psi_r.amp))))
         u = evolve("reduced", n, flow(), vac, 0.0, t_end)
         defect = max(abs(complex(np.vdot(u.amp, basis.annihilator(x) @ u.amp))) for x in range(model.d))
         rows["parity"].append(("reduced", n, "", t_end, defect))
     hartree = flow()
     u_lim = evolve("limiting", 1, hartree, vac, 0.0, t_end)
     for n in config.n_values:
-        u_n = evolve("full", n, hartree, vac, 0.0, t_end)
+        u_n = full(n, t_end)
         rows["limiting"].append(("full-vs-limiting", n, "", t_end, float(np.linalg.norm(u_n.amp - u_lim.amp))))
         ft = np.sqrt(n) * hartree.at(t_end)
         psi2 = weyl_apply(ft, u_n)

@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dstevd
 import focklab as fl
 import focklab.experiments as experiments
 import focklab.propagate as propagate
-from focklab.basis import build_basis
+from focklab.basis import FockVector, build_basis, number_moment
 from focklab.cli import main
 from focklab.config import ExperimentConfig, config_from_dict, load_config
 from focklab.decomposition import reconstruct_product
@@ -23,9 +23,10 @@ from focklab.experiments import (
     run_product_rate_scan,
     write_csv,
 )
-from focklab.fluctuations import GENERATOR_KINDS
+from focklab.fluctuations import GENERATOR_KINDS, FluctuationOperators, evolve_fluctuation, number_growth_probe
 from focklab.hartree import HartreeFlow
 from focklab.model import LatticeModel, Potential
+from focklab.propagate import PropagationBudget
 from focklab.weyl import displacement_floor, minimal_cutoff, poisson_tail
 from oracles import fluctuation_probe_rows, parseval_sum_mp, rate_rows_from_zero
 
@@ -238,7 +239,7 @@ def test_fluctuation_suite_records_failures_and_continues():
 
 def test_fluctuation_suite_failed_n_leaves_the_others_rows():
     # a strong coupling at m_max=14, t=0.3 splits the N scan: the full
-    # state's top-sector weight is 1.3e-7 at N=1 and 5.2e-6 at N=3, either
+    # state's top-sector weight is 3.7e-7 at N=1 and 5.5e-6 at N=3, either
     # side of the 1e-6 limit (reduced 1.4e-13 and 5.1e-10, limiting 5.2e-7),
     # so N=3 fails while N=1 writes every row, limiting included
     strong = LatticeModel(3, Potential.contact(3, 2.5))
@@ -278,19 +279,57 @@ def test_fluctuation_suite_clean_run():
 
 
 def test_fluctuation_suite_evolves_every_generator_kind(monkeypatch):
-    # every kind the package offers feeds some output of the suite; a kind
-    # reachable only through the Python API fails here
-    kinds = set()
-    trajectory = experiments.fluctuation_trajectory
+    # every kind the package offers feeds some output: the suite evolves
+    # reduced (per N) and limiting (once) by their generators, and full by
+    # the conjugation identity, once per N, assembling no full generator.
+    # The full generator still serves the moment probe and
+    # evolve_fluctuation, which the benchmark's gate and the oracles call
+    kinds, conjugated, assembled = [], [], set()
+    trajectory, route = experiments.fluctuation_trajectory, experiments.conjugated_trajectory
+    assemble = FluctuationOperators.assemble
 
     def recording(ops, kind, *args):
-        kinds.add(kind)
+        kinds.append(kind)
         return trajectory(ops, kind, *args)
 
+    def recording_route(ops, n, *args):
+        conjugated.append(n)
+        return route(ops, n, *args)
+
+    def recording_assemble(self, kind, *args, **kwargs):
+        assembled.add(kind)
+        return assemble(self, kind, *args, **kwargs)
+
     monkeypatch.setattr(experiments, "fluctuation_trajectory", recording)
-    result = run_fluctuation_suite(_config(n_values=[2], t_samples=[0.1], m_max=8))
+    monkeypatch.setattr(experiments, "conjugated_trajectory", recording_route)
+    monkeypatch.setattr(FluctuationOperators, "assemble", recording_assemble)
+    cfg = _config(n_values=[2, 3], t_samples=[0.1], m_max=8)
+    result = run_fluctuation_suite(cfg)
     assert result.ok
-    assert kinds == set(GENERATOR_KINDS)
+    assert kinds == ["limiting", "reduced", "reduced"]
+    assert conjugated == cfg.n_values
+    assert assembled == {"reduced", "limiting"}
+    basis = build_basis(3, 8)
+    budget = PropagationBudget(tol=cfg.propagation_tol, dt=cfg.fluctuation_dt)
+    [row] = number_growth_probe("full", cfg.model, 2, cfg.phi0, 1, [0.1], budget, basis=basis)
+    psi = evolve_fluctuation(
+        FluctuationOperators(cfg.model, basis), "full", 2, HartreeFlow(cfg.phi0, cfg.model, cfg.hartree_dt),
+        FockVector.vacuum(basis), 0.0, 0.1, budget,
+    )
+    assert assembled == set(GENERATOR_KINDS)
+    # the windowed and the whole-space midpoint routes
+    assert abs(row[-1] - number_moment(psi, 1)) < 1e-9
+
+
+def test_fluctuation_suite_t0_rows_are_exactly_zero():
+    # at t = 0 the full state is the vacuum itself, not W(-f_0) W(f_0) vac
+    # with its rounding, and so is the reduced one: the t = 0 moments and
+    # gaps are exactly 0
+    result = run_fluctuation_suite(_config(n_values=[2, 3], t_samples=[0.2, 0.0, 0.0], m_max=10))
+    assert result.ok
+    at_zero = [row for table in ("moments", "gaps") for row in result.tables[table] if row[3] == 0.0]
+    assert len(at_zero) == 2 * 2 + 2  # two repeated moment rows and one gap row per N
+    assert all(row[-1] == 0.0 for row in at_zero)
 
 
 def test_fluctuation_suite_free_model_all_probes_vanish():
@@ -319,20 +358,22 @@ def test_fluctuation_suite_free_model_all_probes_vanish():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_fluctuation_suite_matches_per_probe_evolutions(threads):
     # the suite evolves each (kind, N) trajectory once; the oracle evolves
-    # every probe's own, as the suite did before.  Moments and gaps take the
-    # same steps in the same order; parity, the conjugation residual and the
-    # limiting gap compare against single-segment evolutions, whose
-    # midpoints differ by rounding
+    # every probe's own.  Its full states come from the dense conjugated
+    # oracle route, each from t = 0; the suite's H_N at m_max=12 takes the
+    # dense route too, so the rows it reads off full states agree within
+    # 1e-12, the tolerance of the oracle's Weyl exponentials (measured
+    # <= 1.2e-14).  Parity comes from the reduced state alone, which the
+    # oracle evolves by the same rule in one segment: midpoints that
+    # differ by rounding
     cfg = _config(n_values=[2, 3], t_samples=[0.4, 0.0, 0.2], m_max=12, threads=threads)
     result = run_fluctuation_suite(cfg)
     assert result.ok
     ref = fluctuation_probe_rows(cfg)
-    assert result.tables["moments"] == ref["moments"]
-    assert result.tables["gaps"] == ref["gaps"]
-    for table in ("parity", "conjugation", "limiting"):
+    for table, bound in (("moments", 1e-12), ("gaps", 1e-12), ("parity", 1e-13), ("conjugation", 1e-12),
+                         ("limiting", 1e-12)):
         got, want = result.tables[table], ref[table]
         assert [row[:4] + row[5:] for row in got] == [row[:4] + row[5:] for row in want]  # and the floors
-        assert max(abs(a[4] - b[4]) for a, b in zip(got, want)) < 1e-13
+        assert max(abs(a[4] - b[4]) for a, b in zip(got, want)) < bound
 
 
 def test_coefficient_suite_tables():

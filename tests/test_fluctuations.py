@@ -10,11 +10,13 @@ from focklab.fluctuations import (
     GENERATOR_KINDS,
     FluctuationOperators,
     bogoliubov_pair,
+    conjugated_trajectory,
     dynamics_gap,
     WINDOW_STEP,
     evolve_fluctuation,
     conjugation_identity_residual,
     fluctuation_trajectory,
+    mean_field_phase,
     number_growth_probe,
     parity_defect,
 )
@@ -22,7 +24,13 @@ from focklab.hartree import HartreeFlow, energy
 from focklab.model import Potential, build_sector_hamiltonian, kinetic_matrix
 from focklab.propagate import PropagationBudget, StaticPropagator
 from focklab.weyl import weyl_apply
-from oracles import assemble_by_terms, conjugation_residual_full_route, evolve_whole_basis
+from oracles import (
+    assemble_by_terms,
+    conjugated_state_dense,
+    conjugation_residual_full_route,
+    evolve_whole_basis,
+    mean_field_phase_simpson,
+)
 
 
 def _phi(d, seed=0):
@@ -456,3 +464,100 @@ def test_vacuum_moments_bounded_for_every_kind(setup):
         vals = [number_growth_probe(kind, model, n, phi, 1, [0.5], budget, basis=basis)[0][4] for n in (2, 4, 8)]
         assert all(np.isfinite(v) and 0.0 <= v < 2.0 for v in vals)
         assert max(vals) <= 2.0 * min(vals) + 1e-9
+
+
+GEOMETRIC = np.array([1.0, 0.6, 0.36], complex) / np.linalg.norm([1.0, 0.6, 0.36])
+
+
+def test_midpoint_full_trajectory_approaches_the_conjugated_route_at_second_order():
+    # the conjugated route has no time step, so the midpoint route's distance
+    # to it is its step error: 4x smaller per halving of dt, 1 - |<.,.>| 16x
+    # (measured 4.00, 3.95 and 15.97, 15.62).  The phase the route adds is
+    # -N g: the midpoint state's phase relative to W(-f_t) e^{-iHt} W(f_0)
+    # vac, extrapolated to dt = 0 (Richardson), is -N g to 1e-9 (measured
+    # 7.0e-11 of N g = 0.141).  At m = 12 to 16 the two routes differ by up
+    # to 2.3e-4 (N=2, m=12) and 6.8e-6 (N=1, m=16) at any dt, since each
+    # truncates a different state, and that floor hides the step error
+    # below dt = 0.01; at m = 20 it sits below 1e-6
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    ops = FluctuationOperators(model, fl.build_basis(3, 20))
+    flow = HartreeFlow(GEOMETRIC, model, 1e-3)
+    n, t = 2, 0.3
+    [(_, xi)] = conjugated_trajectory(ops, n, flow, [t], PropagationBudget(tol=1e-12))
+    ng = n * mean_field_phase(flow, 0.0, t)
+    bare = xi.amp * np.exp(1j * ng)  # W(-f_t) e^{-iHt} W(f_0) vac
+    distance, infidelity, phase = [], [], []
+    for dt in (0.02, 0.01, 0.005):
+        [(_, mid)] = fluctuation_trajectory(ops, "full", n, flow, [t], PropagationBudget(tol=1e-12, dt=dt))
+        distance.append(np.linalg.norm(mid.amp - xi.amp))
+        infidelity.append(1.0 - abs(np.vdot(xi.amp, mid.amp)))
+        phase.append(np.angle(np.vdot(bare, mid.amp)))
+    for coarse, fine in zip(distance, distance[1:]):
+        assert 3.6 < coarse / fine < 4.4
+    for coarse, fine in zip(infidelity, infidelity[1:]):
+        assert 14.0 < coarse / fine < 18.0
+    for coarse, fine in zip(phase, phase[1:]):
+        assert 3.6 < (coarse + ng) / (fine + ng) < 4.4
+    assert abs((4.0 * phase[2] - phase[1]) / 3.0 + ng) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_conjugated_trajectory_matches_the_dense_oracle(n):
+    # m = 16 (969 states) takes the static Krylov route; the oracle takes a
+    # dense eigendecomposition per sector, the Krylov Weyl exponential,
+    # the numpy Hartree flow and Simpson's phase.  Each segment is held to
+    # tol, so three segments stay within 3 tol (measured <= 2.9e-12)
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    basis = fl.build_basis(3, 16)
+    ops = FluctuationOperators(model, basis)
+    flow = HartreeFlow(GEOMETRIC, model, 1e-3)
+    budget = PropagationBudget(tol=1e-10)
+    times = [0.1, 0.3, 0.6]
+    got = list(conjugated_trajectory(ops, n, flow, [0.6, 0.1, 0.3, 0.1], budget))
+    assert [t for t, _ in got] == times
+    for t, xi in got:
+        ref = conjugated_state_dense(model, n, GEOMETRIC, t, basis, PropagationBudget(tol=1e-12))
+        assert np.linalg.norm(xi.amp - ref.amp) < 3 * budget.tol
+    # the phase by 8-node Gauss on pieces of 1/8 against Simpson's rule on
+    # 1200 steps (measured 1.9e-14)
+    assert abs(mean_field_phase(flow, 0.0, 0.6) - mean_field_phase_simpson(GEOMETRIC, model, 1e-3, 0.6)) < 1e-12
+
+
+def test_free_model_conjugated_route_is_the_vacuum():
+    # with V = 0 the phase vanishes and e^{-iTt} W(f_0) vac = W(f_t) vac
+    # exactly on the truncated space (a one-body unitary commutes with the
+    # cutoff), so xi is the vacuum to the Krylov tolerance and the Hartree
+    # step (measured <= 4.0e-12 at m = 16, on the Krylov route, and 1.3e-12
+    # at m = 12, on the dense one)
+    free = fl.LatticeModel(3, Potential.zero(3))
+    flow = HartreeFlow(GEOMETRIC, free, 1e-3)
+    budget = PropagationBudget(tol=1e-10)
+    assert mean_field_phase(flow, 0.0, 0.7) == 0.0
+    for m_max in (12, 16):
+        ops = FluctuationOperators(free, fl.build_basis(3, m_max))
+        vac = fl.FockVector.vacuum(ops.basis)
+        for n in (2, 4):
+            for t, xi in conjugated_trajectory(ops, n, flow, [0.0, 0.3, 0.7], budget):
+                assert np.linalg.norm(xi.amp - vac.amp) < budget.tol
+
+
+def test_conjugated_trajectory_yields_the_vacuum_at_t0(setup):
+    # W(-f_0) W(f_0) vac leaves rounding; t = 0 yields the vacuum itself
+    model, basis, _, ops = setup
+    flow = HartreeFlow(GEOMETRIC, model, 1e-3)
+    [(t, xi)] = conjugated_trajectory(ops, 4, flow, [0.0], PropagationBudget())
+    assert t == 0.0
+    assert np.array_equal(xi.amp, fl.FockVector.vacuum(basis).amp)
+
+
+def test_full_layout_is_built_on_first_use():
+    # the conjugated route needs no full generator: the operators lay out
+    # its pattern only when an assembly asks for it, and the same one then
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    ops = FluctuationOperators(model, fl.build_basis(3, 10))
+    flow = HartreeFlow(GEOMETRIC, model, 1e-3)
+    list(conjugated_trajectory(ops, 2, flow, [0.2], PropagationBudget()))
+    assert "_full" not in vars(ops)
+    gen = ops.assemble("full", 2, GEOMETRIC)
+    assert "_full" in vars(ops)
+    assert abs(gen - assemble_by_terms(ops, "full", 2, GEOMETRIC)).max() < 1e-13

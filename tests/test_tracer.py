@@ -2,8 +2,9 @@
 
 The tracer wraps package functions by name, so a renamed hook raises
 TraceTargetMissing here rather than only when the benchmark runs.  The
-counts pin the shared work: each fluctuation segment evolved once, two
-evolutions per remainder probe, and one static apply per rate-scan segment.
+counts pin the shared work: each fluctuation segment evolved once (the full
+kind's by one static apply), two evolutions per remainder probe, and one
+static apply per rate-scan segment.
 """
 
 import importlib.util
@@ -51,11 +52,13 @@ def test_tracer_installs_and_counts_shared_evolutions(tmp_path):
     path = _write_config(tmp_path, n_values, samples, remainder_n)
     m = _traced(path, tmp_path / "out", ("fluctuation-suite", "coeff-suite"))
     segments = len(samples) - 1  # t=0 needs no evolution
-    # full and reduced per N, limiting once, then the remainder probes
-    expected = (2 * len(n_values) + 1) * segments + 2 * len(remainder_n)
+    # reduced per N and limiting once, then the remainder probes; full is
+    # one static apply per N and segment
+    expected = (len(n_values) + 1) * segments + 2 * len(remainder_n)
     assert m["fluctuations.evolutions"] == expected
     assert m["fluctuations.evolutions_distinct"] == expected
     assert m["decomposition.remainder_evolutions"] == 2 * len(remainder_n)
+    assert m["propagate.static_applies"] == len(n_values) * segments
     # one Hartree flow per suite, and every ladder built with its basis
     assert m["hartree.flows"] == 2
     assert m["basis.ladder_builds"] == 0
@@ -77,10 +80,10 @@ def test_tracer_names_rate_cells_and_counts_one_apply_per_segment(tmp_path):
 
 def test_fluctuation_suite_runs_on_one_basis(tmp_path):
     # every probe is read off the trajectories on the suite's one basis: no
-    # second basis, Fock Hamiltonian or static propagator for the
-    # conjugation residual
-    path = _write_config(tmp_path, [2, 3], [0.0, 0.15, 0.3], [2])
+    # second basis for the conjugation residual, and one Fock Hamiltonian
+    # and static propagator per N, for its full trajectory
+    n_values = [2, 3]
+    path = _write_config(tmp_path, n_values, [0.0, 0.15, 0.3], [2])
     m = _traced(path, tmp_path / "out", ("fluctuation-suite",))
     assert m["basis.builds"] == 1
-    assert m["model.fock_h_builds"] == 0
-    assert m["propagate.static_builds"] == 0
+    assert m["model.fock_h_builds"] == m["propagate.static_builds"] == len(n_values)
