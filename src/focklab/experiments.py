@@ -22,6 +22,7 @@ from .config import ExperimentConfig
 from .decomposition import parseval_identity_check, reconstruct_product, remainder_probe, scaled_from_r
 from .errors import FockLabError, TruncationError
 from .fluctuations import (
+    ConjugatedRoute,
     FluctuationOperators,
     conjugated_trajectory,
     displacement_residual,
@@ -258,7 +259,9 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     per N by the Weyl conjugation identity (``conjugated_trajectory``: one
     static evolution of W(f_0) vac under H_N, no time step), reduced once
     per N and limiting once per run by their midpoint generators.  The
-    limiting state at t_end is taken before the cell pool; every probe is a
+    limiting state at t_end, and what every N's full trajectory shares
+    (``ConjugatedRoute``: H_N's N-independent parts, each sample time's
+    Weyl frame and phase), are made before the cell pool; every probe is a
     reduction over those states, the conjugation residual
     (``displacement_residual``) over the full state at t_end, with its
     floor at the suite's cutoff.  A failed cell flags every probe it
@@ -282,16 +285,24 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     # pool; a partial trajectory gives no gap
     lim, failures = _guarded("limiting", "scan", limiting_state)()
     u_lim = lim.get("u_lim")
+    # what every N's full trajectory shares, also built once before the pool;
+    # a failure to build it fails every N's cell, as if each had built it
+    try:
+        route = ConjugatedRoute(ops, flow, repeats)
+    except FockLabError as exc:
+        route = exc
 
     def trajectory_cell(n):
-        full = conjugated_trajectory(ops, n, flow, repeats, budget)
+        if isinstance(route, FockLabError):
+            raise route
+        full = conjugated_trajectory(ops, n, flow, repeats, budget, route, shifted=True)
         reduced = fluctuation_trajectory(ops, "reduced", n, flow, repeats, budget)
         moments, gaps = [], []
-        for (t, psi_f), (_, psi_r) in zip(full, reduced):
+        for (t, psi_f, shifted), (_, psi_r) in zip(full, reduced):
             moments += [("full", n, 1, t, number_moment(psi_f, 1))] * repeats[t]
             gaps.append(("full-vs-reduced", n, "", t, float(np.linalg.norm(psi_f.amp - psi_r.amp))))
         rows = {"moments": moments, "gaps": gaps, "parity": [("reduced", n, "", t_end, parity_element(psi_r))]}
-        res = displacement_residual(np.sqrt(n) * flow.at(t_end), psi_f)
+        res = displacement_residual(route.frames[t_end], np.sqrt(n), psi_f, shifted.amp)
         rows["conjugation"] = [("conjugation", n, "", t_end, res, displacement_floor(n, basis.m_max))]
         if u_lim is not None:
             gap = float(np.linalg.norm(psi_f.amp - u_lim.amp))

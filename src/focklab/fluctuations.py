@@ -25,7 +25,9 @@ g the scalar term the generator omits (``mean_field_phase``).  H_N
 conserves the number and does not depend on t, so
 ``conjugated_trajectory`` reaches the full state by one static evolution,
 with no time step; the fluctuation suite takes its full states from it, and
-the midpoint route of ``full`` is its oracle.  The conjugation residual
+the midpoint route of ``full`` is its oracle.  What every N shares, the
+N-independent parts of H_N and each sample time's Weyl frame and phase, is
+built once (``ConjugatedRoute``).  The conjugation residual
 (``displacement_residual``) is read on the full state;
 ``conjugation_identity_residual`` reaches that state by the same static
 route.
@@ -42,9 +44,9 @@ from scipy.sparse import csr_matrix, identity
 from .basis import FockVector, OccupationBasis, number_moment
 from .errors import TruncationError
 from .hartree import HartreeFlow, energy, phase_rotate
-from .model import LatticeModel, build_fock_hamiltonian, interaction_diagonal
+from .model import HamiltonianParts, LatticeModel, build_fock_hamiltonian, interaction_diagonal
 from .propagate import PropagationBudget, StaticPropagator, _tridiag_eigh, evolve_timedep, through_times
-from .weyl import weyl_apply
+from .weyl import WeylFrame
 
 GENERATOR_KINDS = ("full", "reduced", "limiting")
 TOP_SECTOR_LIMIT = 1e-6
@@ -93,35 +95,47 @@ class _Layout:
             free[positions] += 1
         self.term_map = csr_matrix((data, cols, rows), shape=(pattern.nnz, len(terms)))
 
-    def fill(self, coefficients: np.ndarray, diagonal: np.ndarray) -> csr_matrix:
+    def fill(self, coefficients: np.ndarray, diagonal: np.ndarray, out=None):
         """sum_k coefficients[k] T_k + diag(diagonal) on the pattern's first
-        len(diagonal) rows, as a (rows x span) CSR matrix."""
+        len(diagonal) rows: the whole pattern as a CSR matrix, or fewer rows
+        as a ``_LeadingBlock``.  ``out``, a matrix an earlier fill of as many
+        rows returned, has its data refilled in place and is returned, so
+        no matrix is constructed."""
         rows = len(diagonal)
+        if out is None:
+            out = self._empty(rows)
+        terms = out.terms if isinstance(out, _LeadingBlock) else self.term_map
+        out.data[:] = terms @ coefficients
+        out.data[self.diagonal[:rows]] += diagonal
+        return out
+
+    def _empty(self, rows: int):
+        """The matrix ``fill`` writes the pattern's first ``rows`` rows into."""
         end = int(self.indptr[rows])
-        term_map = self.term_map
-        if rows < self.shape[0]:
-            cut = term_map.indptr[end]
-            term_map = csr_matrix(
-                (term_map.data[:cut], term_map.indices[:cut], term_map.indptr[: end + 1]),
-                shape=(end, term_map.shape[1]),
-            )
-        data = term_map @ coefficients
-        data[self.diagonal[:rows]] += diagonal
-        return csr_matrix(
-            (data, self.indices[:end], self.indptr[: rows + 1]), shape=(rows, int(self.span[rows - 1]))
+        matrix = csr_matrix(
+            (np.zeros(end, dtype=complex), self.indices[:end], self.indptr[: rows + 1]),
+            shape=(rows, int(self.span[rows - 1])),
         )
+        if rows == self.shape[0]:
+            return matrix
+        tm = self.term_map
+        cut = tm.indptr[end]
+        terms = csr_matrix((tm.data[:cut], tm.indices[:cut], tm.indptr[: end + 1]), shape=(end, tm.shape[1]))
+        return _LeadingBlock(matrix, terms)
 
 
 class _LeadingBlock:
     """The leading (dim x dim) block of a matrix, held as the matrix's first
-    dim rows (``rows``, a dim x span CSR matrix).  A product pads its input
+    dim rows (``rows``, a dim x span CSR matrix), with ``terms``, the rows
+    of a ``_Layout``'s term map that fill them.  A product pads its input
     with zeros up to the span, so the entries right of the block act on
     zeros and the product costs the block's rows only.  The padded input is
     one buffer per block, whose head each product overwrites: a block is
     not shared between threads."""
 
-    def __init__(self, rows: csr_matrix):
+    def __init__(self, rows: csr_matrix, terms: csr_matrix):
         self.rows = rows
+        self.terms = terms
         self.shape = (rows.shape[0], rows.shape[0])
         # the CSR arrays of the rows, which every product reads
         self.nnz, self.data, self.indices = rows.nnz, rows.data, rows.indices
@@ -199,12 +213,12 @@ class FluctuationOperators:
     diagonal.  ``bogoliubov_pair`` weights a*_x a_y (x != y) by A_xy and
     a*_x a*_y (x <= y, halved when x = y) by B_xy; the cubic a*_x a*_y a_x
     carries v(x-y) phi_t(y) N^{-1/2}; the diagonal is occupation @ Re diag(A)
-    plus quartic/N.  ``__init__`` lays out one pattern shared by ``reduced``
-    and ``limiting`` on the even sectors (``space``): their monomials are
-    built on the whole basis, since their ladder factors pass through the
-    odd sectors, and restricted to the even states.  The pattern of ``full``,
-    on the whole basis, is laid out on its first assembly.  An assembly is
-    then one small sparse product into the pattern's data.
+    plus quartic/N.  ``reduced`` and ``limiting`` share one pattern on the
+    even sectors (``space``): their monomials are built on the whole basis,
+    since their ladder factors pass through the odd sectors, and restricted
+    to the even states.  ``full`` has its own, on the whole basis.  Each
+    pattern is laid out on its first assembly, and an assembly is then one
+    small sparse product into the pattern's data.
     """
 
     def __init__(self, model: LatticeModel, basis: OccupationBasis):
@@ -222,7 +236,6 @@ class FluctuationOperators:
         self._whole = Space(basis, even=False)
         self._even = Space(basis, even=True)
         keep = self._even.positions
-        self._reduced = _Layout([m[keep][:, keep] for m in self._quadratic()], self._even.size)
         self._even_diagonals = (self.occupation[keep], self.quartic_diag[keep])
 
     def _ladders(self) -> tuple[list, list]:
@@ -239,6 +252,13 @@ class FluctuationOperators:
         return [*hops, *pairs, *(m.T for m in pairs)]
 
     @cached_property
+    def _reduced(self) -> _Layout:
+        """The layout of ``reduced`` and ``limiting`` on the even sectors,
+        built on first use: ``remainder_probe`` assembles neither."""
+        keep = self._even.positions
+        return _Layout([m[keep][:, keep] for m in self._quadratic()], self._even.size)
+
+    @cached_property
     def _full(self) -> _Layout:
         """The layout of ``full`` on the whole basis, built on first use: the
         suite evolves ``full`` by ``conjugated_trajectory``, so only the
@@ -251,29 +271,31 @@ class FluctuationOperators:
         """The states the generator of ``kind`` acts on."""
         return self._whole if kind == "full" else self._even
 
-    def _fill(self, kind: str, n: int, phi: np.ndarray, rows: int) -> csr_matrix:
+    def _fill(self, kind: str, n: int, phi: np.ndarray, rows: int, out):
         """The generator's first ``rows`` rows (see ``_Layout.fill``)."""
         a, b = bogoliubov_pair(self.model, phi)
         coefficients = np.concatenate([a[self._hop_sites], b[self._pair_sites], b[self._pair_sites].conj()])
         occupation, quartic = (self.occupation, self.quartic_diag) if kind == "full" else self._even_diagonals
         diagonal = occupation[:rows] @ a.diagonal().real
         if kind == "limiting":
-            return self._reduced.fill(coefficients, diagonal)
+            return self._reduced.fill(coefficients, diagonal, out)
         diagonal = diagonal + quartic[:rows] / n
         if kind == "reduced":
-            return self._reduced.fill(coefficients, diagonal)
+            return self._reduced.fill(coefficients, diagonal, out)
         cubic = (self.model.vmat * phi)[self._cubic_sites] / np.sqrt(n)
-        return self._full.fill(np.concatenate([coefficients, cubic, np.conj(cubic)]), diagonal)
+        return self._full.fill(np.concatenate([coefficients, cubic, np.conj(cubic)]), diagonal, out)
 
-    def assemble(self, kind: str, n: int, phi: np.ndarray, top: int | None = None):
+    def assemble(self, kind: str, n: int, phi: np.ndarray, top: int | None = None, out=None):
         """The generator of the requested kind at Hartree orbital phi, on
-        ``space(kind)``.
+        ``space(kind)``: a new matrix, or ``out`` refilled.
 
         With ``top`` below the space's top sector, the generator on its
         sectors [0, top] only: the leading block of the whole generator,
         which is the generator on the basis cut at ``top`` (see
         ``SectorWindow``): only the block's rows are filled, and a
-        ``_LeadingBlock`` is returned."""
+        ``_LeadingBlock`` is returned.  ``out``, a matrix an earlier
+        assembly of the same kind and top returned, is refilled in place
+        and returned instead (``generator_family``)."""
         if kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {kind!r}")
         if kind != "limiting" and n < 1:
@@ -282,8 +304,7 @@ class FluctuationOperators:
         rows = space.size
         if top is not None and top < space.top:
             rows = int(space.offsets[top + 1])
-        gen = self._fill(kind, n, phi, rows)
-        return gen if rows == space.size else _LeadingBlock(gen)
+        return self._fill(kind, n, phi, rows, out)
 
 
 def generator_family(
@@ -298,13 +319,24 @@ def generator_family(
     """t -> generator matrix, with phi_t optionally gauge-rotated by e^{i phase},
     on the sectors of ``window`` as they are when it is called.  ``cutoff``
     is unused: it stays only because the benchmark's tracer binds this
-    function's arguments by name and reads it."""
+    function's arguments by name and reads it.
+
+    The family owns one matrix per window top, which every call at that top
+    refills (``FluctuationOperators.assemble``); a wider top releases the
+    last one.  So a returned generator holds until the next call, and a
+    family serves one evolution at a time; families share nothing they
+    write."""
+    held = {}  # the window top -> the matrix refilled at it
 
     def gen(t: float):
         phi = flow.at(t)
         if phase != 0.0:
             phi = phase_rotate(phi, phase)
-        return ops.assemble(kind, n, phi, top=None if window is None else window.top)
+        top = None if window is None else window.top
+        if top not in held:
+            held.clear()
+        held[top] = ops.assemble(kind, n, phi, top=top, out=held.get(top))
+        return held[top]
 
     return gen
 
@@ -404,9 +436,10 @@ def fluctuation_trajectory(
     oracle."""
     space = ops.space(kind)
     window = SectorWindow(space, budget.tol)
-    gen = generator_family(ops, kind, n, flow, window=window)
 
     def advance(amp, s, t):
+        # a family per segment: its matrix is released between segments
+        gen = generator_family(ops, kind, n, flow, window=window)
         amp = evolve_timedep(gen, amp, s, t, budget, widen=window.widen)
         check_truncation(amp, space)
         return amp
@@ -442,12 +475,42 @@ def mean_field_phase(flow: HartreeFlow, s: float, t: float) -> float:
     return half * total
 
 
+class ConjugatedRoute:
+    """What the conjugated trajectories of every N on one basis and Hartree
+    flow share (``conjugated_trajectory``): the N-independent parts of H_N
+    (``HamiltonianParts``) and, at t = 0 and at each distinct sample time,
+    phi_t's Weyl frame (``WeylFrame``, which serves W(+-sqrt(N) phi_t) for
+    every N) and g(t) (``mean_field_phase``, summed segment by segment in
+    increasing time).  Built once, before the trajectories, and read-only
+    after, so threads may share it; it is released with its holder."""
+
+    def __init__(self, ops: FluctuationOperators, flow: HartreeFlow, times):
+        self.parts = HamiltonianParts(ops.model, ops.basis)
+        rotation = ops.basis.mode_rotation
+        self.frames, self.phases = {}, {}
+        phase, at = 0.0, 0.0
+        for t in sorted({0.0, *(float(t) for t in times)}):
+            phase, at = phase + mean_field_phase(flow, at, t), t
+            self.frames[t], self.phases[t] = WeylFrame(rotation, flow.at(t)), phase
+
+
+def _leading_top(psi: FockVector, eps: float) -> int:
+    """The smallest k such that psi holds at most eps**2 of its squared norm
+    in the sectors above k."""
+    weights = psi.sector_weights()
+    above = np.append(np.cumsum(weights[::-1])[::-1][1:], 0.0)  # summed from the top sector down
+    return int(np.argmax(above <= eps**2 * weights.sum()))
+
+
 def conjugated_trajectory(
     ops: FluctuationOperators,
     n: int,
     flow: HartreeFlow,
     times,
     budget: PropagationBudget,
+    route: ConjugatedRoute | None = None,
+    *,
+    shifted: bool = False,
 ):
     """Yield (t, U_N(t;0) vacuum) of the ``full`` kind at each distinct
     sample time, in increasing order, as ``fluctuation_trajectory`` does,
@@ -457,29 +520,37 @@ def conjugated_trajectory(
 
     H_N conserves the number and does not depend on t, so W(f_0) vacuum is
     walked through the times by one sector-centred ``StaticPropagator``: no
-    time step, only the Krylov tolerance (per segment) and the cutoff.  W is
-    exact (``weyl_apply``).  At t = 0 the vacuum itself is yielded; every
-    other state is checked for truncation (``TOP_SECTOR_LIMIT``) on the
-    whole basis.  The midpoint route, ``fluctuation_trajectory(ops, "full",
-    ...)``, is the oracle."""
+    time step, only the Krylov tolerance (per segment) and the cutoff.  It
+    is walked on the leading sectors [0, k] beyond which W(f_0) vacuum holds
+    at most (tol/10)**2 of its squared norm: on them H_N is H_N on the basis
+    cut at k, filled from ``route.parts``, and the part it drops would keep
+    its norm, so each state is off by at most tol/10 more.  W is exact
+    (``route.frames``, built for ``times``; by default for this call).  At
+    t = 0 the vacuum itself is yielded; every other state is checked for
+    truncation (``TOP_SECTOR_LIMIT``) on the whole basis.  The midpoint
+    route, ``fluctuation_trajectory(ops, "full", ...)``, is the oracle.
+
+    With ``shifted``, (t, xi, W(f_t) xi) is yielded instead: W(f_t) xi is
+    e^{-iN g(t)} e^{-iH_N t} W(f_0) vacuum, the walk's own state, so it
+    costs no Weyl apply (``displacement_residual``)."""
     basis = ops.basis
     space = ops.space("full")
-    prop = StaticPropagator(
-        build_fock_hamiltonian(ops.model, n, basis).matrix, budget, sectors=basis.sector_offsets
-    )
+    route = ConjugatedRoute(ops, flow, times) if route is None else route
     root = np.sqrt(n)
-    vacuum = FockVector.vacuum(basis)
-    start = weyl_apply(root * flow.at(0.0), vacuum)
-    phase, at = 0.0, 0.0
-    for t, psi in through_times(lambda psi, s, t: prop.apply(psi, t - s), start, times):
+    start = route.frames[0.0].vacuum(root)
+    top = _leading_top(FockVector(basis, start), budget.tol / 10)
+    h_n = build_fock_hamiltonian(ops.model, n, basis, parts=route.parts, top=top)
+    prop = StaticPropagator(h_n.matrix, budget, sectors=basis.sector_offsets[: top + 2], centres=h_n.centres)
+    rows = h_n.matrix.shape[0]
+    for t, psi in through_times(lambda psi, s, t: prop.apply(psi, t - s), start[:rows], times):
         if t == 0.0:
-            yield t, vacuum.copy()
-            continue
-        phase, at = phase + mean_field_phase(flow, at, t), t
-        xi = weyl_apply(-root * flow.at(t), psi)
-        xi.amp *= np.exp(-1j * n * phase)
-        check_truncation(xi.amp, space)
-        yield t, xi
+            xi, moved = FockVector.vacuum(basis), start
+        else:
+            moved = np.zeros(basis.size, dtype=complex)
+            moved[:rows] = psi * np.exp(-1j * n * route.phases[t])
+            xi = FockVector(basis, route.frames[t].apply(-root, moved))
+            check_truncation(xi.amp, space)
+        yield (t, xi, FockVector(basis, moved)) if shifted else (t, xi)
 
 
 def parity_element(psi: FockVector) -> float:
@@ -500,17 +571,18 @@ def _state_at(ops, kind, n, flow, t, budget) -> FockVector:
     return psi
 
 
-def displacement_residual(f: np.ndarray, chi: FockVector) -> float:
-    """max_x ||(a_x - f(x)) W(f) chi - W(f) a_x chi||: the conjugation
-    identity W*(f) a_x W(f) = a_x + f(x) read on a fluctuation state chi,
-    in which the dynamics drop out (``conjugation_identity_residual``); a
-    finite cutoff keeps it from 0 (``weyl.displacement_floor``).  W(f) is
-    applied once, to the stack [chi, a_0 chi, ..., a_{d-1} chi]."""
+def displacement_residual(frame: WeylFrame, c: float, chi: FockVector, shifted: np.ndarray) -> float:
+    """max_x ||(a_x - f(x)) W(f) chi - W(f) a_x chi|| for f = c phi, phi the
+    orbital of ``frame``: the conjugation identity W*(f) a_x W(f) = a_x +
+    f(x) read on a fluctuation state chi, in which the dynamics drop out
+    (``conjugation_identity_residual``); a finite cutoff keeps it from 0
+    (``weyl.displacement_floor``).  ``shifted`` is W(f) chi, which the
+    callers hold (the state chi was conjugated from), so W(f) is applied
+    once, to the stack [a_0 chi, ..., a_{d-1} chi]."""
     ladders = [chi.basis.annihilator(x) for x in range(chi.basis.d)]
-    stack = np.column_stack([chi.amp] + [a @ chi.amp for a in ladders])
-    moved = chi.basis.mode_rotation.apply(f, stack) if np.any(f) else stack
-    shifted = moved[:, 0]  # W(f) chi
-    return max(float(np.linalg.norm(a @ shifted - fx * shifted - w)) for a, fx, w in zip(ladders, f, moved.T[1:]))
+    moved = frame.apply(c, np.column_stack([a @ chi.amp for a in ladders]))
+    f = c * frame.phi
+    return max(float(np.linalg.norm(a @ shifted - fx * shifted - w)) for a, fx, w in zip(ladders, f, moved.T))
 
 
 def conjugation_identity_residual(
@@ -535,7 +607,7 @@ def conjugation_identity_residual(
     ``displacement_residual`` on W(-f_t) psi2 = U(t;0) vac up to a phase.
     The reduction is exact on the truncated space, where W (the exponential
     of a skew-Hermitian matrix) and e^{-iHt} (H Hermitian) are exactly
-    unitary; W is applied exactly (``weyl.weyl_apply``) and the Krylov route
+    unitary; W is applied exactly (``weyl.WeylFrame``) and the Krylov route
     of e^{-iHt} preserves norms to the propagation budget, so the untrimmed
     two-sided route agrees to within that budget.
 
@@ -549,15 +621,16 @@ def conjugation_identity_residual(
     at m_max=32.  The cutoff must push it well below the accuracy asked of
     the residual, so the caller chooses it: ``basis`` has no default.
     """
-    f0 = np.sqrt(n) * flow.at(0.0)
-    ft = np.sqrt(n) * flow.at(t)
+    root = np.sqrt(n)
+    start = WeylFrame(basis.mode_rotation, flow.at(0.0)).vacuum(root)
     # the propagator is released after its one apply
     prop = StaticPropagator(
         build_fock_hamiltonian(flow.model, n, basis).matrix, budget, sectors=basis.sector_offsets
     )
-    psi2 = prop.apply(weyl_apply(f0, FockVector.vacuum(basis)), t)
+    psi2 = prop.apply(start, t)
     del prop
-    return displacement_residual(ft, weyl_apply(-ft, psi2))
+    frame = WeylFrame(basis.mode_rotation, flow.at(t))
+    return displacement_residual(frame, root, FockVector(basis, frame.apply(-root, psi2)), psi2)
 
 
 def number_growth_probe(

@@ -116,11 +116,17 @@ class SectorHamiltonian:
 @dataclass
 class FockHamiltonian:
     """Second-quantized Hamiltonian on the truncated basis; block-diagonal
-    across number sectors and equal to the sector Hamiltonian on each block."""
+    across number sectors and equal to the sector Hamiltonian on each block.
+
+    With ``centres`` (filled from ``HamiltonianParts``), ``matrix`` is held
+    centred on the number sectors [0, len(centres) - 1], as
+    ``StaticPropagator`` runs it: H_N - F_N on those sectors' states, F_N the
+    operator that is centres[k] on sector k.  Without, ``matrix`` is H_N."""
 
     coupling_n: int
     matrix: csr_matrix
     basis: OccupationBasis
+    centres: np.ndarray | None = None
 
 
 def interaction_diagonal(states: np.ndarray, model: LatticeModel) -> np.ndarray:
@@ -143,11 +149,74 @@ def hopping(model: LatticeModel, basis: OccupationBasis) -> csr_matrix:
     return hop
 
 
-def build_fock_hamiltonian(model: LatticeModel, n: int, basis: OccupationBasis) -> FockHamiltonian:
+class HamiltonianParts:
+    """The parts of H_N = T + V/N on one basis that do not depend on N.
+
+    ``hopping`` is dGamma(T) in CSR with every diagonal entry stored, zeros
+    included, at ``diagonal``; ``interaction`` is the pair-count diagonal V.
+    So each N's H_N, centred on its number sectors, is one fill of a copy of
+    the hopping data (``build_fock_hamiltonian``), its diagonal summed as
+    ``hopping(model, basis) + diags(V / N)`` sums it.  H_N conserves the
+    number, so its rows on the sectors [0, top] hold no entry beyond them:
+    they are H_N on the basis cut at top.  Read-only once built.
+    """
+
+    def __init__(self, model: LatticeModel, basis: OccupationBasis):
+        if basis.d != model.d:
+            raise ValueError("basis and model disagree on d")
+        size = basis.size
+        hop = hopping(model, basis).tocoo()
+        off = hop.row != hop.col
+        every = np.arange(size)
+        self.hopping = csr_matrix(
+            (
+                np.concatenate([hop.data[off], hop.diagonal()]),
+                (np.concatenate([hop.row[off], every]), np.concatenate([hop.col[off], every])),
+            ),
+            shape=(size, size),
+        )  # canonical, explicit zeros kept
+        h = self.hopping
+        self.diagonal = np.flatnonzero(h.indices == np.repeat(every, np.diff(h.indptr))).astype(np.int32)
+        self.interaction = interaction_diagonal(basis.states, model)
+        self.basis = basis
+        self._sizes = np.diff(basis.sector_offsets)
+        self._sector = np.repeat(np.arange(len(self._sizes), dtype=np.int32), self._sizes)
+
+    def centred(self, n: int, top: int) -> tuple[csr_matrix, np.ndarray]:
+        """(H_N - F_N on the sectors [0, top] as a complex CSR matrix, f):
+        f(k) the mean diagonal of H_N over sector k, F_N the operator that
+        is f(k) on sector k (``propagate._centre_sectors`` on H_N)."""
+        rows = int(self.basis.sector_offsets[top + 1])
+        end = int(self.hopping.indptr[rows])
+        sizes = self._sizes[: top + 1]
+        at = self.diagonal[:rows]
+        data = self.hopping.data[:end].astype(complex)
+        diagonal = data[at].real + self.interaction[:rows] / n
+        centres = np.bincount(self._sector[:rows], diagonal, top + 1) / sizes
+        data[at] = diagonal - np.repeat(centres, sizes)
+        matrix = csr_matrix((data, self.hopping.indices[:end], self.hopping.indptr[: rows + 1]), shape=(rows, rows))
+        return matrix, centres
+
+
+def build_fock_hamiltonian(
+    model: LatticeModel,
+    n: int,
+    basis: OccupationBasis,
+    parts: HamiltonianParts | None = None,
+    top: int | None = None,
+) -> FockHamiltonian:
+    """H_N on ``basis``.  With ``parts`` (of this model and basis), it is
+    filled from them, centred on the sectors [0, top] (default: every
+    sector), as ``FockHamiltonian.centres`` describes."""
     if n < 1:
         raise ValueError("coupling parameter N must be >= 1")
     if basis.d != model.d:
         raise ValueError("basis and model disagree on d")
+    if parts is not None:
+        if parts.basis is not basis:
+            raise ValueError("the parts belong to another basis")
+        matrix, centres = parts.centred(n, basis.m_max if top is None else top)
+        return FockHamiltonian(n, matrix, basis, centres)
     mat = hopping(model, basis) + diags(interaction_diagonal(basis.states, model) / n)
     return FockHamiltonian(n, mat.tocsr(), basis)
 

@@ -278,20 +278,31 @@ class StaticPropagator:
     sectors is a ``ValueError``.  The route holds H - F once as a complex
     matrix (scipy would convert a real one on every product) and keeps no
     reference to the H passed in.
+
+    ``centres``, when given, is f itself and ``h_sparse`` is H - F already
+    (``model.HamiltonianParts`` fills it so): nothing is subtracted or
+    checked, and the Krylov route holds ``h_sparse`` as it is.
     """
 
-    def __init__(self, h_sparse, budget: PropagationBudget, sectors=None):
+    def __init__(self, h_sparse, budget: PropagationBudget, sectors=None, centres=None):
         self.budget = budget
         self.dim = h_sparse.shape[0]
         self._dense = None
+        offsets = (0, self.dim) if sectors is None else sectors
         if self.dim <= DENSE_CUTOFF:
             dense = np.asarray(h_sparse.todense())
+            if centres is not None:
+                dense = dense + np.diag(np.repeat(centres, np.diff(offsets)))
             if not np.isfinite(dense).all():
                 raise ConvergenceError(_NON_FINITE)
             self._dense = eigh(dense)
             return
-        op, self._centres, self._sizes = _centre_sectors(h_sparse, (0, self.dim) if sectors is None else sectors)
-        self._krylov_op = op.astype(np.complex128, copy=False)
+        if centres is None:
+            h_sparse, centres, self._sizes = _centre_sectors(h_sparse, offsets)
+        else:
+            self._sizes = np.diff(offsets)
+        self._centres = centres
+        self._krylov_op = h_sparse.astype(np.complex128, copy=False)
 
     def apply(self, psi, t: float):
         amp, basis = _as_array(psi)

@@ -9,7 +9,9 @@ truncated displacement on each fixed occupation of the other sites, so
 every factor is a batch of small real orthogonal blocks.  The Krylov
 exponential of the compressed generator a*(f) - a(f) is the test suite's
 oracle, and the direct normal-ordered assembly of the coherent state
-W(f)|vac> is kept as an independent construction for cross-checks.
+W(f)|vac> is kept as an independent construction for cross-checks.  A
+``WeylFrame`` holds Gamma(U) of one orbital phi, and so serves W(c phi)
+for every real c.
 """
 
 from __future__ import annotations
@@ -74,6 +76,11 @@ class _BlockFamily:
             at = end
         return out
 
+    def first_column(self, beta: float) -> np.ndarray:
+        """exp(beta T_top) e_0, the first column of the largest block."""
+        lam, p, q = self._factors[-1]
+        return (p * np.cos(beta * lam) + q * np.sin(beta * lam)) @ p[0]
+
 
 class _BlockPass:
     """The block-diagonal structure of one factor of W(f).
@@ -130,7 +137,8 @@ class ModeRotation:
     on each fixed (n_1, ..., n_{d-1}) of total t it is the single-mode
     displacement exp(||f|| (b* - b)) cut at m_max - t, b*[j+1, j] = sqrt(j + 1).
     One apply is 2(d-1) + 1 passes of block products and two diagonal
-    phase products; a rotation by 0 is the identity and is skipped.
+    phase products; a rotation by 0 is the identity and is skipped.  An
+    apply builds the ``WeylFrame`` of f and discards it.
 
     Nothing here changes after construction, so threads may share it; two
     threads that build it at once build the same tables.
@@ -140,6 +148,8 @@ class ModeRotation:
         d, m, states = basis.d, basis.m_max, basis.states
         self._sites = [states[:, x] for x in range(d)]
         self._m_max = m
+        self._size = basis.size
+        self._axis = basis.sector_offsets[:-1]  # the states (j, 0, ..., 0), j = 0..m_max
         self._planes = []
         for x in range(1, d):
             reps = states[states[:, x] == 0]  # n_x = 0 starts each block
@@ -153,25 +163,66 @@ class ModeRotation:
 
     def apply(self, f: np.ndarray, amp: np.ndarray) -> np.ndarray:
         """W(f) amp, for f != 0; amp a vector or a (size x k) stack of them."""
-        mags = np.abs(f)
-        norm = float(np.linalg.norm(mags))
-        u = mags / norm
+        return WeylFrame(self, f).apply(1.0, amp)
+
+
+class WeylFrame:
+    """Gamma(U) of one orbital phi != 0, U e_0 = phi / ||phi||, built once on
+    a basis's ``ModeRotation``: the site phases, as one table of powers
+    e^{i theta_x n} per site, and the rotation blocks of each plane.
+    ``phi`` is kept.
+
+    W(c phi) = Gamma(U) W(c ||phi|| e_0) Gamma(U)* for every real c, so one
+    frame serves W(sqrt(N) phi) and W(-sqrt(N) phi) for every N, and only
+    the displacement blocks depend on c.  Nothing here changes after
+    construction, so threads may share a frame.
+    """
+
+    def __init__(self, rotation: ModeRotation, phi: np.ndarray):
+        self.phi = phi = np.asarray(phi, dtype=complex)
+        mags = np.abs(phi)
+        self.norm = float(np.linalg.norm(mags))
+        u = mags / self.norm
         tails = np.sqrt(np.cumsum(u[::-1] ** 2)[::-1])
         betas = np.arctan2(tails[1:], u[:-1])
-        # e^{i theta . n}, one table of powers per site
-        powers = np.exp(1j * np.outer(np.angle(f), np.arange(self._m_max + 1)))
-        phase = powers[0][self._sites[0]]
-        for x in range(1, len(self._sites)):
-            phase *= powers[x][self._sites[x]]
-        phase = phase.reshape(phase.shape + (1,) * (amp.ndim - 1))  # over a stack's columns
-        rotations = [(plane, self._rotation.blocks(beta)) for plane, beta in zip(self._planes, betas) if beta != 0.0]
-        amp = amp * phase.conj()
-        for plane, blocks in reversed(rotations):
-            amp = plane.apply(blocks, amp, inverse=True)
-        amp = self._shift.apply(self._displacement.blocks(norm), amp)
-        for plane, blocks in rotations:
+        self._rotation = rotation
+        self._powers = np.exp(1j * np.outer(np.angle(phi), np.arange(rotation._m_max + 1)))
+        planes = zip(rotation._planes, betas)
+        self._blocks = [(plane, rotation._rotation.blocks(beta)) for plane, beta in planes if beta != 0.0]
+
+    def _phase(self, ndim: int) -> np.ndarray:
+        """e^{i theta . n} per state, shaped to multiply an array of ``ndim``
+        dimensions."""
+        sites = self._rotation._sites
+        phase = self._powers[0][sites[0]]
+        for x in range(1, len(sites)):
+            phase *= self._powers[x][sites[x]]
+        return phase.reshape(phase.shape + (1,) * (ndim - 1))  # over a stack's columns
+
+    def _gamma(self, amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """Gamma(U) amp, with ``phase`` from ``_phase``."""
+        for plane, blocks in self._blocks:
             amp = plane.apply(blocks, amp)
         return amp * phase
+
+    def apply(self, c: float, amp: np.ndarray) -> np.ndarray:
+        """W(c phi) amp; amp a vector or a (size x k) stack of them."""
+        rotation = self._rotation
+        phase = self._phase(amp.ndim)
+        amp = amp * phase.conj()
+        for plane, blocks in reversed(self._blocks):
+            amp = plane.apply(blocks, amp, inverse=True)
+        amp = rotation._shift.apply(rotation._displacement.blocks(c * self.norm), amp)
+        return self._gamma(amp, phase)
+
+    def vacuum(self, c: float) -> np.ndarray:
+        """W(c phi) vac.  Gamma(U)* keeps the vacuum, and W(c ||phi|| e_0)
+        vac lies on the states (j, 0, ..., 0): the first column of the
+        largest displacement block.  So only Gamma(U) is applied."""
+        rotation = self._rotation
+        amp = np.zeros(rotation._size, dtype=complex)
+        amp[rotation._axis] = rotation._displacement.first_column(c * self.norm)
+        return self._gamma(amp, self._phase(1))
 
 
 def poisson_tail(lam: float, m_max: int) -> float:

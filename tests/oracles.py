@@ -18,7 +18,11 @@ Hartree RK4 step on numpy arrays, which the scalar kernel replaced, and
 the Krylov exponential of the compressed Weyl generator (built from the
 smeared annihilator ``annihilation_of``), which the mode rotation
 replaced, and the mode rotation's single-vector block pass, which the
-stacked one replaced.  The
+stacked one replaced, and its apply with the blocks and phases of each
+f built for that apply, which the Weyl frames replaced.  H_N assembled
+and centred per N is the oracle of its fill from per-basis parts, and
+the conjugated route on the whole basis, with W(f_0) vac by a whole
+apply, is the oracle of the one on the leading sectors.  The
 sector expansion of the displaced product profile is the second route to
 that profile, and the Laguerre sum the second closed form of R_m.  The
 60-digit mpmath routes are the package's former arithmetic for the scaled
@@ -42,7 +46,13 @@ from focklab.decomposition import (
     product_norm_constant,
     scaled_coefficient,
 )
-from focklab.fluctuations import FluctuationOperators, evolve_fluctuation, generator_family
+from focklab.fluctuations import (
+    FluctuationOperators,
+    check_truncation,
+    evolve_fluctuation,
+    generator_family,
+    mean_field_phase,
+)
 from focklab.hartree import HartreeFlow
 from focklab.marginals import hs_distance, marginal_from_fock, marginal_from_sector, rank_one, trace_distance
 from focklab.model import build_fock_hamiltonian, build_sector_hamiltonian, embed_product_state
@@ -53,6 +63,7 @@ from focklab.propagate import (
     _NON_FINITE,
     PropagationBudget,
     StaticPropagator,
+    _centre_sectors,
     _converged_iterate,
     _expm_tridiag,
     _lanczos_vector,
@@ -61,6 +72,7 @@ from focklab.propagate import (
     _resolved_fraction,
     evolve_timedep,
     expm_apply,
+    through_times,
 )
 from focklab.weyl import coherent_state, displacement_floor, minimal_cutoff, poisson_tail, weyl_apply
 
@@ -166,6 +178,34 @@ def conjugated_state_dense(model, n, phi0, t, basis, budget, hartree_dt=1e-3):
     xi = weyl_apply_krylov(-ft, FockVector(basis, amp), budget)
     xi.amp *= np.exp(-1j * n * mean_field_phase_simpson(phi0, model, hartree_dt, t))
     return xi
+
+
+def centred_fock_hamiltonian(model, n, basis):
+    """(H_N - F_N, f) on the whole basis by the per-N route: H_N assembled
+    from ladder products (``build_fock_hamiltonian`` without parts), then
+    centred on its number sectors as ``StaticPropagator`` centres it."""
+    op, centres, _ = _centre_sectors(build_fock_hamiltonian(model, n, basis).matrix, basis.sector_offsets)
+    return op, centres
+
+
+def conjugated_trajectory_whole_basis(ops, n, flow, times, budget):
+    """(t, xi) of the conjugated route on the whole basis: H_N assembled and
+    centred per N, W applied by ``weyl_apply`` with its blocks built per
+    apply, W(f_0) vac by a whole apply, and g summed segment by segment."""
+    basis = ops.basis
+    prop = StaticPropagator(build_fock_hamiltonian(ops.model, n, basis).matrix, budget, sectors=basis.sector_offsets)
+    root = np.sqrt(n)
+    vacuum = FockVector.vacuum(basis)
+    phase, at = 0.0, 0.0
+    for t, psi in through_times(lambda psi, s, t: prop.apply(psi, t - s), weyl_apply(root * flow.at(0.0), vacuum), times):
+        if t == 0.0:
+            yield t, vacuum.copy()
+            continue
+        phase, at = phase + mean_field_phase(flow, at, t), t
+        xi = weyl_apply(-root * flow.at(t), psi)
+        xi.amp *= np.exp(-1j * n * phase)
+        check_truncation(xi.amp, ops.space("full"))
+        yield t, xi
 
 
 def lanczos_bisect(matvec, v, t, tol, m_cap, depth=0):
@@ -319,6 +359,30 @@ def weyl_apply_krylov(f, psi, budget):
         return psi.copy()
     h = (1j * weyl_generator(f, psi.basis)).tocsr()  # Hermitian; exp(S) = exp(-i H) with H = iS
     return FockVector(psi.basis, expm_apply(h, psi.amp, 1.0, budget))
+
+
+def mode_rotation_apply(rotation, f, amp):
+    """W(f) amp by the mode rotation with its blocks and phases computed for
+    this one apply: the route ``weyl.WeylFrame`` split into a frame built
+    once per orbital and an apply per scale."""
+    mags = np.abs(f)
+    norm = float(np.linalg.norm(mags))
+    u = mags / norm
+    tails = np.sqrt(np.cumsum(u[::-1] ** 2)[::-1])
+    betas = np.arctan2(tails[1:], u[:-1])
+    powers = np.exp(1j * np.outer(np.angle(f), np.arange(rotation._m_max + 1)))
+    phase = powers[0][rotation._sites[0]]
+    for x in range(1, len(rotation._sites)):
+        phase *= powers[x][rotation._sites[x]]
+    phase = phase.reshape(phase.shape + (1,) * (amp.ndim - 1))
+    rotations = [(plane, rotation._rotation.blocks(beta)) for plane, beta in zip(rotation._planes, betas) if beta != 0.0]
+    amp = amp * phase.conj()
+    for plane, blocks in reversed(rotations):
+        amp = plane.apply(blocks, amp, inverse=True)
+    amp = rotation._shift.apply(rotation._displacement.blocks(norm), amp)
+    for plane, blocks in rotations:
+        amp = plane.apply(blocks, amp)
+    return amp * phase
 
 
 def block_pass_per_vector(self, blocks, amp, inverse=False):

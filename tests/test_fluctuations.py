@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,13 @@ from scipy.sparse import diags
 import focklab as fl
 from focklab.fluctuations import (
     GENERATOR_KINDS,
+    ConjugatedRoute,
     FluctuationOperators,
+    SectorWindow,
+    _leading_top,
     bogoliubov_pair,
     conjugated_trajectory,
+    generator_family,
     dynamics_gap,
     WINDOW_STEP,
     evolve_fluctuation,
@@ -27,6 +33,7 @@ from focklab.weyl import weyl_apply
 from oracles import (
     assemble_by_terms,
     conjugated_state_dense,
+    conjugated_trajectory_whole_basis,
     conjugation_residual_full_route,
     evolve_whole_basis,
     mean_field_phase_simpson,
@@ -561,3 +568,99 @@ def test_full_layout_is_built_on_first_use():
     gen = ops.assemble("full", 2, GEOMETRIC)
     assert "_full" in vars(ops)
     assert abs(gen - assemble_by_terms(ops, "full", 2, GEOMETRIC)).max() < 1e-13
+
+
+def test_even_layout_is_built_on_first_use():
+    # neither the conjugated route nor a full assembly (the remainder
+    # probe's) needs the even pattern of reduced and limiting: it is laid
+    # out only when one of them is assembled, and the same one then
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    ops = FluctuationOperators(model, fl.build_basis(3, 10))
+    flow = HartreeFlow(GEOMETRIC, model, 1e-3)
+    list(conjugated_trajectory(ops, 2, flow, [0.2], PropagationBudget()))
+    ops.assemble("full", 2, GEOMETRIC)
+    assert "_reduced" not in vars(ops)
+    gen = ops.assemble("reduced", 2, GEOMETRIC)
+    assert "_reduced" in vars(ops)
+    assert abs(gen - _on_space(assemble_by_terms(ops, "reduced", 2, GEOMETRIC), ops, "reduced")).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_leading_sector_route_matches_the_whole_basis_route(n):
+    # W(f_0) vac holds at most (tol/10)**2 of its squared norm beyond the
+    # sector the route walks up to: below the cutoff at N = 2, the whole
+    # basis at N = 12.  Against the route on the whole basis, with H_N
+    # assembled per N and W by weyl_apply, each state agrees within the
+    # Krylov tolerance of each segment plus the dropped tol/10
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    ops = FluctuationOperators(model, fl.build_basis(3, 34))
+    flow = HartreeFlow(GEOMETRIC, model, 1e-3)
+    budget = PropagationBudget(tol=1e-10)
+    times = [0.05, 0.1, 0.2]
+    route = ConjugatedRoute(ops, flow, times)
+    top = _leading_top(fl.FockVector(ops.basis, route.frames[0.0].vacuum(np.sqrt(n))), budget.tol / 10)
+    assert (top < ops.basis.m_max) == (n == 2)
+    got = conjugated_trajectory(ops, n, flow, times, budget, route)
+    want = conjugated_trajectory_whole_basis(ops, n, flow, times, budget)
+    for segments, ((t, xi), (s, ref)) in enumerate(zip(got, want), start=1):
+        assert t == s
+        assert np.linalg.norm(xi.amp - ref.amp) <= (segments + 0.1) * budget.tol
+
+
+def test_shifted_states_are_w_of_the_yielded_ones(setup):
+    # with ``shifted`` the route also yields W(f_t) xi, its own walk's
+    # state, which a Weyl apply of xi reproduces to rounding
+    model, basis, _, ops = setup
+    flow = HartreeFlow(GEOMETRIC, model, 1e-3)
+    for t, xi, moved in conjugated_trajectory(ops, 3, flow, [0.0, 0.2], PropagationBudget(), shifted=True):
+        assert np.linalg.norm(weyl_apply(np.sqrt(3) * flow.at(t), xi).amp - moved.amp) < 1e-13
+
+
+def test_generator_family_refills_one_matrix_per_window_top(setup):
+    # a family refills its matrix at each call on one window top, and a
+    # wider top gets a new one; each is the fresh assembly, which every
+    # assembly without ``out`` returns anew
+    model, basis, phi, ops = setup
+    flow = HartreeFlow(phi, model, 1e-3)
+    window = SectorWindow(ops.space("reduced"), 1e-10)
+    gen = generator_family(ops, "reduced", 3, flow, window=window)
+    first = gen(0.1)
+    assert gen(0.2) is first
+    fresh = ops.assemble("reduced", 3, flow.at(0.2), top=window.top)
+    assert fresh is not ops.assemble("reduced", 3, flow.at(0.2), top=window.top)
+    v = np.random.default_rng(1).standard_normal(window.dim) + 0j
+    assert np.array_equal(first.dot(v), fresh.dot(v))
+    window.top += 2 * WINDOW_STEP
+    wider = gen(0.3)
+    assert wider is not first and wider.shape == (window.dim, window.dim)
+    whole = generator_family(ops, "full", 3, flow)
+    assert whole(0.1) is whole(0.2)
+    assert np.array_equal(whole(0.2).toarray(), ops.assemble("full", 3, flow.at(0.2)).toarray())
+
+
+def test_trajectories_of_one_operators_in_a_thread_pool_match_a_serial_run():
+    # trajectories of one FluctuationOperators in a pool of more threads
+    # than cores (its layouts built concurrently, on first use; four of
+    # one kind, on the same windows) each refill only their own
+    # generators: the states are bit for bit the serial run's
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    basis = fl.build_basis(3, 20)
+    flow = HartreeFlow(GEOMETRIC, model, 1e-3)
+    budget = PropagationBudget(tol=1e-10, dt=0.01)
+    jobs = [("reduced", 2), ("reduced", 3), ("reduced", 4), ("reduced", 5), ("full", 3)]
+
+    def states(ops, kind, n):
+        return [psi.amp for _, psi in fluctuation_trajectory(ops, kind, n, flow, [0.03, 0.06, 0.09], budget)]
+
+    serial_ops = FluctuationOperators(model, basis)
+    serial = [states(serial_ops, kind, n) for kind, n in jobs]
+    shared = FluctuationOperators(model, basis)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            pooled = list(pool.map(lambda job: states(shared, *job), jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for want, got in zip(serial, pooled):
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))

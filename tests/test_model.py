@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import focklab as fl
-from focklab.model import Potential, interaction_diagonal, kinetic_matrix
+from focklab.model import HamiltonianParts, Potential, interaction_diagonal, kinetic_matrix
 
-from oracles import first_quantized_hamiltonian, symmetrizer
+from oracles import centred_fock_hamiltonian, first_quantized_hamiltonian, symmetrizer
 
 
 def test_kinetic_matrix_properties():
@@ -166,3 +166,37 @@ def test_sector_capacity_error():
     model = fl.LatticeModel(4, Potential.zero(4))
     with pytest.raises(fl.CapacityError):
         fl.build_sector_hamiltonian(model, 20, capacity=100)
+
+
+def _flux_ring(d, flux):
+    """Ring Laplacian threaded by a flux: Hermitian with non-real hopping."""
+    t = kinetic_matrix(d).astype(complex)
+    for x in range(d):
+        t[x, (x + 1) % d] *= np.exp(1j * flux)
+        t[(x + 1) % d, x] *= np.exp(-1j * flux)
+    return t
+
+
+@pytest.mark.parametrize(
+    "d, m_max, kinetic",
+    [(2, 14, None), (3, 10, None), (4, 7, None), (3, 10, "flux")],
+    ids=["d2", "d3", "d4", "d3-complex-kinetic"],
+)
+def test_parts_fill_the_centred_hamiltonian_of_every_n(d, m_max, kinetic):
+    # each N's H_N - F_N, filled from the N-independent parts on the
+    # leading sectors [0, top], against the per-N assembly centred on the
+    # whole basis: its leading block, entry for entry, and its centres
+    model = fl.LatticeModel(d, Potential.soft_coulomb_1d(d, 1.3), None if kinetic is None else _flux_ring(d, 0.4))
+    basis = fl.build_basis(d, m_max)
+    parts = HamiltonianParts(model, basis)
+    for n in (1, 2, 5, 12):
+        ref, ref_centres = centred_fock_hamiltonian(model, n, basis)
+        for top in (0, m_max // 2, m_max):
+            h = fl.build_fock_hamiltonian(model, n, basis, parts=parts, top=top)
+            rows = int(basis.sector_offsets[top + 1])
+            assert h.matrix.shape == (rows, rows)
+            assert abs(h.matrix - ref[:rows, :rows]).max() <= 1e-13
+            assert ref[:rows, rows:].nnz == 0  # H_N conserves the number
+            assert np.abs(h.centres - ref_centres[: top + 1]).max() <= 1e-13
+    with pytest.raises(ValueError, match="another basis"):
+        fl.build_fock_hamiltonian(model, 2, fl.build_basis(d, m_max), parts=parts)

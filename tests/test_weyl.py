@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import focklab as fl
-from focklab.weyl import _BlockPass, displacement_floor, minimal_cutoff, poisson_tail
-from oracles import annihilation_of, block_pass_per_vector, poisson_tails_mp, weyl_apply_krylov
+from focklab.weyl import WeylFrame, _BlockPass, displacement_floor, minimal_cutoff, poisson_tail
+from oracles import annihilation_of, block_pass_per_vector, mode_rotation_apply, poisson_tails_mp, weyl_apply_krylov
 
 
 @pytest.fixture(scope="module")
@@ -262,3 +262,42 @@ def test_displacement_floor():
     assert displacement_floor(4, 6) == pytest.approx(np.linalg.svd(dense, compute_uv=False)[-1], rel=1e-12)
     assert displacement_floor(4, 18) == pytest.approx(7.80e-4, rel=1e-3)
     assert displacement_floor(4, 32) == pytest.approx(2.12e-9, rel=1e-3)
+
+
+FRAME_ORBITALS = [
+    [0.7 + 0.1j, -0.3j, 0.5 - 0.4j],
+    [0.8, 0.0, 0.6j],  # a zero site between two others
+    [0.0, 0.6, -0.8j],  # site 0 empty: the first rotation is by pi / 2
+    [0.6 - 0.8j, 0.0],
+]
+
+
+@pytest.mark.parametrize("phi", FRAME_ORBITALS, ids=["generic", "zero-site", "zero-site-0", "d2"])
+def test_frame_applies_w_of_every_scaled_orbital(phi):
+    # one frame of phi serves W(c phi) for c = +-sqrt(N) and every N, on a
+    # vector, a stack and the vacuum, as weyl_apply(c phi, .) does with the
+    # blocks and phases of c phi
+    phi = np.array(phi) / np.linalg.norm(phi)
+    basis = fl.build_basis(len(phi), 13)
+    frame = WeylFrame(basis.mode_rotation, phi)
+    psi = _random_state(basis, 3)
+    stack = np.column_stack([_random_state(basis, seed).amp for seed in range(3)])
+    vac = fl.FockVector.vacuum(basis)
+    for n in (1, 2, 5):
+        for c in (math.sqrt(n), -math.sqrt(n)):
+            assert np.linalg.norm(frame.apply(c, psi.amp) - fl.weyl_apply(c * phi, psi).amp) <= 1e-13
+            got = frame.apply(c, stack)
+            for k in range(stack.shape[1]):
+                want = fl.weyl_apply(c * phi, fl.FockVector(basis, stack[:, k])).amp
+                assert np.linalg.norm(got[:, k] - want) <= 1e-13
+            assert np.linalg.norm(frame.vacuum(c) - fl.weyl_apply(c * phi, vac).amp) <= 1e-13
+
+
+@pytest.mark.parametrize("d, m_max, f", ROUTE_CASES)
+def test_weyl_apply_is_the_per_apply_route(d, m_max, f):
+    # W(f) through a frame of f, scaled by 1, takes the products the
+    # per-apply route takes, so weyl_apply keeps its every bit
+    psi = _random_state(fl.build_basis(d, m_max), 2)
+    f = np.array(f, dtype=complex)
+    want = mode_rotation_apply(psi.basis.mode_rotation, f, psi.amp)
+    assert np.array_equal(fl.weyl_apply(f, psi).amp, want)
