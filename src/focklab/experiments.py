@@ -295,14 +295,14 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     def trajectory_cell(n):
         if isinstance(route, FockLabError):
             raise route
-        full = conjugated_trajectory(ops, n, flow, repeats, budget, route, shifted=True)
+        full = conjugated_trajectory(ops, n, flow, repeats, budget, route)
         reduced = fluctuation_trajectory(ops, "reduced", n, flow, repeats, budget)
         moments, gaps = [], []
-        for (t, psi_f, shifted), (_, psi_r) in zip(full, reduced):
+        for (t, psi_f), (_, psi_r) in zip(full, reduced):
             moments += [("full", n, 1, t, number_moment(psi_f, 1))] * repeats[t]
             gaps.append(("full-vs-reduced", n, "", t, float(np.linalg.norm(psi_f.amp - psi_r.amp))))
         rows = {"moments": moments, "gaps": gaps, "parity": [("reduced", n, "", t_end, parity_element(psi_r))]}
-        res = displacement_residual(route.frames[t_end], np.sqrt(n), psi_f, shifted.amp)
+        res = displacement_residual(route.frames[t_end], np.sqrt(n), psi_f)
         rows["conjugation"] = [("conjugation", n, "", t_end, res, displacement_floor(n, basis.m_max))]
         if u_lim is not None:
             gap = float(np.linalg.norm(psi_f.amp - u_lim.amp))

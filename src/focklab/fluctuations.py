@@ -509,8 +509,6 @@ def conjugated_trajectory(
     times,
     budget: PropagationBudget,
     route: ConjugatedRoute | None = None,
-    *,
-    shifted: bool = False,
 ):
     """Yield (t, U_N(t;0) vacuum) of the ``full`` kind at each distinct
     sample time, in increasing order, as ``fluctuation_trajectory`` does,
@@ -528,29 +526,28 @@ def conjugated_trajectory(
     (``route.frames``, built for ``times``; by default for this call).  At
     t = 0 the vacuum itself is yielded; every other state is checked for
     truncation (``TOP_SECTOR_LIMIT``) on the whole basis.  The midpoint
-    route, ``fluctuation_trajectory(ops, "full", ...)``, is the oracle.
-
-    With ``shifted``, (t, xi, W(f_t) xi) is yielded instead: W(f_t) xi is
-    e^{-iN g(t)} e^{-iH_N t} W(f_0) vacuum, the walk's own state, so it
-    costs no Weyl apply (``displacement_residual``)."""
+    route, ``fluctuation_trajectory(ops, "full", ...)``, is the oracle."""
     basis = ops.basis
     space = ops.space("full")
     route = ConjugatedRoute(ops, flow, times) if route is None else route
     root = np.sqrt(n)
-    start = route.frames[0.0].vacuum(root)
+    start = route.frames[0.0].apply(root, FockVector.vacuum(basis).amp)
     top = _leading_top(FockVector(basis, start), budget.tol / 10)
-    h_n = build_fock_hamiltonian(ops.model, n, basis, parts=route.parts, top=top)
-    prop = StaticPropagator(h_n.matrix, budget, sectors=basis.sector_offsets[: top + 2], centres=h_n.centres)
-    rows = h_n.matrix.shape[0]
-    for t, psi in through_times(lambda psi, s, t: prop.apply(psi, t - s), start[:rows], times):
+    # H_N is released once the propagator holds it centred
+    prop = StaticPropagator(
+        build_fock_hamiltonian(ops.model, n, basis, parts=route.parts, top=top).matrix,
+        budget,
+        sectors=basis.sector_offsets[: top + 2],
+    )
+    for t, psi in through_times(lambda psi, s, t: prop.apply(psi, t - s), start[: prop.dim], times):
         if t == 0.0:
-            xi, moved = FockVector.vacuum(basis), start
-        else:
-            moved = np.zeros(basis.size, dtype=complex)
-            moved[:rows] = psi * np.exp(-1j * n * route.phases[t])
-            xi = FockVector(basis, route.frames[t].apply(-root, moved))
-            check_truncation(xi.amp, space)
-        yield (t, xi, FockVector(basis, moved)) if shifted else (t, xi)
+            yield t, FockVector.vacuum(basis)
+            continue
+        moved = np.zeros(basis.size, dtype=complex)
+        moved[: prop.dim] = psi * np.exp(-1j * n * route.phases[t])
+        xi = FockVector(basis, route.frames[t].apply(-root, moved))
+        check_truncation(xi.amp, space)
+        yield t, xi
 
 
 def parity_element(psi: FockVector) -> float:
@@ -571,18 +568,18 @@ def _state_at(ops, kind, n, flow, t, budget) -> FockVector:
     return psi
 
 
-def displacement_residual(frame: WeylFrame, c: float, chi: FockVector, shifted: np.ndarray) -> float:
+def displacement_residual(frame: WeylFrame, c: float, chi: FockVector) -> float:
     """max_x ||(a_x - f(x)) W(f) chi - W(f) a_x chi|| for f = c phi, phi the
     orbital of ``frame``: the conjugation identity W*(f) a_x W(f) = a_x +
     f(x) read on a fluctuation state chi, in which the dynamics drop out
     (``conjugation_identity_residual``); a finite cutoff keeps it from 0
-    (``weyl.displacement_floor``).  ``shifted`` is W(f) chi, which the
-    callers hold (the state chi was conjugated from), so W(f) is applied
-    once, to the stack [a_0 chi, ..., a_{d-1} chi]."""
+    (``weyl.displacement_floor``).  W(f) is applied once, to the stack
+    [chi, a_0 chi, ..., a_{d-1} chi]."""
     ladders = [chi.basis.annihilator(x) for x in range(chi.basis.d)]
-    moved = frame.apply(c, np.column_stack([a @ chi.amp for a in ladders]))
+    moved = frame.apply(c, np.column_stack([chi.amp] + [a @ chi.amp for a in ladders]))
+    shifted = moved[:, 0]  # W(f) chi
     f = c * frame.phi
-    return max(float(np.linalg.norm(a @ shifted - fx * shifted - w)) for a, fx, w in zip(ladders, f, moved.T))
+    return max(float(np.linalg.norm(a @ shifted - fx * shifted - w)) for a, fx, w in zip(ladders, f, moved.T[1:]))
 
 
 def conjugation_identity_residual(
@@ -622,7 +619,7 @@ def conjugation_identity_residual(
     the residual, so the caller chooses it: ``basis`` has no default.
     """
     root = np.sqrt(n)
-    start = WeylFrame(basis.mode_rotation, flow.at(0.0)).vacuum(root)
+    start = WeylFrame(basis.mode_rotation, flow.at(0.0)).apply(root, FockVector.vacuum(basis).amp)
     # the propagator is released after its one apply
     prop = StaticPropagator(
         build_fock_hamiltonian(flow.model, n, basis).matrix, budget, sectors=basis.sector_offsets
@@ -630,7 +627,7 @@ def conjugation_identity_residual(
     psi2 = prop.apply(start, t)
     del prop
     frame = WeylFrame(basis.mode_rotation, flow.at(t))
-    return displacement_residual(frame, root, FockVector(basis, frame.apply(-root, psi2)), psi2)
+    return displacement_residual(frame, root, FockVector(basis, frame.apply(-root, psi2)))
 
 
 def number_growth_probe(

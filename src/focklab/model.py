@@ -116,17 +116,11 @@ class SectorHamiltonian:
 @dataclass
 class FockHamiltonian:
     """Second-quantized Hamiltonian on the truncated basis; block-diagonal
-    across number sectors and equal to the sector Hamiltonian on each block.
-
-    With ``centres`` (filled from ``HamiltonianParts``), ``matrix`` is held
-    centred on the number sectors [0, len(centres) - 1], as
-    ``StaticPropagator`` runs it: H_N - F_N on those sectors' states, F_N the
-    operator that is centres[k] on sector k.  Without, ``matrix`` is H_N."""
+    across number sectors and equal to the sector Hamiltonian on each block."""
 
     coupling_n: int
     matrix: csr_matrix
     basis: OccupationBasis
-    centres: np.ndarray | None = None
 
 
 def interaction_diagonal(states: np.ndarray, model: LatticeModel) -> np.ndarray:
@@ -154,11 +148,12 @@ class HamiltonianParts:
 
     ``hopping`` is dGamma(T) in CSR with every diagonal entry stored, zeros
     included, at ``diagonal``; ``interaction`` is the pair-count diagonal V.
-    So each N's H_N, centred on its number sectors, is one fill of a copy of
-    the hopping data (``build_fock_hamiltonian``), its diagonal summed as
-    ``hopping(model, basis) + diags(V / N)`` sums it.  H_N conserves the
-    number, so its rows on the sectors [0, top] hold no entry beyond them:
-    they are H_N on the basis cut at top.  Read-only once built.
+    So each N's H_N is one fill of a copy of the hopping data
+    (``build_fock_hamiltonian``), its diagonal summed as
+    ``hopping(model, basis) + diags(V / N)`` sums it, and every diagonal
+    entry stays stored.  H_N conserves the number, so its rows on the
+    sectors [0, top] hold no entry beyond them: they are H_N on the basis
+    cut at top.  Read-only once built.
     """
 
     def __init__(self, model: LatticeModel, basis: OccupationBasis):
@@ -179,23 +174,14 @@ class HamiltonianParts:
         self.diagonal = np.flatnonzero(h.indices == np.repeat(every, np.diff(h.indptr))).astype(np.int32)
         self.interaction = interaction_diagonal(basis.states, model)
         self.basis = basis
-        self._sizes = np.diff(basis.sector_offsets)
-        self._sector = np.repeat(np.arange(len(self._sizes), dtype=np.int32), self._sizes)
 
-    def centred(self, n: int, top: int) -> tuple[csr_matrix, np.ndarray]:
-        """(H_N - F_N on the sectors [0, top] as a complex CSR matrix, f):
-        f(k) the mean diagonal of H_N over sector k, F_N the operator that
-        is f(k) on sector k (``propagate._centre_sectors`` on H_N)."""
+    def fill(self, n: int, top: int) -> csr_matrix:
+        """H_N on the sectors [0, top], every diagonal entry stored."""
         rows = int(self.basis.sector_offsets[top + 1])
         end = int(self.hopping.indptr[rows])
-        sizes = self._sizes[: top + 1]
-        at = self.diagonal[:rows]
-        data = self.hopping.data[:end].astype(complex)
-        diagonal = data[at].real + self.interaction[:rows] / n
-        centres = np.bincount(self._sector[:rows], diagonal, top + 1) / sizes
-        data[at] = diagonal - np.repeat(centres, sizes)
-        matrix = csr_matrix((data, self.hopping.indices[:end], self.hopping.indptr[: rows + 1]), shape=(rows, rows))
-        return matrix, centres
+        data = self.hopping.data[:end].copy()
+        data[self.diagonal[:rows]] += self.interaction[:rows] / n
+        return csr_matrix((data, self.hopping.indices[:end], self.hopping.indptr[: rows + 1]), shape=(rows, rows))
 
 
 def build_fock_hamiltonian(
@@ -206,8 +192,7 @@ def build_fock_hamiltonian(
     top: int | None = None,
 ) -> FockHamiltonian:
     """H_N on ``basis``.  With ``parts`` (of this model and basis), it is
-    filled from them, centred on the sectors [0, top] (default: every
-    sector), as ``FockHamiltonian.centres`` describes."""
+    filled from them, on the sectors [0, top] (default: every sector)."""
     if n < 1:
         raise ValueError("coupling parameter N must be >= 1")
     if basis.d != model.d:
@@ -215,8 +200,7 @@ def build_fock_hamiltonian(
     if parts is not None:
         if parts.basis is not basis:
             raise ValueError("the parts belong to another basis")
-        matrix, centres = parts.centred(n, basis.m_max if top is None else top)
-        return FockHamiltonian(n, matrix, basis, centres)
+        return FockHamiltonian(n, parts.fill(n, basis.m_max if top is None else top), basis)
     mat = hopping(model, basis) + diags(interaction_diagonal(basis.states, model) / n)
     return FockHamiltonian(n, mat.tocsr(), basis)
 

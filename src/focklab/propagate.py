@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dstevd
-from scipy.sparse import diags
+from scipy.sparse import csr_matrix, diags
 
 from .basis import FockVector
 from .errors import ConvergenceError
@@ -277,32 +277,22 @@ class StaticPropagator:
     the sector phases exp(-i f(k) t).  An H with an entry between two given
     sectors is a ``ValueError``.  The route holds H - F once as a complex
     matrix (scipy would convert a real one on every product) and keeps no
-    reference to the H passed in.
-
-    ``centres``, when given, is f itself and ``h_sparse`` is H - F already
-    (``model.HamiltonianParts`` fills it so): nothing is subtracted or
-    checked, and the Krylov route holds ``h_sparse`` as it is.
+    reference to the H passed in, save, when H is complex and stores every
+    diagonal entry, the index arrays it shares (``_centre_sectors``).
     """
 
-    def __init__(self, h_sparse, budget: PropagationBudget, sectors=None, centres=None):
+    def __init__(self, h_sparse, budget: PropagationBudget, sectors=None):
         self.budget = budget
         self.dim = h_sparse.shape[0]
         self._dense = None
-        offsets = (0, self.dim) if sectors is None else sectors
         if self.dim <= DENSE_CUTOFF:
             dense = np.asarray(h_sparse.todense())
-            if centres is not None:
-                dense = dense + np.diag(np.repeat(centres, np.diff(offsets)))
             if not np.isfinite(dense).all():
                 raise ConvergenceError(_NON_FINITE)
             self._dense = eigh(dense)
             return
-        if centres is None:
-            h_sparse, centres, self._sizes = _centre_sectors(h_sparse, offsets)
-        else:
-            self._sizes = np.diff(offsets)
-        self._centres = centres
-        self._krylov_op = h_sparse.astype(np.complex128, copy=False)
+        op, self._centres, self._sizes = _centre_sectors(h_sparse, (0, self.dim) if sectors is None else sectors)
+        self._krylov_op = op.astype(np.complex128, copy=False)
 
     def apply(self, psi, t: float):
         amp, basis = _as_array(psi)
@@ -320,16 +310,23 @@ class StaticPropagator:
 def _centre_sectors(h_sparse, offsets):
     """(H - F as CSR, f, sector sizes) for the sectors starting at
     ``offsets``, with f(k) the mean diagonal of H over sector k and F the
-    diagonal operator that is f(k) on sector k."""
+    diagonal operator that is f(k) on sector k.  An H that stores every
+    diagonal entry once (``model.HamiltonianParts`` fills it so) has F
+    subtracted at those entries of a copy of its data, sharing its pattern."""
     sizes = np.diff(offsets)
-    # labels are gathered once per stored entry: int32 keeps that transient small
+    # labels are gathered once per stored entry: int32 keeps those transients small
     sector = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     h = h_sparse.tocsr()
-    row_sector = np.repeat(sector, np.diff(h.indptr))
-    if ((row_sector != sector[h.indices]) & (h.data != 0)).any():
+    row = np.repeat(np.arange(h.shape[0], dtype=np.int32), np.diff(h.indptr))
+    if ((sector[row] != sector[h.indices]) & (h.data != 0)).any():
         raise ValueError("H couples two number sectors: it does not conserve the particle number")
     centres = np.bincount(sector, h.diagonal().real, len(sizes)) / sizes
-    return h - diags(np.repeat(centres, sizes)), centres, sizes
+    on_diagonal = np.flatnonzero(h.indices == row)
+    if not np.array_equal(row[on_diagonal], np.arange(h.shape[0])):
+        return h - diags(np.repeat(centres, sizes)), centres, sizes
+    data = h.data.astype(np.result_type(h.data, centres))
+    data[on_diagonal] -= np.repeat(centres, sizes)
+    return csr_matrix((data, h.indices, h.indptr), shape=h.shape), centres, sizes
 
 
 def evolve_timedep(

@@ -76,11 +76,6 @@ class _BlockFamily:
             at = end
         return out
 
-    def first_column(self, beta: float) -> np.ndarray:
-        """exp(beta T_top) e_0, the first column of the largest block."""
-        lam, p, q = self._factors[-1]
-        return (p * np.cos(beta * lam) + q * np.sin(beta * lam)) @ p[0]
-
 
 class _BlockPass:
     """The block-diagonal structure of one factor of W(f).
@@ -148,8 +143,6 @@ class ModeRotation:
         d, m, states = basis.d, basis.m_max, basis.states
         self._sites = [states[:, x] for x in range(d)]
         self._m_max = m
-        self._size = basis.size
-        self._axis = basis.sector_offsets[:-1]  # the states (j, 0, ..., 0), j = 0..m_max
         self._planes = []
         for x in range(1, d):
             reps = states[states[:, x] == 0]  # n_x = 0 starts each block
@@ -190,39 +183,22 @@ class WeylFrame:
         planes = zip(rotation._planes, betas)
         self._blocks = [(plane, rotation._rotation.blocks(beta)) for plane, beta in planes if beta != 0.0]
 
-    def _phase(self, ndim: int) -> np.ndarray:
-        """e^{i theta . n} per state, shaped to multiply an array of ``ndim``
-        dimensions."""
-        sites = self._rotation._sites
-        phase = self._powers[0][sites[0]]
-        for x in range(1, len(sites)):
-            phase *= self._powers[x][sites[x]]
-        return phase.reshape(phase.shape + (1,) * (ndim - 1))  # over a stack's columns
-
-    def _gamma(self, amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        """Gamma(U) amp, with ``phase`` from ``_phase``."""
-        for plane, blocks in self._blocks:
-            amp = plane.apply(blocks, amp)
-        return amp * phase
-
     def apply(self, c: float, amp: np.ndarray) -> np.ndarray:
         """W(c phi) amp; amp a vector or a (size x k) stack of them."""
         rotation = self._rotation
-        phase = self._phase(amp.ndim)
+        sites = rotation._sites
+        # e^{i theta . n} per state, from the site tables of powers
+        phase = self._powers[0][sites[0]]
+        for x in range(1, len(sites)):
+            phase *= self._powers[x][sites[x]]
+        phase = phase.reshape(phase.shape + (1,) * (amp.ndim - 1))  # over a stack's columns
         amp = amp * phase.conj()
         for plane, blocks in reversed(self._blocks):
             amp = plane.apply(blocks, amp, inverse=True)
         amp = rotation._shift.apply(rotation._displacement.blocks(c * self.norm), amp)
-        return self._gamma(amp, phase)
-
-    def vacuum(self, c: float) -> np.ndarray:
-        """W(c phi) vac.  Gamma(U)* keeps the vacuum, and W(c ||phi|| e_0)
-        vac lies on the states (j, 0, ..., 0): the first column of the
-        largest displacement block.  So only Gamma(U) is applied."""
-        rotation = self._rotation
-        amp = np.zeros(rotation._size, dtype=complex)
-        amp[rotation._axis] = rotation._displacement.first_column(c * self.norm)
-        return self._gamma(amp, self._phase(1))
+        for plane, blocks in self._blocks:
+            amp = plane.apply(blocks, amp)
+        return amp * phase
 
 
 def poisson_tail(lam: float, m_max: int) -> float:

@@ -292,9 +292,9 @@ def test_fluctuation_suite_evolves_every_generator_kind(monkeypatch):
         kinds.append(kind)
         return trajectory(ops, kind, *args)
 
-    def recording_route(ops, n, *args, **kwargs):
+    def recording_route(ops, n, *args):
         conjugated.append(n)
-        return route(ops, n, *args, **kwargs)
+        return route(ops, n, *args)
 
     def recording_assemble(self, kind, *args, **kwargs):
         assembled.add(kind)

@@ -598,22 +598,14 @@ def test_leading_sector_route_matches_the_whole_basis_route(n):
     budget = PropagationBudget(tol=1e-10)
     times = [0.05, 0.1, 0.2]
     route = ConjugatedRoute(ops, flow, times)
-    top = _leading_top(fl.FockVector(ops.basis, route.frames[0.0].vacuum(np.sqrt(n))), budget.tol / 10)
+    start = route.frames[0.0].apply(np.sqrt(n), fl.FockVector.vacuum(ops.basis).amp)
+    top = _leading_top(fl.FockVector(ops.basis, start), budget.tol / 10)
     assert (top < ops.basis.m_max) == (n == 2)
     got = conjugated_trajectory(ops, n, flow, times, budget, route)
     want = conjugated_trajectory_whole_basis(ops, n, flow, times, budget)
     for segments, ((t, xi), (s, ref)) in enumerate(zip(got, want), start=1):
         assert t == s
         assert np.linalg.norm(xi.amp - ref.amp) <= (segments + 0.1) * budget.tol
-
-
-def test_shifted_states_are_w_of_the_yielded_ones(setup):
-    # with ``shifted`` the route also yields W(f_t) xi, its own walk's
-    # state, which a Weyl apply of xi reproduces to rounding
-    model, basis, _, ops = setup
-    flow = HartreeFlow(GEOMETRIC, model, 1e-3)
-    for t, xi, moved in conjugated_trajectory(ops, 3, flow, [0.0, 0.2], PropagationBudget(), shifted=True):
-        assert np.linalg.norm(weyl_apply(np.sqrt(3) * flow.at(t), xi).amp - moved.amp) < 1e-13
 
 
 def test_generator_family_refills_one_matrix_per_window_top(setup):

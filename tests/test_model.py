@@ -3,6 +3,7 @@ import pytest
 
 import focklab as fl
 from focklab.model import HamiltonianParts, Potential, interaction_diagonal, kinetic_matrix
+from focklab.propagate import _centre_sectors
 
 from oracles import centred_fock_hamiltonian, first_quantized_hamiltonian, symmetrizer
 
@@ -183,20 +184,26 @@ def _flux_ring(d, flux):
     ids=["d2", "d3", "d4", "d3-complex-kinetic"],
 )
 def test_parts_fill_the_centred_hamiltonian_of_every_n(d, m_max, kinetic):
-    # each N's H_N - F_N, filled from the N-independent parts on the
-    # leading sectors [0, top], against the per-N assembly centred on the
-    # whole basis: its leading block, entry for entry, and its centres
+    # each N's H_N, filled from the N-independent parts on the leading
+    # sectors [0, top], against the per-N assembly on the whole basis: its
+    # leading block, entry for entry; and centred as StaticPropagator
+    # centres it, at the diagonal entries it stores, against the per-N
+    # assembly centred on the whole basis, and its centres
     model = fl.LatticeModel(d, Potential.soft_coulomb_1d(d, 1.3), None if kinetic is None else _flux_ring(d, 0.4))
     basis = fl.build_basis(d, m_max)
     parts = HamiltonianParts(model, basis)
     for n in (1, 2, 5, 12):
+        whole = fl.build_fock_hamiltonian(model, n, basis).matrix
         ref, ref_centres = centred_fock_hamiltonian(model, n, basis)
         for top in (0, m_max // 2, m_max):
-            h = fl.build_fock_hamiltonian(model, n, basis, parts=parts, top=top)
+            h = fl.build_fock_hamiltonian(model, n, basis, parts=parts, top=top).matrix
             rows = int(basis.sector_offsets[top + 1])
-            assert h.matrix.shape == (rows, rows)
-            assert abs(h.matrix - ref[:rows, :rows]).max() <= 1e-13
-            assert ref[:rows, rows:].nnz == 0  # H_N conserves the number
-            assert np.abs(h.centres - ref_centres[: top + 1]).max() <= 1e-13
+            assert h.shape == (rows, rows)
+            assert abs(h - whole[:rows, :rows]).max() <= 1e-13
+            assert whole[:rows, rows:].nnz == 0  # H_N conserves the number
+            op, centres, _ = _centre_sectors(h, basis.sector_offsets[: top + 2])
+            assert np.shares_memory(op.indices, h.indices)  # no rebuild
+            assert abs(op - ref[:rows, :rows]).max() <= 1e-13
+            assert np.abs(centres - ref_centres[: top + 1]).max() <= 1e-13
     with pytest.raises(ValueError, match="another basis"):
         fl.build_fock_hamiltonian(model, 2, fl.build_basis(d, m_max), parts=parts)

@@ -8,7 +8,7 @@ import focklab.propagate as propagate
 from focklab.errors import ConvergenceError
 from focklab.fluctuations import FluctuationOperators, evolve_fluctuation, generator_family
 from focklab.hartree import HartreeFlow
-from focklab.model import Potential
+from focklab.model import HamiltonianParts, Potential
 from focklab.propagate import (
     DENSE_CUTOFF,
     KRYLOV_DIM,
@@ -418,6 +418,28 @@ def test_sector_split_takes_fewer_matvecs(monkeypatch):
     raw = propagate.expm_apply(h, psi.amp, 1.0, PropagationBudget())  # the raw H, uncentred
     assert counted[0].calls < counted[1].calls
     assert np.linalg.norm(split.amp - raw) < 2 * PropagationBudget().tol
+
+
+def test_sector_centring_at_stored_diagonal_entries():
+    # H_N with every diagonal entry stored (filled from HamiltonianParts) is
+    # centred in a copy of its data on its own pattern; the operator and
+    # centres are those of H_N as the ladder products store it, without its
+    # zero diagonal entries, and a coupling between sectors is still found
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    basis = fl.build_basis(3, 14)
+    stored = HamiltonianParts(model, basis).fill(2, basis.m_max)
+    summed = fl.build_fock_hamiltonian(model, 2, basis).matrix
+    assert stored.nnz > summed.nnz  # the vacuum's diagonal, at least
+    op, centres, sizes = propagate._centre_sectors(stored, basis.sector_offsets)
+    ref, ref_centres, _ = propagate._centre_sectors(summed, basis.sector_offsets)
+    assert np.shares_memory(op.indices, stored.indices)
+    assert np.array_equal(stored.toarray(), summed.toarray())  # the data is left as it was
+    assert np.array_equal(centres, ref_centres)
+    assert np.array_equal(op.toarray(), ref.toarray())
+    coupled = stored.tolil()
+    coupled[0, 1] = coupled[1, 0] = 0.5  # the vacuum to sector 1
+    with pytest.raises(ValueError, match="couples two number sectors"):
+        propagate._centre_sectors(coupled, basis.sector_offsets)
 
 
 def test_sector_split_rejects_coupled_sectors():

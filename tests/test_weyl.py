@@ -275,14 +275,13 @@ FRAME_ORBITALS = [
 @pytest.mark.parametrize("phi", FRAME_ORBITALS, ids=["generic", "zero-site", "zero-site-0", "d2"])
 def test_frame_applies_w_of_every_scaled_orbital(phi):
     # one frame of phi serves W(c phi) for c = +-sqrt(N) and every N, on a
-    # vector, a stack and the vacuum, as weyl_apply(c phi, .) does with the
-    # blocks and phases of c phi
+    # vector and a stack, as weyl_apply(c phi, .) does with the blocks and
+    # phases of c phi
     phi = np.array(phi) / np.linalg.norm(phi)
     basis = fl.build_basis(len(phi), 13)
     frame = WeylFrame(basis.mode_rotation, phi)
     psi = _random_state(basis, 3)
     stack = np.column_stack([_random_state(basis, seed).amp for seed in range(3)])
-    vac = fl.FockVector.vacuum(basis)
     for n in (1, 2, 5):
         for c in (math.sqrt(n), -math.sqrt(n)):
             assert np.linalg.norm(frame.apply(c, psi.amp) - fl.weyl_apply(c * phi, psi).amp) <= 1e-13
@@ -290,7 +289,6 @@ def test_frame_applies_w_of_every_scaled_orbital(phi):
             for k in range(stack.shape[1]):
                 want = fl.weyl_apply(c * phi, fl.FockVector(basis, stack[:, k])).amp
                 assert np.linalg.norm(got[:, k] - want) <= 1e-13
-            assert np.linalg.norm(frame.vacuum(c) - fl.weyl_apply(c * phi, vac).amp) <= 1e-13
 
 
 @pytest.mark.parametrize("d, m_max, f", ROUTE_CASES)
