@@ -295,7 +295,7 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     def trajectory_cell(n):
         if isinstance(route, FockLabError):
             raise route
-        full = conjugated_trajectory(ops, n, flow, repeats, budget, route)
+        full = conjugated_trajectory(route, n, budget)
         reduced = fluctuation_trajectory(ops, "reduced", n, flow, repeats, budget)
         moments, gaps = [], []
         for (t, psi_f), (_, psi_r) in zip(full, reduced):

@@ -27,10 +27,11 @@ conserves the number and does not depend on t, so
 with no time step; the fluctuation suite takes its full states from it, and
 the midpoint route of ``full`` is its oracle.  What every N shares, the
 N-independent parts of H_N and each sample time's Weyl frame and phase, is
-built once (``ConjugatedRoute``).  The conjugation residual
-(``displacement_residual``) is read on the full state;
-``conjugation_identity_residual`` reaches that state by the same static
-route.
+built once (``ConjugatedRoute``), the trajectory's only input besides N
+and the budget.  The conjugation residual (``displacement_residual``) is
+read on the full state; ``conjugation_identity_residual`` shares the H_N
+fill and the Weyl frames, but walks the whole basis, with no
+leading-sector cut and no truncation check.
 """
 
 from __future__ import annotations
@@ -477,21 +478,23 @@ def mean_field_phase(flow: HartreeFlow, s: float, t: float) -> float:
 
 class ConjugatedRoute:
     """What the conjugated trajectories of every N on one basis and Hartree
-    flow share (``conjugated_trajectory``): the N-independent parts of H_N
-    (``HamiltonianParts``) and, at t = 0 and at each distinct sample time,
+    flow share (``conjugated_trajectory``): the operators ``ops`` and the
+    distinct sample ``times`` it is built for, the N-independent parts of
+    H_N (``HamiltonianParts``) and, at t = 0 and at each of the times,
     phi_t's Weyl frame (``WeylFrame``, which serves W(+-sqrt(N) phi_t) for
     every N) and g(t) (``mean_field_phase``, summed segment by segment in
     increasing time).  Built once, before the trajectories, and read-only
     after, so threads may share it; it is released with its holder."""
 
     def __init__(self, ops: FluctuationOperators, flow: HartreeFlow, times):
+        self.ops = ops
+        self.times = sorted({float(t) for t in times})
         self.parts = HamiltonianParts(ops.model, ops.basis)
-        rotation = ops.basis.mode_rotation
         self.frames, self.phases = {}, {}
         phase, at = 0.0, 0.0
-        for t in sorted({0.0, *(float(t) for t in times)}):
+        for t in sorted({0.0, *self.times}):
             phase, at = phase + mean_field_phase(flow, at, t), t
-            self.frames[t], self.phases[t] = WeylFrame(rotation, flow.at(t)), phase
+            self.frames[t], self.phases[t] = WeylFrame(ops.basis.mode_rotation, flow.at(t)), phase
 
 
 def _leading_top(psi: FockVector, eps: float) -> int:
@@ -502,17 +505,10 @@ def _leading_top(psi: FockVector, eps: float) -> int:
     return int(np.argmax(above <= eps**2 * weights.sum()))
 
 
-def conjugated_trajectory(
-    ops: FluctuationOperators,
-    n: int,
-    flow: HartreeFlow,
-    times,
-    budget: PropagationBudget,
-    route: ConjugatedRoute | None = None,
-):
-    """Yield (t, U_N(t;0) vacuum) of the ``full`` kind at each distinct
-    sample time, in increasing order, as ``fluctuation_trajectory`` does,
-    by the Weyl conjugation identity
+def conjugated_trajectory(route: ConjugatedRoute, n: int, budget: PropagationBudget):
+    """Yield (t, U_N(t;0) vacuum) of the ``full`` kind on ``route.ops`` at
+    each of ``route.times``, in increasing order, as
+    ``fluctuation_trajectory`` does, by the Weyl conjugation identity
     U_N(t;0) = e^{-iN g(t)} W(-f_t) e^{-iH_N t} W(f_0), f_t = sqrt(N) phi_t
     and g the scalar term the generator omits (``mean_field_phase``).
 
@@ -523,30 +519,28 @@ def conjugated_trajectory(
     at most (tol/10)**2 of its squared norm: on them H_N is H_N on the basis
     cut at k, filled from ``route.parts``, and the part it drops would keep
     its norm, so each state is off by at most tol/10 more.  W is exact
-    (``route.frames``, built for ``times``; by default for this call).  At
-    t = 0 the vacuum itself is yielded; every other state is checked for
-    truncation (``TOP_SECTOR_LIMIT``) on the whole basis.  The midpoint
-    route, ``fluctuation_trajectory(ops, "full", ...)``, is the oracle."""
-    basis = ops.basis
-    space = ops.space("full")
-    route = ConjugatedRoute(ops, flow, times) if route is None else route
+    (``route.frames``).  At t = 0 the vacuum itself is yielded; every other
+    state is checked for truncation (``TOP_SECTOR_LIMIT``) on the whole
+    basis.  The midpoint route, ``fluctuation_trajectory(ops, "full", ...)``,
+    is the oracle."""
+    basis = route.ops.basis
     root = np.sqrt(n)
     start = route.frames[0.0].apply(root, FockVector.vacuum(basis).amp)
     top = _leading_top(FockVector(basis, start), budget.tol / 10)
     # H_N is released once the propagator holds it centred
     prop = StaticPropagator(
-        build_fock_hamiltonian(ops.model, n, basis, parts=route.parts, top=top).matrix,
+        build_fock_hamiltonian(route.ops.model, n, basis, parts=route.parts, top=top).matrix,
         budget,
         sectors=basis.sector_offsets[: top + 2],
     )
-    for t, psi in through_times(lambda psi, s, t: prop.apply(psi, t - s), start[: prop.dim], times):
+    for t, psi in through_times(lambda psi, s, t: prop.apply(psi, t - s), start[: prop.dim], route.times):
         if t == 0.0:
             yield t, FockVector.vacuum(basis)
             continue
         moved = np.zeros(basis.size, dtype=complex)
         moved[: prop.dim] = psi * np.exp(-1j * n * route.phases[t])
         xi = FockVector(basis, route.frames[t].apply(-root, moved))
-        check_truncation(xi.amp, space)
+        check_truncation(xi.amp, route.ops.space("full"))
         yield t, xi
 
 
@@ -620,12 +614,10 @@ def conjugation_identity_residual(
     """
     root = np.sqrt(n)
     start = WeylFrame(basis.mode_rotation, flow.at(0.0)).apply(root, FockVector.vacuum(basis).amp)
-    # the propagator is released after its one apply
-    prop = StaticPropagator(
+    # the propagator is a temporary, released after its one apply
+    psi2 = StaticPropagator(
         build_fock_hamiltonian(flow.model, n, basis).matrix, budget, sectors=basis.sector_offsets
-    )
-    psi2 = prop.apply(start, t)
-    del prop
+    ).apply(start, t)
     frame = WeylFrame(basis.mode_rotation, flow.at(t))
     return displacement_residual(frame, root, FockVector(basis, frame.apply(-root, psi2)))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import csr_matrix
 
 from .basis import (
     DEFAULT_CAPACITY,
@@ -131,45 +131,35 @@ def interaction_diagonal(states: np.ndarray, model: LatticeModel) -> np.ndarray:
     return 0.5 * (quad - model.potential.values[0] * occ.sum(axis=1))
 
 
-def hopping(model: LatticeModel, basis: OccupationBasis) -> csr_matrix:
-    """sum_{x,y} t_xy a*_x a_y on the truncated basis (zero for zero t), as
-    d products a*_x (sum_y t_xy a_y)."""
-    t = model.kinetic
-    hop = csr_matrix((basis.size, basis.size), dtype=t.dtype)
-    for x in range(model.d):
-        lowered = [t[x, y] * basis.annihilator(y) for y in range(model.d) if t[x, y] != 0.0]
-        if lowered:
-            hop = hop + basis.creator(x) @ sum(lowered[1:], lowered[0])
-    return hop
-
-
 class HamiltonianParts:
     """The parts of H_N = T + V/N on one basis that do not depend on N.
 
     ``hopping`` is dGamma(T) in CSR with every diagonal entry stored, zeros
-    included, at ``diagonal``; ``interaction`` is the pair-count diagonal V.
-    So each N's H_N is one fill of a copy of the hopping data
-    (``build_fock_hamiltonian``), its diagonal summed as
-    ``hopping(model, basis) + diags(V / N)`` sums it, and every diagonal
-    entry stays stored.  H_N conserves the number, so its rows on the
-    sectors [0, top] hold no entry beyond them: they are H_N on the basis
-    cut at top.  Read-only once built.
+    included, at ``diagonal``: one ladder product t_xy a*_x a_y for each
+    nonzero t_xy off the diagonal, and sum_x t_xx n_x on it.
+    ``interaction`` is the pair-count diagonal V.  So each N's H_N is one
+    fill of a copy of the hopping data (``build_fock_hamiltonian``), and
+    every diagonal entry stays stored.  H_N conserves the number, so its
+    rows on the sectors [0, top] hold no entry beyond them: they are H_N
+    on the basis cut at top.  Read-only once built.
     """
 
     def __init__(self, model: LatticeModel, basis: OccupationBasis):
         if basis.d != model.d:
             raise ValueError("basis and model disagree on d")
-        size = basis.size
-        hop = hopping(model, basis).tocoo()
-        off = hop.row != hop.col
+        t, size = model.kinetic, basis.size
         every = np.arange(size)
-        self.hopping = csr_matrix(
-            (
-                np.concatenate([hop.data[off], hop.diagonal()]),
-                (np.concatenate([hop.row[off], every]), np.concatenate([hop.col[off], every])),
-            ),
-            shape=(size, size),
-        )  # canonical, explicit zeros kept
+        root = np.sqrt(basis.states.astype(float))
+        # sqrt(n_x) (t_xx sqrt(n_x)) on the diagonal, as the product a*_x a_x holds it
+        entries = [(sum(root[:, x] * (t[x, x] * root[:, x]) for x in range(model.d)), every, every)]
+        for x, y in zip(*np.nonzero((t != 0.0) & ~np.eye(model.d, dtype=bool))):
+            # t_xy a*_x a_y: a_y lowers a state, and a*_x raises the result
+            # to the one state a_x maps onto it, the one entry of its row in a_x
+            down, up = basis.annihilator(y).tocoo(), basis.annihilator(x)
+            at = up.indptr[down.row]
+            entries.append((up.data[at] * (t[x, y] * down.data), up.indices[at], down.col))
+        data, rows, cols = (np.concatenate(column) for column in zip(*entries))
+        self.hopping = csr_matrix((data, (rows, cols)), shape=(size, size))  # canonical, explicit zeros kept
         h = self.hopping
         self.diagonal = np.flatnonzero(h.indices == np.repeat(every, np.diff(h.indptr))).astype(np.int32)
         self.interaction = interaction_diagonal(basis.states, model)
@@ -191,18 +181,21 @@ def build_fock_hamiltonian(
     parts: HamiltonianParts | None = None,
     top: int | None = None,
 ) -> FockHamiltonian:
-    """H_N on ``basis``.  With ``parts`` (of this model and basis), it is
-    filled from them, on the sectors [0, top] (default: every sector)."""
+    """H_N on the sectors [0, top] of ``basis`` (default: every sector),
+    filled from ``parts`` (of this model and basis; built here when not
+    given).  A ``top`` outside 0..m_max is a ``ValueError``."""
     if n < 1:
         raise ValueError("coupling parameter N must be >= 1")
     if basis.d != model.d:
         raise ValueError("basis and model disagree on d")
-    if parts is not None:
-        if parts.basis is not basis:
-            raise ValueError("the parts belong to another basis")
-        return FockHamiltonian(n, parts.fill(n, basis.m_max if top is None else top), basis)
-    mat = hopping(model, basis) + diags(interaction_diagonal(basis.states, model) / n)
-    return FockHamiltonian(n, mat.tocsr(), basis)
+    top = basis.m_max if top is None else top
+    if not 0 <= top <= basis.m_max:
+        raise ValueError(f"top sector {top} outside 0..{basis.m_max}")
+    if parts is None:
+        parts = HamiltonianParts(model, basis)
+    elif parts.basis is not basis:
+        raise ValueError("the parts belong to another basis")
+    return FockHamiltonian(n, parts.fill(n, top), basis)
 
 
 def build_sector_hamiltonian(

@@ -311,8 +311,8 @@ def _centre_sectors(h_sparse, offsets):
     """(H - F as CSR, f, sector sizes) for the sectors starting at
     ``offsets``, with f(k) the mean diagonal of H over sector k and F the
     diagonal operator that is f(k) on sector k.  An H that stores every
-    diagonal entry once (``model.HamiltonianParts`` fills it so) has F
-    subtracted at those entries of a copy of its data, sharing its pattern."""
+    diagonal entry once (``model.build_fock_hamiltonian`` fills it so) has
+    F subtracted at those entries of a copy of its data, sharing its pattern."""
     sizes = np.diff(offsets)
     # labels are gathered once per stored entry: int32 keeps those transients small
     sector = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)

@@ -28,13 +28,12 @@ CUTOFF_CAP = 400  # the largest cutoff minimal_cutoff tries
 
 
 def weyl_apply(f: np.ndarray, psi: FockVector) -> FockVector:
-    """W(f) psi = exp(a*(f) - a(f)) psi on psi's basis, by the basis's
-    ``ModeRotation``: exact up to rounding, so norm-preserving to machine
-    precision, with no tolerance to budget."""
-    f = np.asarray(f, dtype=complex)
+    """W(f) psi = exp(a*(f) - a(f)) psi on psi's basis, by the ``WeylFrame``
+    of f applied at c = 1: exact up to rounding, so norm-preserving to
+    machine precision, with no tolerance to budget."""
     if not np.any(f):
         return psi.copy()
-    return FockVector(psi.basis, psi.basis.mode_rotation.apply(f, psi.amp))
+    return FockVector(psi.basis, WeylFrame(psi.basis.mode_rotation, f).apply(1.0, psi.amp))
 
 
 def _tridiagonal_exponential(c: np.ndarray):
@@ -131,9 +130,9 @@ class ModeRotation:
     J[j+1, j] = sqrt((k - j)(j + 1)).  W(||f|| e_0) keeps every site but 0:
     on each fixed (n_1, ..., n_{d-1}) of total t it is the single-mode
     displacement exp(||f|| (b* - b)) cut at m_max - t, b*[j+1, j] = sqrt(j + 1).
-    One apply is 2(d-1) + 1 passes of block products and two diagonal
-    phase products; a rotation by 0 is the identity and is skipped.  An
-    apply builds the ``WeylFrame`` of f and discards it.
+    One apply of a ``WeylFrame`` is 2(d-1) + 1 passes of block products and
+    two diagonal phase products; a rotation by 0 is the identity and is
+    skipped.
 
     Nothing here changes after construction, so threads may share it; two
     threads that build it at once build the same tables.
@@ -153,10 +152,6 @@ class ModeRotation:
         self._shift = _BlockPass(basis, reps, m + 1 - reps.sum(axis=1), np.eye(d, dtype=np.int64)[0])
         self._rotation = _BlockFamily(m + 1, lambda s: np.sqrt((s - 1.0 - np.arange(s - 1)) * np.arange(1, s)))
         self._displacement = _BlockFamily(m + 1, lambda s: np.sqrt(np.arange(1.0, s)))
-
-    def apply(self, f: np.ndarray, amp: np.ndarray) -> np.ndarray:
-        """W(f) amp, for f != 0; amp a vector or a (size x k) stack of them."""
-        return WeylFrame(self, f).apply(1.0, amp)
 
 
 class WeylFrame:

@@ -20,14 +20,15 @@ smeared annihilator ``annihilation_of``), which the mode rotation
 replaced, and the mode rotation's single-vector block pass, which the
 stacked one replaced, and its apply with the blocks and phases of each
 f built for that apply, which the Weyl frames replaced.  H_N assembled
-and centred per N is the oracle of its fill from per-basis parts, and
-the conjugated route on the whole basis, with W(f_0) vac by a whole
-apply, is the oracle of the one on the leading sectors.  The
-sector expansion of the displaced product profile is the second route to
-that profile, and the Laguerre sum the second closed form of R_m.  The
-60-digit mpmath routes are the package's former arithmetic for the scaled
-coefficients A_m and the Parseval partial sums, and the Poisson tail summed
-term by term at 60 digits is the exact reference for ``poisson_tail``.
+per N from ladder products, and centred per N, is the oracle of its fill
+from per-basis parts, and the conjugated route on the whole basis, with
+W(f_0) vac by a whole apply, is the oracle of the one on the leading
+sectors.  The sector expansion of the displaced product profile is the
+second route to that profile, and the Laguerre sum the second closed form
+of R_m.  The 60-digit mpmath routes are the package's former arithmetic
+for the scaled coefficients A_m and the Parseval partial sums, and the
+Poisson tail summed term by term at 60 digits is the exact reference for
+``poisson_tail``.
 """
 
 import itertools
@@ -55,7 +56,7 @@ from focklab.fluctuations import (
 )
 from focklab.hartree import HartreeFlow
 from focklab.marginals import hs_distance, marginal_from_fock, marginal_from_sector, rank_one, trace_distance
-from focklab.model import build_fock_hamiltonian, build_sector_hamiltonian, embed_product_state
+from focklab.model import build_sector_hamiltonian, embed_product_state, interaction_diagonal
 from focklab.errors import ConvergenceError
 from focklab.propagate import (
     _BREAKDOWN,
@@ -168,7 +169,7 @@ def conjugated_state_dense(model, n, phi0, t, basis, budget, hartree_dt=1e-3):
     route: e^{-iH_N t} by a dense eigendecomposition of each number sector
     of H_N, W by the Krylov exponential of its generator (to budget.tol),
     phi_t by the numpy RK4 and g by ``mean_field_phase_simpson``."""
-    h = build_fock_hamiltonian(model, n, basis).matrix
+    h = fock_hamiltonian_by_ladders(model, n, basis)
     amp = weyl_apply_krylov(np.sqrt(n) * np.asarray(phi0, dtype=complex), FockVector.vacuum(basis), budget).amp
     for k in range(basis.m_max + 1):
         sector = basis.sector_slice(k)
@@ -180,20 +181,35 @@ def conjugated_state_dense(model, n, phi0, t, basis, budget, hartree_dt=1e-3):
     return xi
 
 
+def fock_hamiltonian_by_ladders(model, n, basis):
+    """H_N = T + V/N on the whole basis, assembled per N from ladder
+    products: the hopping as d products a*_x (sum_y t_xy a_y) summed with
+    sparse ``+``, plus diags(V / N).  The sums drop zero entries, so the
+    vacuum's diagonal is not stored."""
+    t = model.kinetic
+    hop = csr_matrix((basis.size, basis.size), dtype=t.dtype)
+    for x in range(model.d):
+        lowered = [t[x, y] * basis.annihilator(y) for y in range(model.d) if t[x, y] != 0.0]
+        if lowered:
+            hop = hop + basis.creator(x) @ sum(lowered[1:], lowered[0])
+    return (hop + diags(interaction_diagonal(basis.states, model) / n)).tocsr()
+
+
 def centred_fock_hamiltonian(model, n, basis):
     """(H_N - F_N, f) on the whole basis by the per-N route: H_N assembled
-    from ladder products (``build_fock_hamiltonian`` without parts), then
-    centred on its number sectors as ``StaticPropagator`` centres it."""
-    op, centres, _ = _centre_sectors(build_fock_hamiltonian(model, n, basis).matrix, basis.sector_offsets)
+    from ladder products (``fock_hamiltonian_by_ladders``), then centred on
+    its number sectors as ``StaticPropagator`` centres it."""
+    op, centres, _ = _centre_sectors(fock_hamiltonian_by_ladders(model, n, basis), basis.sector_offsets)
     return op, centres
 
 
 def conjugated_trajectory_whole_basis(ops, n, flow, times, budget):
-    """(t, xi) of the conjugated route on the whole basis: H_N assembled and
-    centred per N, W applied by ``weyl_apply`` with its blocks built per
-    apply, W(f_0) vac by a whole apply, and g summed segment by segment."""
+    """(t, xi) of the conjugated route on the whole basis: H_N assembled
+    from ladder products (``fock_hamiltonian_by_ladders``) and centred per
+    N, W applied by ``weyl_apply`` with its blocks built per apply, W(f_0)
+    vac by a whole apply, and g summed segment by segment."""
     basis = ops.basis
-    prop = StaticPropagator(build_fock_hamiltonian(ops.model, n, basis).matrix, budget, sectors=basis.sector_offsets)
+    prop = StaticPropagator(fock_hamiltonian_by_ladders(ops.model, n, basis), budget, sectors=basis.sector_offsets)
     root = np.sqrt(n)
     vacuum = FockVector.vacuum(basis)
     phase, at = 0.0, 0.0
@@ -531,7 +547,7 @@ def rate_rows_from_zero(config, kind):
             loss = 0.0
         else:
             psi = coherent_state(np.sqrt(n) * config.phi0, fock, eps_trunc=1.0)
-            h = build_fock_hamiltonian(model, n, fock).matrix
+            h = fock_hamiltonian_by_ladders(model, n, fock)
             loss = poisson_tail(float(n), m_max)
         for t in config.t_samples:
             if kind == "product":
@@ -663,7 +679,7 @@ def conjugation_residual_full_route(model, n, phi0, t, budget, m_max, hartree_dt
     basis = build_basis(model.d, m_max)
     f0 = np.sqrt(n) * np.asarray(phi0, dtype=complex)
     ft = np.sqrt(n) * HartreeFlow(phi0, model, hartree_dt).at(t)
-    h = build_fock_hamiltonian(model, n, basis).matrix
+    h = fock_hamiltonian_by_ladders(model, n, basis)
 
     def prop(psi, t):  # the Krylov route on the raw H, not the cell's centred one
         return FockVector(basis, expm_apply(h, psi.amp, t, budget))

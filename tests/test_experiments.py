@@ -278,6 +278,32 @@ def test_fluctuation_suite_clean_run():
     assert gaps[3] < gaps[2]
 
 
+def test_suite_hamiltonians_are_centred_at_their_stored_diagonal(monkeypatch):
+    # every H_N a suite builds stores its whole diagonal, so each
+    # StaticPropagator above the dense cutoff subtracts the sector centres
+    # in place; the rebuild through diags serves caller-supplied H only
+    centred, rebuilt = [], []
+    centre, rebuild = propagate._centre_sectors, propagate.diags
+
+    def counted_centre(h, offsets):
+        centred.append(h.shape[0])
+        return centre(h, offsets)
+
+    def counted_diags(*args, **kwargs):
+        rebuilt.append(len(args[0]))
+        return rebuild(*args, **kwargs)
+
+    monkeypatch.setattr(propagate, "_centre_sectors", counted_centre)
+    monkeypatch.setattr(propagate, "diags", counted_diags)
+    cfg = _config(n_values=[2, 3], t_samples=[0.0, 0.1], m_max=16)
+    assert run_coherent_rate_scan(cfg).ok
+    assert len(centred) == 2
+    assert run_fluctuation_suite(cfg).ok
+    assert len(centred) == 4
+    assert min(centred) > propagate.DENSE_CUTOFF
+    assert rebuilt == []
+
+
 def test_fluctuation_suite_evolves_every_generator_kind(monkeypatch):
     # every kind the package offers feeds some output: the suite evolves
     # reduced (per N) and limiting (once) by their generators, and full by
@@ -292,9 +318,9 @@ def test_fluctuation_suite_evolves_every_generator_kind(monkeypatch):
         kinds.append(kind)
         return trajectory(ops, kind, *args)
 
-    def recording_route(ops, n, *args):
+    def recording_route(conjugated_route, n, *args):
         conjugated.append(n)
-        return route(ops, n, *args)
+        return route(conjugated_route, n, *args)
 
     def recording_assemble(self, kind, *args, **kwargs):
         assembled.add(kind)

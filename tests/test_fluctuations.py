@@ -490,7 +490,7 @@ def test_midpoint_full_trajectory_approaches_the_conjugated_route_at_second_orde
     ops = FluctuationOperators(model, fl.build_basis(3, 20))
     flow = HartreeFlow(GEOMETRIC, model, 1e-3)
     n, t = 2, 0.3
-    [(_, xi)] = conjugated_trajectory(ops, n, flow, [t], PropagationBudget(tol=1e-12))
+    [(_, xi)] = conjugated_trajectory(ConjugatedRoute(ops, flow, [t]), n, PropagationBudget(tol=1e-12))
     ng = n * mean_field_phase(flow, 0.0, t)
     bare = xi.amp * np.exp(1j * ng)  # W(-f_t) e^{-iHt} W(f_0) vac
     distance, infidelity, phase = [], [], []
@@ -520,7 +520,7 @@ def test_conjugated_trajectory_matches_the_dense_oracle(n):
     flow = HartreeFlow(GEOMETRIC, model, 1e-3)
     budget = PropagationBudget(tol=1e-10)
     times = [0.1, 0.3, 0.6]
-    got = list(conjugated_trajectory(ops, n, flow, [0.6, 0.1, 0.3, 0.1], budget))
+    got = list(conjugated_trajectory(ConjugatedRoute(ops, flow, [0.6, 0.1, 0.3, 0.1]), n, budget))
     assert [t for t, _ in got] == times
     for t, xi in got:
         ref = conjugated_state_dense(model, n, GEOMETRIC, t, basis, PropagationBudget(tol=1e-12))
@@ -542,9 +542,10 @@ def test_free_model_conjugated_route_is_the_vacuum():
     assert mean_field_phase(flow, 0.0, 0.7) == 0.0
     for m_max in (12, 16):
         ops = FluctuationOperators(free, fl.build_basis(3, m_max))
+        route = ConjugatedRoute(ops, flow, [0.0, 0.3, 0.7])
         vac = fl.FockVector.vacuum(ops.basis)
         for n in (2, 4):
-            for t, xi in conjugated_trajectory(ops, n, flow, [0.0, 0.3, 0.7], budget):
+            for t, xi in conjugated_trajectory(route, n, budget):
                 assert np.linalg.norm(xi.amp - vac.amp) < budget.tol
 
 
@@ -552,7 +553,7 @@ def test_conjugated_trajectory_yields_the_vacuum_at_t0(setup):
     # W(-f_0) W(f_0) vac leaves rounding; t = 0 yields the vacuum itself
     model, basis, _, ops = setup
     flow = HartreeFlow(GEOMETRIC, model, 1e-3)
-    [(t, xi)] = conjugated_trajectory(ops, 4, flow, [0.0], PropagationBudget())
+    [(t, xi)] = conjugated_trajectory(ConjugatedRoute(ops, flow, [0.0]), 4, PropagationBudget())
     assert t == 0.0
     assert np.array_equal(xi.amp, fl.FockVector.vacuum(basis).amp)
 
@@ -563,7 +564,7 @@ def test_full_layout_is_built_on_first_use():
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     ops = FluctuationOperators(model, fl.build_basis(3, 10))
     flow = HartreeFlow(GEOMETRIC, model, 1e-3)
-    list(conjugated_trajectory(ops, 2, flow, [0.2], PropagationBudget()))
+    list(conjugated_trajectory(ConjugatedRoute(ops, flow, [0.2]), 2, PropagationBudget()))
     assert "_full" not in vars(ops)
     gen = ops.assemble("full", 2, GEOMETRIC)
     assert "_full" in vars(ops)
@@ -577,7 +578,7 @@ def test_even_layout_is_built_on_first_use():
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     ops = FluctuationOperators(model, fl.build_basis(3, 10))
     flow = HartreeFlow(GEOMETRIC, model, 1e-3)
-    list(conjugated_trajectory(ops, 2, flow, [0.2], PropagationBudget()))
+    list(conjugated_trajectory(ConjugatedRoute(ops, flow, [0.2]), 2, PropagationBudget()))
     ops.assemble("full", 2, GEOMETRIC)
     assert "_reduced" not in vars(ops)
     gen = ops.assemble("reduced", 2, GEOMETRIC)
@@ -601,7 +602,7 @@ def test_leading_sector_route_matches_the_whole_basis_route(n):
     start = route.frames[0.0].apply(np.sqrt(n), fl.FockVector.vacuum(ops.basis).amp)
     top = _leading_top(fl.FockVector(ops.basis, start), budget.tol / 10)
     assert (top < ops.basis.m_max) == (n == 2)
-    got = conjugated_trajectory(ops, n, flow, times, budget, route)
+    got = conjugated_trajectory(route, n, budget)
     want = conjugated_trajectory_whole_basis(ops, n, flow, times, budget)
     for segments, ((t, xi), (s, ref)) in enumerate(zip(got, want), start=1):
         assert t == s

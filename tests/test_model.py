@@ -5,7 +5,7 @@ import focklab as fl
 from focklab.model import HamiltonianParts, Potential, interaction_diagonal, kinetic_matrix
 from focklab.propagate import _centre_sectors
 
-from oracles import centred_fock_hamiltonian, first_quantized_hamiltonian, symmetrizer
+from oracles import centred_fock_hamiltonian, first_quantized_hamiltonian, fock_hamiltonian_by_ladders, symmetrizer
 
 
 def test_kinetic_matrix_properties():
@@ -185,15 +185,15 @@ def _flux_ring(d, flux):
 )
 def test_parts_fill_the_centred_hamiltonian_of_every_n(d, m_max, kinetic):
     # each N's H_N, filled from the N-independent parts on the leading
-    # sectors [0, top], against the per-N assembly on the whole basis: its
-    # leading block, entry for entry; and centred as StaticPropagator
-    # centres it, at the diagonal entries it stores, against the per-N
-    # assembly centred on the whole basis, and its centres
+    # sectors [0, top], against the per-N ladder assembly on the whole
+    # basis: its leading block, entry for entry; and centred as
+    # StaticPropagator centres it, at the diagonal entries it stores,
+    # against the ladder assembly centred on the whole basis, and its centres
     model = fl.LatticeModel(d, Potential.soft_coulomb_1d(d, 1.3), None if kinetic is None else _flux_ring(d, 0.4))
     basis = fl.build_basis(d, m_max)
     parts = HamiltonianParts(model, basis)
     for n in (1, 2, 5, 12):
-        whole = fl.build_fock_hamiltonian(model, n, basis).matrix
+        whole = fock_hamiltonian_by_ladders(model, n, basis)
         ref, ref_centres = centred_fock_hamiltonian(model, n, basis)
         for top in (0, m_max // 2, m_max):
             h = fl.build_fock_hamiltonian(model, n, basis, parts=parts, top=top).matrix
@@ -207,3 +207,26 @@ def test_parts_fill_the_centred_hamiltonian_of_every_n(d, m_max, kinetic):
             assert np.abs(centres - ref_centres[: top + 1]).max() <= 1e-13
     with pytest.raises(ValueError, match="another basis"):
         fl.build_fock_hamiltonian(model, 2, fl.build_basis(d, m_max), parts=parts)
+
+
+def test_top_is_honoured_with_and_without_parts():
+    # H_N on the sectors [0, 2] of the d=3, m=6 basis is the 10 x 10
+    # leading block, whether the parts are given or built in the call
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    basis = fl.build_basis(3, 6)
+    whole = fock_hamiltonian_by_ladders(model, 2, basis)
+    for parts in (None, HamiltonianParts(model, basis)):
+        h = fl.build_fock_hamiltonian(model, 2, basis, parts=parts, top=2).matrix
+        assert h.shape == (10, 10)
+        assert abs(h - whole[:10, :10]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("top", [-1, 7])
+def test_top_outside_the_sectors_is_rejected(top):
+    # the sectors run 0..m_max: top = -1 would give a 0 x 0 H_N, and
+    # top = m_max + 1 reach past the basis
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    basis = fl.build_basis(3, 6)
+    for parts in (None, HamiltonianParts(model, basis)):
+        with pytest.raises(ValueError, match="top sector"):
+            fl.build_fock_hamiltonian(model, 2, basis, parts=parts, top=top)

@@ -20,7 +20,7 @@ from focklab.propagate import (
     through_times,
 )
 from focklab.weyl import coherent_state
-from oracles import lanczos_bisect, lanczos_full_reorth, lanczos_stride4, weyl_generator
+from oracles import fock_hamiltonian_by_ladders, lanczos_bisect, lanczos_full_reorth, lanczos_stride4, weyl_generator
 from test_fluctuations import _flux_kinetic
 
 
@@ -423,12 +423,13 @@ def test_sector_split_takes_fewer_matvecs(monkeypatch):
 def test_sector_centring_at_stored_diagonal_entries():
     # H_N with every diagonal entry stored (filled from HamiltonianParts) is
     # centred in a copy of its data on its own pattern; the operator and
-    # centres are those of H_N as the ladder products store it, without its
-    # zero diagonal entries, and a coupling between sectors is still found
+    # centres are those of H_N as the summed ladder products store it
+    # (the oracle), without its zero diagonal entries, and a coupling
+    # between sectors is still found
     model = fl.LatticeModel(3, Potential.contact(3, 1.0))
     basis = fl.build_basis(3, 14)
     stored = HamiltonianParts(model, basis).fill(2, basis.m_max)
-    summed = fl.build_fock_hamiltonian(model, 2, basis).matrix
+    summed = fock_hamiltonian_by_ladders(model, 2, basis)
     assert stored.nnz > summed.nnz  # the vacuum's diagonal, at least
     op, centres, sizes = propagate._centre_sectors(stored, basis.sector_offsets)
     ref, ref_centres, _ = propagate._centre_sectors(summed, basis.sector_offsets)

@@ -109,9 +109,10 @@ def test_stacked_rotation_matches_each_column(d, m_max, f):
     basis = fl.build_basis(d, m_max)
     f = np.array(f)
     stack = np.column_stack([_random_state(basis, seed).amp for seed in range(d + 1)])
-    got = basis.mode_rotation.apply(f, stack)
+    frame = WeylFrame(basis.mode_rotation, f)
+    got = frame.apply(1.0, stack)
     for k in range(d + 1):
-        assert np.linalg.norm(got[:, k] - basis.mode_rotation.apply(f, stack[:, k])) < 1e-14
+        assert np.linalg.norm(got[:, k] - frame.apply(1.0, stack[:, k])) < 1e-14
 
 
 @pytest.mark.parametrize("d, m_max, f", ROUTE_CASES)
