@@ -21,7 +21,7 @@ the leading sectors it occupies.
 
 The full dynamics is the Weyl-conjugated Schroedinger evolution,
 U_N(t;0) = e^{-iN g(t)} W*(sqrt(N) phi_t) e^{-iH_N t} W(sqrt(N) phi_0), with
-g the scalar term the generator omits (``mean_field_phase``).  H_N
+g the scalar term the generator omits (``HartreeFlow.phase``).  H_N
 conserves the number and does not depend on t, so
 ``conjugated_trajectory`` reaches the full state by one static evolution,
 with no time step; the fluctuation suite takes its full states from it, and
@@ -36,23 +36,21 @@ leading-sector cut and no truncation check.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
-from math import ceil
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity
 
 from .basis import FockVector, OccupationBasis, number_moment
 from .errors import TruncationError
-from .hartree import HartreeFlow, energy, phase_rotate
+from .hartree import HartreeFlow, phase_rotate
 from .model import HamiltonianParts, LatticeModel, build_fock_hamiltonian, interaction_diagonal
-from .propagate import PropagationBudget, StaticPropagator, _tridiag_eigh, evolve_timedep, through_times
+from .propagate import PropagationBudget, StaticPropagator, evolve_timedep, through_times
 from .weyl import WeylFrame
 
 GENERATOR_KINDS = ("full", "reduced", "limiting")
 TOP_SECTOR_LIMIT = 1e-6
 WINDOW_STEP = 4  # a trajectory's first window top, and the sectors each growth adds
-PHASE_PIECE = 0.125  # the longest piece of time one Gauss rule of mean_field_phase spans
 
 
 class _Layout:
@@ -62,7 +60,9 @@ class _Layout:
     at their pattern positions, so ``term_map @ c`` is the data of
     sum_k c_k T_k.  Its rows are the pattern's entries in order, so the
     pattern's first r rows are filled by the first ``indptr[r]`` rows of
-    ``term_map``, and both are read through views.  ``diagonal`` indexes
+    ``term_map``, and both are read through views.  The map is built by one
+    COO to CSR conversion of every term's values at its positions (each
+    term placed once, ``_placed``).  ``diagonal`` indexes
     the diagonal, which is always in the pattern; ``span[r - 1]`` is one
     past the largest column in the first r rows.
     """
@@ -78,23 +78,12 @@ class _Layout:
         self.shape = (dim, dim)
         self.diagonal = np.searchsorted(keys, np.arange(dim, dtype=np.int64) * (dim + 1))
         self.span = np.maximum.accumulate(pattern.indices[pattern.indptr[1:] - 1]) + 1
-        # a counting sort by position lays the map out in CSR, each entry's
-        # terms in ascending order; placing every term twice (count, then
-        # fill) holds no copy of the values besides the map itself
-        rows = np.zeros(pattern.nnz + 1, dtype=np.int32)
-        for term in terms:
-            rows[_placed(term, keys)[1] + 1] += 1  # a term holds each position once
-        rows = np.cumsum(rows, dtype=np.int32)
-        free = rows[:-1].copy()
-        data = np.empty(rows[-1], dtype=complex)
-        cols = np.empty(rows[-1], dtype=np.int32)
-        for k, term in enumerate(terms):
-            values, positions = _placed(term, keys)
-            slots = free[positions]
-            data[slots] = values
-            cols[slots] = k
-            free[positions] += 1
-        self.term_map = csr_matrix((data, cols, rows), shape=(pattern.nnz, len(terms)))
+        # a term holds each position once, so the map has no duplicate to
+        # sum, and the conversion keeps each entry's terms in ascending order
+        placed = [_placed(term, keys) for term in terms]
+        values, positions = [np.concatenate(part) for part in zip(*placed)] or ([], [])  # no term: empty
+        columns = np.repeat(np.arange(len(terms)), [len(p) for _, p in placed])
+        self.term_map = csr_matrix((values, (positions, columns)), shape=(pattern.nnz, len(terms)), dtype=complex)
 
     def fill(self, coefficients: np.ndarray, diagonal: np.ndarray, out=None):
         """sum_k coefficients[k] T_k + diag(diagonal) on the pattern's first
@@ -451,50 +440,25 @@ def fluctuation_trajectory(
         yield t, space.embed(amp)
 
 
-@cache
-def _gauss_legendre(points: int) -> list[tuple[float, float]]:
-    """(node, weight) of the Gauss-Legendre rule on [-1, 1]: the eigenvalues
-    of the Jacobi matrix of the Legendre polynomials, and twice the squared
-    first components of its eigenvectors (Golub-Welsch).  Computed on first
-    use, so importing the package runs no LAPACK call."""
-    k = np.arange(1, points)
-    nodes, vectors = _tridiag_eigh(np.zeros(points), k / np.sqrt(4.0 * k * k - 1.0))
-    return list(zip(nodes.tolist(), (2.0 * vectors[0] ** 2).tolist()))
-
-
-def mean_field_phase(flow: HartreeFlow, s: float, t: float) -> float:
-    """g(t) - g(s), with g(t) = (1/2) int_0^t sum_xy v(x-y) |phi_r(x)|^2
-    |phi_r(y)|^2 dr the integral of the interaction energy along the flow,
-    by 8-node Gauss-Legendre on equal pieces of at most PHASE_PIECE."""
-    pieces = max(1, ceil(abs(t - s) / PHASE_PIECE))
-    half = (t - s) / (2 * pieces)
-    rule = _gauss_legendre(8)
-    total = 0.0
-    for k in range(pieces):
-        mid = s + (2 * k + 1) * half
-        total += sum(w * energy(flow.at(mid + half * x), flow.model).interaction for x, w in rule)
-    return half * total
-
-
 class ConjugatedRoute:
     """What the conjugated trajectories of every N on one basis and Hartree
     flow share (``conjugated_trajectory``): the operators ``ops`` and the
     distinct sample ``times`` it is built for, the N-independent parts of
     H_N (``HamiltonianParts``) and, at t = 0 and at each of the times,
     phi_t's Weyl frame (``WeylFrame``, which serves W(+-sqrt(N) phi_t) for
-    every N) and g(t) (``mean_field_phase``, summed segment by segment in
-    increasing time).  Built once, before the trajectories, and read-only
-    after, so threads may share it; it is released with its holder."""
+    every N) and g(t) (``HartreeFlow.phase``).  ``flow`` must be a flow of
+    ``ops.model``, else ``ValueError``.  Built once, before the
+    trajectories, and read-only after, so threads may share it; it is
+    released with its holder."""
 
     def __init__(self, ops: FluctuationOperators, flow: HartreeFlow, times):
+        if flow.model is not ops.model:
+            raise ValueError("the flow belongs to another model than the operators")
         self.ops = ops
         self.times = sorted({float(t) for t in times})
         self.parts = HamiltonianParts(ops.model, ops.basis)
-        self.frames, self.phases = {}, {}
-        phase, at = 0.0, 0.0
-        for t in sorted({0.0, *self.times}):
-            phase, at = phase + mean_field_phase(flow, at, t), t
-            self.frames[t], self.phases[t] = WeylFrame(ops.basis.mode_rotation, flow.at(t)), phase
+        self.frames = {t: WeylFrame(ops.basis.mode_rotation, flow.at(t)) for t in {0.0, *self.times}}
+        self.phases = {t: flow.phase(t) for t in self.times}
 
 
 def _leading_top(psi: FockVector, eps: float) -> int:
@@ -510,7 +474,7 @@ def conjugated_trajectory(route: ConjugatedRoute, n: int, budget: PropagationBud
     each of ``route.times``, in increasing order, as
     ``fluctuation_trajectory`` does, by the Weyl conjugation identity
     U_N(t;0) = e^{-iN g(t)} W(-f_t) e^{-iH_N t} W(f_0), f_t = sqrt(N) phi_t
-    and g the scalar term the generator omits (``mean_field_phase``).
+    and g the scalar term the generator omits (``HartreeFlow.phase``).
 
     H_N conserves the number and does not depend on t, so W(f_0) vacuum is
     walked through the times by one sector-centred ``StaticPropagator``: no

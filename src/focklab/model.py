@@ -141,7 +141,8 @@ class HamiltonianParts:
     fill of a copy of the hopping data (``build_fock_hamiltonian``), and
     every diagonal entry stays stored.  H_N conserves the number, so its
     rows on the sectors [0, top] hold no entry beyond them: they are H_N
-    on the basis cut at top.  Read-only once built.
+    on the basis cut at top.  ``model`` and ``basis`` are the ones they
+    are built for.  Read-only once built.
     """
 
     def __init__(self, model: LatticeModel, basis: OccupationBasis):
@@ -163,6 +164,7 @@ class HamiltonianParts:
         h = self.hopping
         self.diagonal = np.flatnonzero(h.indices == np.repeat(every, np.diff(h.indptr))).astype(np.int32)
         self.interaction = interaction_diagonal(basis.states, model)
+        self.model = model
         self.basis = basis
 
     def fill(self, n: int, top: int) -> csr_matrix:
@@ -183,7 +185,8 @@ def build_fock_hamiltonian(
 ) -> FockHamiltonian:
     """H_N on the sectors [0, top] of ``basis`` (default: every sector),
     filled from ``parts`` (of this model and basis; built here when not
-    given).  A ``top`` outside 0..m_max is a ``ValueError``."""
+    given).  A ``top`` outside 0..m_max, or parts built for another basis
+    or model object, is a ``ValueError``."""
     if n < 1:
         raise ValueError("coupling parameter N must be >= 1")
     if basis.d != model.d:
@@ -193,8 +196,8 @@ def build_fock_hamiltonian(
         raise ValueError(f"top sector {top} outside 0..{basis.m_max}")
     if parts is None:
         parts = HamiltonianParts(model, basis)
-    elif parts.basis is not basis:
-        raise ValueError("the parts belong to another basis")
+    elif parts.basis is not basis or parts.model is not model:
+        raise ValueError("the parts belong to another basis or model")
     return FockHamiltonian(n, parts.fill(n, top), basis)
 
 

@@ -23,12 +23,15 @@ f built for that apply, which the Weyl frames replaced.  H_N assembled
 per N from ladder products, and centred per N, is the oracle of its fill
 from per-basis parts, and the conjugated route on the whole basis, with
 W(f_0) vac by a whole apply, is the oracle of the one on the leading
-sectors.  The sector expansion of the displaced product profile is the
-second route to that profile, and the Laguerre sum the second closed form
-of R_m.  The 60-digit mpmath routes are the package's former arithmetic
-for the scaled coefficients A_m and the Parseval partial sums, and the
-Poisson tail summed term by term at 60 digits is the exact reference for
-``poisson_tail``.
+sectors.  The counting sort by position that laid out a generator
+layout's term map is the oracle of its one COO to CSR conversion, and
+Simpson's rule on the numpy Hartree nodes that of the phase g(t) the
+flow's RK4 carries.  The sector expansion of the displaced product
+profile is the second route to that profile, and the Laguerre sum the
+second closed form of R_m.  The 60-digit mpmath routes are the package's
+former arithmetic for the scaled coefficients A_m and the Parseval partial
+sums, and the Poisson tail summed term by term at 60 digits is the exact
+reference for ``poisson_tail``.
 """
 
 import itertools
@@ -49,10 +52,10 @@ from focklab.decomposition import (
 )
 from focklab.fluctuations import (
     FluctuationOperators,
+    _placed,
     check_truncation,
     evolve_fluctuation,
     generator_family,
-    mean_field_phase,
 )
 from focklab.hartree import HartreeFlow
 from focklab.marginals import hs_distance, marginal_from_fock, marginal_from_sector, rank_one, trace_distance
@@ -206,20 +209,18 @@ def centred_fock_hamiltonian(model, n, basis):
 def conjugated_trajectory_whole_basis(ops, n, flow, times, budget):
     """(t, xi) of the conjugated route on the whole basis: H_N assembled
     from ladder products (``fock_hamiltonian_by_ladders``) and centred per
-    N, W applied by ``weyl_apply`` with its blocks built per apply, W(f_0)
-    vac by a whole apply, and g summed segment by segment."""
+    N, W applied by ``weyl_apply`` with its blocks built per apply, and W(f_0)
+    vac by a whole apply."""
     basis = ops.basis
     prop = StaticPropagator(fock_hamiltonian_by_ladders(ops.model, n, basis), budget, sectors=basis.sector_offsets)
     root = np.sqrt(n)
     vacuum = FockVector.vacuum(basis)
-    phase, at = 0.0, 0.0
     for t, psi in through_times(lambda psi, s, t: prop.apply(psi, t - s), weyl_apply(root * flow.at(0.0), vacuum), times):
         if t == 0.0:
             yield t, vacuum.copy()
             continue
-        phase, at = phase + mean_field_phase(flow, at, t), t
         xi = weyl_apply(-root * flow.at(t), psi)
-        xi.amp *= np.exp(-1j * n * phase)
+        xi.amp *= np.exp(-1j * n * flow.phase(t))
         check_truncation(xi.amp, ops.space("full"))
         yield t, xi
 
@@ -665,6 +666,41 @@ def assemble_by_terms(ops, kind, n, phi):
     if kind == "full":
         out = out + cubic(ops, phi, n)
     return out.tocsr()
+
+
+def layout_terms(ops, kind):
+    """The terms ``ops``' layout of ``kind`` holds, in its order: the
+    quadratic monomials restricted to the even sectors for ``reduced``, and
+    with the cubic ones and their adjoints on the whole basis for ``full``."""
+    if kind == "reduced":
+        keep = ops.space(kind).positions
+        return [m[keep][:, keep] for m in ops._quadratic()]
+    a, ad = ops._ladders()
+    cubic = [ad[x] @ (ad[y] @ a[x]) for x, y in zip(*ops._cubic_sites)]
+    return ops._quadratic() + cubic + [m.T for m in cubic]
+
+
+def term_map_by_counting_sort(terms, layout):
+    """The term map of ``layout`` laid out by a counting sort by position:
+    each term placed twice, once to count its positions and once to write
+    its values, each position's terms in ascending order.  The package
+    builds the same CSR arrays by one COO to CSR conversion."""
+    dim = layout.shape[0]
+    keys = np.repeat(np.arange(dim, dtype=np.int64), np.diff(layout.indptr)) * dim + layout.indices
+    rows = np.zeros(len(keys) + 1, dtype=np.int32)
+    for term in terms:
+        rows[_placed(term, keys)[1] + 1] += 1
+    rows = np.cumsum(rows, dtype=np.int32)
+    free = rows[:-1].copy()
+    data = np.empty(rows[-1], dtype=complex)
+    cols = np.empty(rows[-1], dtype=np.int32)
+    for k, term in enumerate(terms):
+        values, positions = _placed(term, keys)
+        slots = free[positions]
+        data[slots] = values
+        cols[slots] = k
+        free[positions] += 1
+    return csr_matrix((data, cols, rows), shape=(len(keys), len(terms)))
 
 
 def evolve_whole_basis(ops, kind, n, flow, psi, t, budget):

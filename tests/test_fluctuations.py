@@ -22,7 +22,6 @@ from focklab.fluctuations import (
     evolve_fluctuation,
     conjugation_identity_residual,
     fluctuation_trajectory,
-    mean_field_phase,
     number_growth_probe,
     parity_defect,
 )
@@ -36,7 +35,9 @@ from oracles import (
     conjugated_trajectory_whole_basis,
     conjugation_residual_full_route,
     evolve_whole_basis,
+    layout_terms,
     mean_field_phase_simpson,
+    term_map_by_counting_sort,
 )
 
 
@@ -159,6 +160,30 @@ def test_layout_holds_one_monomial_per_distinct_operator(model):
     a, b = bogoliubov_pair(model, _phi(model.d, 3))
     assert abs(a - a.conj().T).max() < 1e-15
     assert abs(b - b.T).max() < 1e-15
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        fl.LatticeModel(2, Potential.contact(2, 1.0)),
+        fl.LatticeModel(3, Potential.soft_coulomb_1d(3, 1.3)),
+        fl.LatticeModel(4, Potential.soft_coulomb_1d(4, 1.3)),
+        fl.LatticeModel(3, Potential.soft_coulomb_1d(3, 0.7), _flux_kinetic(3, 0.4)),
+        fl.LatticeModel(3, Potential.zero(3), np.zeros((3, 3))),
+    ],
+    ids=["d2", "d3", "d4", "complex-kinetic", "no-terms"],
+)
+def test_term_maps_match_the_counting_sort_oracle(model):
+    # the COO to CSR conversion lays each term map out as a counting sort by
+    # position does, array for array and bit for bit; with T = V = 0 no
+    # monomial is laid out and the map has no column
+    ops = FluctuationOperators(model, fl.build_basis(model.d, 8))
+    for kind, layout in (("reduced", ops._reduced), ("full", ops._full)):
+        got, want = layout.term_map, term_map_by_counting_sort(layout_terms(ops, kind), layout)
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_zero_hopping_builds_both_operators():
@@ -491,7 +516,7 @@ def test_midpoint_full_trajectory_approaches_the_conjugated_route_at_second_orde
     flow = HartreeFlow(GEOMETRIC, model, 1e-3)
     n, t = 2, 0.3
     [(_, xi)] = conjugated_trajectory(ConjugatedRoute(ops, flow, [t]), n, PropagationBudget(tol=1e-12))
-    ng = n * mean_field_phase(flow, 0.0, t)
+    ng = n * flow.phase(t)
     bare = xi.amp * np.exp(1j * ng)  # W(-f_t) e^{-iHt} W(f_0) vac
     distance, infidelity, phase = [], [], []
     for dt in (0.02, 0.01, 0.005):
@@ -525,9 +550,11 @@ def test_conjugated_trajectory_matches_the_dense_oracle(n):
     for t, xi in got:
         ref = conjugated_state_dense(model, n, GEOMETRIC, t, basis, PropagationBudget(tol=1e-12))
         assert np.linalg.norm(xi.amp - ref.amp) < 3 * budget.tol
-    # the phase by 8-node Gauss on pieces of 1/8 against Simpson's rule on
-    # 1200 steps (measured 1.9e-14)
-    assert abs(mean_field_phase(flow, 0.0, 0.6) - mean_field_phase_simpson(GEOMETRIC, model, 1e-3, 0.6)) < 1e-12
+    # the phase by the flow's RK4 against Simpson's rule on the numpy nodes
+    # at half the step, forward, backward and off the grid (measured
+    # <= 2.2e-13)
+    for t in (0.6, -0.6, 0.3337):
+        assert abs(flow.phase(t) - mean_field_phase_simpson(GEOMETRIC, model, 1e-3, t)) < 1e-12
 
 
 def test_free_model_conjugated_route_is_the_vacuum():
@@ -539,7 +566,7 @@ def test_free_model_conjugated_route_is_the_vacuum():
     free = fl.LatticeModel(3, Potential.zero(3))
     flow = HartreeFlow(GEOMETRIC, free, 1e-3)
     budget = PropagationBudget(tol=1e-10)
-    assert mean_field_phase(flow, 0.0, 0.7) == 0.0
+    assert flow.phase(0.7) == flow.phase(-0.7) == flow.phase(0.3337) == 0.0
     for m_max in (12, 16):
         ops = FluctuationOperators(free, fl.build_basis(3, m_max))
         route = ConjugatedRoute(ops, flow, [0.0, 0.3, 0.7])
@@ -556,6 +583,15 @@ def test_conjugated_trajectory_yields_the_vacuum_at_t0(setup):
     [(t, xi)] = conjugated_trajectory(ConjugatedRoute(ops, flow, [0.0]), 4, PropagationBudget())
     assert t == 0.0
     assert np.array_equal(xi.amp, fl.FockVector.vacuum(basis).amp)
+
+
+def test_conjugated_route_refuses_a_flow_of_another_model(setup):
+    # H_N comes from the operators' model, phi_t and g from the flow's
+    model, basis, _, ops = setup
+    other = fl.LatticeModel(3, Potential.soft_coulomb_1d(3, 1.0))
+    for flow_model in (other, fl.LatticeModel(3, Potential.contact(3, 1.0))):
+        with pytest.raises(ValueError, match="another model"):
+            ConjugatedRoute(ops, HartreeFlow(GEOMETRIC, flow_model, 1e-3), [0.2])
 
 
 def test_full_layout_is_built_on_first_use():

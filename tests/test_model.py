@@ -209,6 +209,15 @@ def test_parts_fill_the_centred_hamiltonian_of_every_n(d, m_max, kinetic):
         fl.build_fock_hamiltonian(model, 2, fl.build_basis(d, m_max), parts=parts)
 
 
+def test_parts_of_another_model_are_refused():
+    # contact parts would fill a soft-Coulomb model's H_N with the contact
+    # interaction: the parts are checked against the model object
+    basis = fl.build_basis(3, 6)
+    parts = HamiltonianParts(fl.LatticeModel(3, Potential.contact(3, 1.0)), basis)
+    with pytest.raises(ValueError, match="another basis or model"):
+        fl.build_fock_hamiltonian(fl.LatticeModel(3, Potential.soft_coulomb_1d(3, 1.0)), 2, basis, parts=parts)
+
+
 def test_top_is_honoured_with_and_without_parts():
     # H_N on the sectors [0, 2] of the d=3, m=6 basis is the 10 x 10
     # leading block, whether the parts are given or built in the call
