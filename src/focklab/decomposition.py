@@ -38,7 +38,7 @@ import numpy as np
 
 from .basis import FockVector, OccupationBasis
 from .errors import AliasingError, TruncationError
-from .fluctuations import FluctuationOperators, generator_family
+from .fluctuations import FluctuationOperators, generator_family, stacked_family
 from .hartree import HartreeFlow
 from .model import embed_product_state
 from .propagate import PropagationBudget, evolve_timedep
@@ -238,14 +238,17 @@ def remainder_probe(
     Hartree orbital e^{-i theta} phi_t.  Every theta term equals the theta=0
     term: with G = e^{-i theta N}, psi(theta) = e^{-i theta} G psi(0),
     U^theta = G U^0 G*, G vac = vac and G* a_x G = e^{-i theta} a_x, and the
-    number cutoff commutes with G.  So the average is its theta=0 term, two
-    evolutions in all.
+    number cutoff commutes with G.  So the average is its theta=0 term:
+    psi(0) and the vacuum under one full family, evolved as the two
+    columns of one stack (``stacked_family``), one evolution in all, which
+    holds each of them to the budget.  The two evolutions of the same pair
+    are the test oracle.
     """
     if n > basis.m_max:
         raise TruncationError(f"N={n} exceeds the basis cutoff m_max={basis.m_max}")
-    gen = generator_family(FluctuationOperators(flow.model, basis), "full", n, flow)
+    gen = stacked_family(generator_family(FluctuationOperators(flow.model, basis), "full", n, flow), 2)
     psi = displaced_product_profile(flow.at(0.0), n, 0.0, basis, budget)
-    fwd_psi = evolve_timedep(gen, psi, 0.0, t, budget)
-    fwd_vac = evolve_timedep(gen, FockVector.vacuum(basis), 0.0, t, budget)
-    f = np.array([np.vdot(fwd_psi.amp, basis.annihilator(x) @ fwd_vac.amp) for x in range(basis.d)])
+    pair = np.column_stack([psi.amp, FockVector.vacuum(basis).amp])
+    fwd_psi, fwd_vac = evolve_timedep(gen, pair.ravel(), 0.0, t, budget).reshape(-1, 2).T
+    f = np.array([np.vdot(fwd_psi, basis.annihilator(x) @ fwd_vac) for x in range(basis.d)])
     return RemainderProbeReport(n, t, np.abs(f), float(np.sum(np.abs(f) ** 2)))

@@ -26,7 +26,7 @@ from .fluctuations import (
     FluctuationOperators,
     conjugated_trajectory,
     displacement_residual,
-    fluctuation_trajectory,
+    fluctuation_trajectories,
     parity_element,
 )
 from .hartree import HartreeFlow, evolve_hartree, trajectory_csv_rows
@@ -257,15 +257,20 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     Each (kind, N) trajectory is evolved once from the vacuum through the
     sample times, on one basis, along one shared Hartree flow: full once
     per N by the Weyl conjugation identity (``conjugated_trajectory``: one
-    static evolution of W(f_0) vac under H_N, no time step), reduced once
-    per N and limiting once per run by their midpoint generators.  The
-    limiting state at t_end, and what every N's full trajectory shares
-    (``ConjugatedRoute``: H_N's N-independent parts, each sample time's
-    Weyl frame and phase), are made before the cell pool; every probe is a
-    reduction over those states, the conjugation residual
-    (``displacement_residual``) over the full state at t_end, with its
-    floor at the suite's cutoff.  A failed cell flags every probe it
-    serves, and the suite continues; a blow-up of the flow stops it."""
+    static evolution of W(f_0) vac under H_N, no time step), and every N's
+    reduced state together with the limiting state as the columns of one
+    midpoint walk (``fluctuation_trajectories``: the limiting generator,
+    assembled once per step, plus each reduced column's quartic/N, on one
+    shared window of the leading sectors).  That walk, and what every N's
+    full trajectory shares (``ConjugatedRoute``: H_N's N-independent
+    parts, each sample time's Weyl frame and phase), are made before the
+    cell pool; every probe is a reduction over those states, the
+    conjugation residual (``displacement_residual``) over the full state
+    at t_end, with its floor at the suite's cutoff.  A column that fails
+    its truncation check fails only its own N (or the limiting scan); a
+    walk that fails otherwise fails every N and the limiting scan.  A
+    failed cell flags every probe it serves, and the suite continues; a
+    blow-up of the flow stops it."""
     model = config.model
     budget = PropagationBudget(tol=config.propagation_tol, dt=config.fluctuation_dt)
     basis = build_basis(model.d, _cutoff(config, max(config.n_values)), capacity=config.capacity)
@@ -275,15 +280,24 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     t_end = max(repeats)
     flow.at(t_end)  # a blow-up of the shared flow stops the suite here, outside every cell
     tables = {"moments": [], "gaps": [], "parity": [], "conjugation": [], "limiting": []}
+    even = ops.space("reduced")
 
-    def limiting_state():
-        for _, u_lim in fluctuation_trajectory(ops, "limiting", 1, flow, repeats, budget):
-            pass  # only the state at t_end is kept
-        return {"u_lim": u_lim}
+    # every N's reduced column and the limiting column (the last), walked
+    # once, before the pool: t -> each column's state, or the error that
+    # stopped it
+    columns = [("reduced", n) for n in config.n_values] + [("limiting", 1)]
+    try:
+        walk = dict(fluctuation_trajectories(ops, columns, flow, repeats, budget))
+    except FockLabError as exc:
+        walk = {t: [exc] * len(columns) for t in repeats}
 
-    # the limiting trajectory does not depend on N: evolve it once, before the
-    # pool; a partial trajectory gives no gap
-    lim, failures = _guarded("limiting", "scan", limiting_state)()
+    def state(t, j):
+        if isinstance(walk[t][j], FockLabError):
+            raise walk[t][j]
+        return even.embed(walk[t][j])
+
+    # a partial limiting trajectory gives no gap
+    lim, failures = _guarded("limiting", "scan", lambda: {"u_lim": state(t_end, -1)})()
     u_lim = lim.get("u_lim")
     # what every N's full trajectory shares, also built once before the pool;
     # a failure to build it fails every N's cell, as if each had built it
@@ -292,13 +306,12 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
     except FockLabError as exc:
         route = exc
 
-    def trajectory_cell(n):
+    def trajectory_cell(j, n):
         if isinstance(route, FockLabError):
             raise route
-        full = conjugated_trajectory(route, n, budget)
-        reduced = fluctuation_trajectory(ops, "reduced", n, flow, repeats, budget)
         moments, gaps = [], []
-        for (t, psi_f), (_, psi_r) in zip(full, reduced):
+        for t, psi_f in conjugated_trajectory(route, n, budget):
+            psi_r = state(t, j)
             moments += [("full", n, 1, t, number_moment(psi_f, 1))] * repeats[t]
             gaps.append(("full-vs-reduced", n, "", t, float(np.linalg.norm(psi_f.amp - psi_r.amp))))
         rows = {"moments": moments, "gaps": gaps, "parity": [("reduced", n, "", t_end, parity_element(psi_r))]}
@@ -310,8 +323,10 @@ def run_fluctuation_suite(config: ExperimentConfig) -> SuiteResult:
         return rows
 
     cells = [
-        _guarded("moments", f"N={n}", lambda n=n: trajectory_cell(n), ("gaps", "parity", "conjugation", "limiting"))
-        for n in config.n_values
+        _guarded(
+            "moments", f"N={n}", lambda j=j, n=n: trajectory_cell(j, n), ("gaps", "parity", "conjugation", "limiting")
+        )
+        for j, n in enumerate(config.n_values)
     ]
     failures += _merge_cells(tables, cells, config.threads)
     return SuiteResult(tables, failures)

@@ -15,9 +15,13 @@ act on the even sectors only (``Space``).
 
 The probes below certify the Weyl conjugation identity, growth of the
 number of particles, and the gaps between the dynamics, all from the
-vacuum.  They are reductions over ``fluctuation_trajectory``, which evolves
-one (kind, N) pair once through the sample times by the midpoint rule, on
-the leading sectors it occupies.
+vacuum.  They are reductions over ``fluctuation_trajectories``, which
+evolves every (kind, N) column that shares one generator family once
+through the sample times by the midpoint rule, as the columns of one
+stack on the leading sectors they occupy: ``reduced`` at N is
+``limiting`` plus the quartic diagonal over N, so every N's reduced state
+and the limiting state walk together, under one assembly per step.  A
+single (kind, N) pair is its one-column case (``fluctuation_trajectory``).
 
 The full dynamics is the Weyl-conjugated Schroedinger evolution,
 U_N(t;0) = e^{-iN g(t)} W*(sqrt(N) phi_t) e^{-iH_N t} W(sqrt(N) phi_0), with
@@ -78,12 +82,18 @@ class _Layout:
         self.shape = (dim, dim)
         self.diagonal = np.searchsorted(keys, np.arange(dim, dtype=np.int64) * (dim + 1))
         self.span = np.maximum.accumulate(pattern.indices[pattern.indptr[1:] - 1]) + 1
+        entries = pattern.nnz
+        del pattern  # its values, which the map does not need
         # a term holds each position once, so the map has no duplicate to
         # sum, and the conversion keeps each entry's terms in ascending order
         placed = [_placed(term, keys) for term in terms]
+        del keys
+        counts = [len(p) for _, p in placed]
         values, positions = [np.concatenate(part) for part in zip(*placed)] or ([], [])  # no term: empty
-        columns = np.repeat(np.arange(len(terms)), [len(p) for _, p in placed])
-        self.term_map = csr_matrix((values, (positions, columns)), shape=(pattern.nnz, len(terms)), dtype=complex)
+        del placed  # the pieces go before the conversion allocates the map
+        values = np.asarray(values, dtype=complex)  # the map's dtype, so the conversion copies no values
+        columns = np.repeat(np.arange(len(terms), dtype=np.int32), counts)
+        self.term_map = csr_matrix((values, (positions, columns)), shape=(entries, len(terms)), dtype=complex)
 
     def fill(self, coefficients: np.ndarray, diagonal: np.ndarray, out=None):
         """sum_k coefficients[k] T_k + diag(diagonal) on the pattern's first
@@ -119,9 +129,10 @@ class _LeadingBlock:
     dim rows (``rows``, a dim x span CSR matrix), with ``terms``, the rows
     of a ``_Layout``'s term map that fill them.  A product pads its input
     with zeros up to the span, so the entries right of the block act on
-    zeros and the product costs the block's rows only.  The padded input is
-    one buffer per block, whose head each product overwrites: a block is
-    not shared between threads."""
+    zeros and the product costs the block's rows only.  The input is a
+    vector or a (dim x k) block of columns (``_Stacked``).  The padded
+    input is one buffer per block, of the last input's shape, whose head
+    each product overwrites: a block is not shared between threads."""
 
     def __init__(self, rows: csr_matrix, terms: csr_matrix):
         self.rows = rows
@@ -132,6 +143,8 @@ class _LeadingBlock:
         self._padded = np.zeros(rows.shape[1], dtype=complex)
 
     def dot(self, v: np.ndarray) -> np.ndarray:
+        if self._padded.shape[1:] != v.shape[1:]:
+            self._padded = np.zeros(self._padded.shape[:1] + v.shape[1:], dtype=complex)
         self._padded[: self.shape[0]] = v
         return self.rows @ self._padded
 
@@ -143,7 +156,7 @@ def _placed(term, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     skipped."""
     coo = term.tocoo()
     stored = coo.data != 0
-    return coo.data[stored], np.searchsorted(keys, _entry_keys(coo)[stored])
+    return coo.data[stored], np.searchsorted(keys, _entry_keys(coo)[stored]).astype(np.int32)
 
 
 def _entry_keys(coo) -> np.ndarray:
@@ -331,6 +344,50 @@ def generator_family(
     return gen
 
 
+class _Stacked:
+    """A generator applied to k states at once, with a diagonal of its own
+    for each: the states are the columns of a (rows x k) block held flat,
+    row by row, and column j is multiplied by the generator plus
+    diag(``diagonal[:, j]``) (none when ``diagonal`` is None).  So the
+    operator on the flat vector is block diagonal, and the sparse matrix
+    is read once per product for every column.  ``shape`` is that of the
+    flat operator; ``nnz``, ``data`` and ``indices`` are the sparse
+    matrix's, which the benchmark's tracer reads to charge a product."""
+
+    def __init__(self, matrix, columns: int, diagonal: np.ndarray | None):
+        rows = matrix.shape[0]
+        self.matrix = matrix
+        self.columns = columns
+        self.diagonal = None if diagonal is None else diagonal[:rows]
+        self.shape = (rows * columns, rows * columns)
+        self.nnz, self.data, self.indices = matrix.nnz, matrix.data, matrix.indices
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        block = v.reshape(-1, self.columns)
+        out = self.matrix.dot(block)
+        if self.diagonal is not None:
+            out += self.diagonal * block
+        return out.ravel()
+
+
+def stacked_family(family, columns: int, diagonal: np.ndarray | None = None):
+    """t -> the generator ``family(t)`` applied to ``columns`` states at once,
+    column j with diag(``diagonal[:, j]``) added (``_Stacked``;
+    ``diagonal`` spans the family's whole space, and a window's rows take
+    its leading rows).  ``evolve_timedep`` then walks every column through
+    one step grid, one Krylov basis per step for the whole stack, and
+    holds the stack, so each column, to its budget.  The family's
+    ``bench_key``, the benchmark tracer's tag for one evolution, passes to
+    the stack: a stacked evolution counts as one."""
+
+    def gen(t: float):
+        return _Stacked(family(t), columns, diagonal)
+
+    if hasattr(family, "bench_key"):
+        gen.bench_key = family.bench_key
+    return gen
+
+
 class SectorWindow:
     """The leading sectors [0, top] of a ``Space`` a trajectory is evolved on.
 
@@ -342,7 +399,9 @@ class SectorWindow:
     therefore evolves exactly as on the basis cut at top.  The window starts
     at [0, WINDOW_STEP] and grows by WINDOW_STEP sectors up to the space's
     top, so on the even sectors every top is even; ``widen`` is the per-step
-    hook of ``evolve_timedep`` that grows it.
+    hook of ``evolve_timedep`` that grows it.  The states it reads are
+    stacks of k columns on the window, held flat row by row
+    (``stacked_family``), k = 1 for a single state.
     """
 
     def __init__(self, space: Space, tol: float):
@@ -355,19 +414,27 @@ class SectorWindow:
         return int(self.space.offsets[self.top + 1])
 
     def widen(self, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-        """None to accept a step from ``start`` to ``end``.  If ``end`` holds
-        more than tol**2 of its squared norm in the top sector, and the
-        window is not yet the whole space, grow the window by WINDOW_STEP
-        sectors and return ``start`` zero-padded to it, to redo the step."""
+        """None to accept a step from ``start`` to ``end``.  If a column of
+        ``end`` holds more than tol**2 of its squared norm in the top
+        sector, and the window is not yet the whole space, grow the window
+        by WINDOW_STEP sectors and return ``start`` with every column
+        zero-padded to it, to redo the step."""
         if self.top == self.space.top:
             return None
-        top = end[self.space.offsets[self.top]:]
-        if np.vdot(top, top).real <= self.tol**2 * np.vdot(end, end).real:
+        block = end.reshape(self.dim, -1)
+        top = block[self.space.offsets[self.top]:]
+        if np.all(_squared_norms(top) <= self.tol**2 * _squared_norms(block)):
             return None
         self.top = min(self.top + WINDOW_STEP, self.space.top)
-        grown = np.zeros(self.dim, dtype=complex)
+        start = start.reshape(-1, block.shape[1])
+        grown = np.zeros((self.dim, block.shape[1]), dtype=complex)
         grown[: len(start)] = start
-        return grown
+        return grown.ravel()
+
+
+def _squared_norms(block: np.ndarray) -> np.ndarray:
+    """The squared norm of each column of ``block``."""
+    return np.einsum("ij,ij->j", block.conj(), block).real
 
 
 def check_truncation(amp: np.ndarray, space: Space):
@@ -403,6 +470,89 @@ def evolve_fluctuation(
     return space.embed(amp)
 
 
+def _shared_generator(columns) -> tuple[str, int, np.ndarray]:
+    """(kind, N, weights): the generator family that every column (kind, N)
+    of ``columns`` is, up to weights[j] times the quartic diagonal.
+    ``reduced`` at N is ``limiting`` plus quartic/N, so reduced at any N
+    and limiting share the limiting family, with weights 1/N and 0; ``full``
+    columns share the full family of their one N, with weight 0.  Columns
+    that share no family, an unknown kind, or an N below 1 outside
+    ``limiting`` are a ``ValueError``."""
+    for kind, n in columns:
+        if kind not in GENERATOR_KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if kind != "limiting" and n < 1:
+            raise ValueError("N must be >= 1")
+    kinds = {kind for kind, _ in columns}
+    if kinds <= {"reduced", "limiting"}:
+        return "limiting", 1, np.array([1.0 / n if kind == "reduced" else 0.0 for kind, n in columns])
+    if len(set(columns)) == 1:
+        return "full", columns[0][1], np.zeros(len(columns))
+    raise ValueError(f"the columns {columns} share no generator family")
+
+
+def fluctuation_trajectories(
+    ops: FluctuationOperators,
+    columns,
+    flow: HartreeFlow,
+    times,
+    budget: PropagationBudget,
+):
+    """Yield (t, states) at each distinct sample time, in increasing order:
+    states[j] is U(t;0) vacuum under the generator of the column
+    columns[j] = (kind, N), as amplitudes on the leading states of
+    ``ops.space(kind)``, or the ``TruncationError`` that stopped that
+    column at t or before.
+
+    The columns share one generator family (``_shared_generator``), and
+    are evolved once, segment by segment, as the columns of one stack
+    (``stacked_family``): each segment is one ``evolve_timedep`` call, so
+    the family is assembled once per step for all of them, and every
+    column is held to the Krylov budget of the segment.  They share one
+    window of the leading sectors (``SectorWindow``), which grows whenever
+    a step leaves more than ``budget.tol**2`` of some column's squared norm
+    in its top sector, and that step is redone from its zero-padded start;
+    so no column's top sector ever holds an amplitude above ``budget.tol``
+    of its norm.  Once the window is the whole space, every column is
+    checked for truncation (``TOP_SECTOR_LIMIT``) after each segment, as on
+    a fixed cutoff; a column over the limit stops, and the others go on
+    without it.  ``evolve_fluctuation`` evolves one state on the whole
+    space throughout and is the oracle."""
+    kind, n, weights = _shared_generator(list(columns))
+    space = ops.space(kind)
+    quartic = ops.quartic_diag if kind == "full" else ops._even_diagonals[1]
+    diagonal = np.outer(quartic, weights) if weights.any() else None
+    window = SectorWindow(space, budget.tol)
+    live = list(range(len(weights)))  # the columns still evolved, in stack order
+    failed = {}
+
+    def advance(block, s, t):
+        nonlocal diagonal
+        if not live:
+            return block
+        # a family per segment: its matrix is released between segments
+        gen = stacked_family(generator_family(ops, kind, n, flow, window=window), len(live), diagonal)
+        block = evolve_timedep(gen, block.ravel(), s, t, budget, widen=window.widen).reshape(window.dim, -1)
+        kept = []
+        for j, amp in enumerate(block.T):
+            try:
+                check_truncation(amp, space)
+                kept.append(j)
+            except TruncationError as exc:
+                failed[live[j]] = exc
+        if len(kept) < len(live):
+            live[:] = [live[j] for j in kept]
+            block = block[:, kept]
+            diagonal = None if diagonal is None else diagonal[:, kept]
+        return block
+
+    vacuum = np.zeros((window.dim, len(live)), dtype=complex)
+    vacuum[0] = 1.0
+    for t, block in through_times(advance, vacuum, times):
+        amps = dict(zip(live, block.T))
+        yield t, [failed[j] if j in failed else amps[j] for j in range(len(weights))]
+
+
 def fluctuation_trajectory(
     ops: FluctuationOperators,
     kind: str,
@@ -412,31 +562,13 @@ def fluctuation_trajectory(
     budget: PropagationBudget,
 ):
     """Yield (t, U(t;0) vacuum) at each distinct sample time, in increasing
-    order, as vectors on ``ops.basis``.  The state is evolved once, segment
-    by segment, and only the current state is held.
-
-    Each segment is one ``evolve_timedep`` call on the leading sectors of
-    ``ops.space(kind)`` the state occupies (``SectorWindow``).  The window
-    grows whenever a step leaves more than ``budget.tol**2`` of the squared
-    norm in its top sector, and that step is redone from its zero-padded
-    start; so the window's top sector never holds an amplitude above
-    ``budget.tol``.  Once the window is the whole space, every segment is
-    checked for truncation (``TOP_SECTOR_LIMIT``) as on a fixed cutoff.
-    ``evolve_fluctuation`` evolves on the whole space throughout and is the
-    oracle."""
+    order, as vectors on ``ops.basis``: the one-column case of
+    ``fluctuation_trajectories``, whose ``TruncationError`` it raises.
+    Only the current state is held."""
     space = ops.space(kind)
-    window = SectorWindow(space, budget.tol)
-
-    def advance(amp, s, t):
-        # a family per segment: its matrix is released between segments
-        gen = generator_family(ops, kind, n, flow, window=window)
-        amp = evolve_timedep(gen, amp, s, t, budget, widen=window.widen)
-        check_truncation(amp, space)
-        return amp
-
-    vacuum = np.zeros(window.dim, dtype=complex)
-    vacuum[0] = 1.0
-    for t, amp in through_times(advance, vacuum, times):
+    for t, [amp] in fluctuation_trajectories(ops, [(kind, n)], flow, times, budget):
+        if isinstance(amp, TruncationError):
+            raise amp
         yield t, space.embed(amp)
 
 
@@ -444,7 +576,8 @@ class ConjugatedRoute:
     """What the conjugated trajectories of every N on one basis and Hartree
     flow share (``conjugated_trajectory``): the operators ``ops`` and the
     distinct sample ``times`` it is built for, the N-independent parts of
-    H_N (``HamiltonianParts``) and, at t = 0 and at each of the times,
+    H_N (``HamiltonianParts``, whose interaction diagonal is the operators'
+    ``quartic_diag``) and, at t = 0 and at each of the times,
     phi_t's Weyl frame (``WeylFrame``, which serves W(+-sqrt(N) phi_t) for
     every N) and g(t) (``HartreeFlow.phase``).  ``flow`` must be a flow of
     ``ops.model``, else ``ValueError``.  Built once, before the
@@ -456,7 +589,7 @@ class ConjugatedRoute:
             raise ValueError("the flow belongs to another model than the operators")
         self.ops = ops
         self.times = sorted({float(t) for t in times})
-        self.parts = HamiltonianParts(ops.model, ops.basis)
+        self.parts = HamiltonianParts(ops.model, ops.basis, interaction=ops.quartic_diag)
         self.frames = {t: WeylFrame(ops.basis.mode_rotation, flow.at(t)) for t in {0.0, *self.times}}
         self.phases = {t: flow.phase(t) for t in self.times}
 

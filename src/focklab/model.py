@@ -137,7 +137,10 @@ class HamiltonianParts:
     ``hopping`` is dGamma(T) in CSR with every diagonal entry stored, zeros
     included, at ``diagonal``: one ladder product t_xy a*_x a_y for each
     nonzero t_xy off the diagonal, and sum_x t_xx n_x on it.
-    ``interaction`` is the pair-count diagonal V.  So each N's H_N is one
+    ``interaction`` is the pair-count diagonal V (``interaction_diagonal``),
+    or the array given for it, which must be that diagonal: the
+    fluctuation operators of the same basis already hold it
+    (``FluctuationOperators.quartic_diag``).  So each N's H_N is one
     fill of a copy of the hopping data (``build_fock_hamiltonian``), and
     every diagonal entry stays stored.  H_N conserves the number, so its
     rows on the sectors [0, top] hold no entry beyond them: they are H_N
@@ -145,9 +148,11 @@ class HamiltonianParts:
     are built for.  Read-only once built.
     """
 
-    def __init__(self, model: LatticeModel, basis: OccupationBasis):
+    def __init__(self, model: LatticeModel, basis: OccupationBasis, *, interaction: np.ndarray | None = None):
         if basis.d != model.d:
             raise ValueError("basis and model disagree on d")
+        if interaction is not None and np.shape(interaction) != (basis.size,):
+            raise ValueError("the interaction diagonal does not match the basis")
         t, size = model.kinetic, basis.size
         every = np.arange(size)
         root = np.sqrt(basis.states.astype(float))
@@ -163,7 +168,7 @@ class HamiltonianParts:
         self.hopping = csr_matrix((data, (rows, cols)), shape=(size, size))  # canonical, explicit zeros kept
         h = self.hopping
         self.diagonal = np.flatnonzero(h.indices == np.repeat(every, np.diff(h.indptr))).astype(np.int32)
-        self.interaction = interaction_diagonal(basis.states, model)
+        self.interaction = interaction_diagonal(basis.states, model) if interaction is None else interaction
         self.model = model
         self.basis = basis
 

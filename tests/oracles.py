@@ -23,7 +23,10 @@ f built for that apply, which the Weyl frames replaced.  H_N assembled
 per N from ladder products, and centred per N, is the oracle of its fill
 from per-basis parts, and the conjugated route on the whole basis, with
 W(f_0) vac by a whole apply, is the oracle of the one on the leading
-sectors.  The counting sort by position that laid out a generator
+sectors.  The midpoint trajectory of one (kind, N) pair at a time, with
+the generator of its own kind assembled at every step on its own window,
+is the oracle of the stacked walk that evolves every column sharing a
+generator family at once.  The counting sort by position that laid out a generator
 layout's term map is the oracle of its one COO to CSR conversion, and
 Simpson's rule on the numpy Hartree nodes that of the phase g(t) the
 flow's RK4 carries.  The sector expansion of the displaced product
@@ -52,6 +55,7 @@ from focklab.decomposition import (
 )
 from focklab.fluctuations import (
     FluctuationOperators,
+    SectorWindow,
     _placed,
     check_truncation,
     evolve_fluctuation,
@@ -701,6 +705,28 @@ def term_map_by_counting_sort(terms, layout):
         cols[slots] = k
         free[positions] += 1
     return csr_matrix((data, cols, rows), shape=(len(keys), len(terms)))
+
+
+def fluctuation_trajectory_per_n(ops, kind, n, flow, times, budget):
+    """Yield (t, U(t;0) vacuum) of one (kind, N) pair at each distinct
+    sample time, in increasing order, as vectors on ``ops.basis``: one
+    ``evolve_timedep`` call per segment under the generator family of that
+    kind and N, on the leading sectors of ``ops.space(kind)`` the state
+    occupies (its own ``SectorWindow``), and the truncation check after
+    every segment, which raises."""
+    space = ops.space(kind)
+    window = SectorWindow(space, budget.tol)
+
+    def advance(amp, s, t):
+        gen = generator_family(ops, kind, n, flow, window=window)
+        amp = evolve_timedep(gen, amp, s, t, budget, widen=window.widen)
+        check_truncation(amp, space)
+        return amp
+
+    vacuum = np.zeros(window.dim, dtype=complex)
+    vacuum[0] = 1.0
+    for t, amp in through_times(advance, vacuum, times):
+        yield t, space.embed(amp)
 
 
 def evolve_whole_basis(ops, kind, n, flow, psi, t, budget):

@@ -203,7 +203,8 @@ def test_remainder_probe_zero_cases():
 
 def test_remainder_probe_equals_phase_average():
     # gauge covariance makes every theta node equal the theta=0 node, so the
-    # probe's two evolutions reproduce the K-node average of 2K evolutions
+    # probe's one evolution of two states reproduces the K-node average of
+    # 2K evolutions
     d, n = 3, 2
     model = fl.LatticeModel(d, Potential.contact(d, 1.0))
     rng = np.random.default_rng(7)
@@ -216,6 +217,34 @@ def test_remainder_probe_equals_phase_average():
     assert rep.total_square > 1e-4
     assert np.max(np.abs(rep.site_abs - np.abs(ref))) < 1e-12
     assert rep.total_square == pytest.approx(float(np.sum(np.abs(ref) ** 2)), abs=1e-12)
+
+
+def test_remainder_probe_stacks_its_two_states(monkeypatch):
+    # psi(0) and the vacuum walk as the two columns of one evolution under
+    # the full family; against the two evolutions of the oracle (its one
+    # node, theta = 0) |f_N(x)| agrees within 1e-13 (measured <= 8.6e-15
+    # at N=2, m=16, t=1 on the desk model)
+    import focklab.decomposition as decomposition
+
+    d, n, t = 3, 2, 0.5
+    model = fl.LatticeModel(d, Potential.contact(d, 1.0))
+    phi = 0.6 ** np.arange(d) + 0j
+    phi /= np.linalg.norm(phi)
+    basis = fl.build_basis(d, 16)
+    budget = PropagationBudget(tol=1e-10, dt=0.01)
+    calls = []
+    evolve = decomposition.evolve_timedep
+
+    def counted(gen, psi, *args, **kwargs):
+        calls.append(len(psi))
+        return evolve(gen, psi, *args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "evolve_timedep", counted)
+    rep = remainder_probe(HartreeFlow(phi, model), n, t, basis, budget)
+    assert calls == [2 * basis.size]
+    ref = remainder_phase_average(model, n, phi, t, 1, basis, budget)
+    assert rep.total_square > 1e-4
+    assert np.max(np.abs(rep.site_abs - np.abs(ref))) < 1e-13
 
 
 def test_remainder_probe_guards():

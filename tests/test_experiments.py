@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dstevd
+from scipy.sparse import diags
 
 import focklab as fl
 import focklab.experiments as experiments
+import focklab.fluctuations as fluctuations
 import focklab.propagate as propagate
 from focklab.basis import FockVector, build_basis, number_moment
 from focklab.cli import main
@@ -23,7 +25,7 @@ from focklab.experiments import (
     run_product_rate_scan,
     write_csv,
 )
-from focklab.fluctuations import GENERATOR_KINDS, FluctuationOperators, evolve_fluctuation, number_growth_probe
+from focklab.fluctuations import FluctuationOperators, evolve_fluctuation, number_growth_probe
 from focklab.hartree import HartreeFlow
 from focklab.model import LatticeModel, Potential
 from focklab.propagate import PropagationBudget
@@ -251,6 +253,53 @@ def test_fluctuation_suite_failed_n_leaves_the_others_rows():
         assert [row[1] for row in result.tables[table]] == [1]
 
 
+def test_fluctuation_suite_column_over_the_limit_fails_only_its_n(monkeypatch):
+    # at m_max=18 every full state passes its truncation check (top sector
+    # 2.2e-9 at N=1, 6.4e-7 at N=3).  With the walk's columns on the even
+    # sectors held to 1e-15 instead, reduced at N=3 (2.3e-13) and the
+    # limiting state (1.1e-8) fail, and reduced at N=1 (1.7e-18) does not:
+    # the N=3 cell and the limiting scan fail, and N=1 keeps every row but
+    # its limiting gap, its reduced column walking on alone
+    strong = LatticeModel(3, Potential.contact(3, 2.5))
+    cfg = _config(model=strong, m_max=18, n_values=[1, 3], t_samples=[0.3])
+    clean = run_fluctuation_suite(cfg)
+    assert clean.ok
+    check = fluctuations.check_truncation
+
+    def strict(amp, space):
+        if space.size == space.basis.size:  # the full states, on the whole basis
+            return check(amp, space)
+        top = amp[space.offsets[space.top]:]
+        if np.vdot(top, top).real > 1e-15 * np.vdot(amp, amp).real:
+            raise fl.TruncationError("top-sector occupancy over 1e-15")
+
+    monkeypatch.setattr(fluctuations, "check_truncation", strict)
+    result = run_fluctuation_suite(cfg)
+    assert [(p, cell) for p, cell, _ in result.failures] == [("limiting", "scan")] + [
+        (p, "N=3") for p in SUITE_PROBES
+    ]
+    assert all(msg.startswith("TruncationError") for _, _, msg in result.failures)
+    assert result.tables["limiting"] == []
+    for table in ("moments", "conjugation", "parity"):
+        assert result.tables[table] == [row for row in clean.tables[table] if row[1] == 1]
+    [got], [want] = result.tables["gaps"], [row for row in clean.tables["gaps"] if row[1] == 1]
+    assert got[:4] == want[:4] and abs(got[4] - want[4]) <= cfg.propagation_tol  # one segment
+
+
+def test_fluctuation_suite_csvs_do_not_depend_on_threads(tmp_path):
+    # the walk runs before the pool, and every cell reads its columns
+    # without writing them: one and two threads write the same bytes
+    written = []
+    for threads in (1, 2):
+        cfg = _config(n_values=[2, 3, 4], t_samples=[0.1, 0.0, 0.3], m_max=14, threads=threads)
+        result = run_fluctuation_suite(cfg)
+        assert result.ok
+        experiments.emit_suite_csvs(tmp_path / str(threads), result, experiments.FLUCTUATION_FILES)
+        files = [name for name, _ in experiments.FLUCTUATION_FILES.values()]
+        written.append({name: (tmp_path / str(threads) / name).read_bytes() for name in files})
+    assert written[0] == written[1]
+
+
 def test_tridiagonal_solver_failure_is_a_recorded_cell(monkeypatch):
     # a nonzero info from LAPACK's dstevd is a ConvergenceError, which the
     # suite records as failed cells, not numpy's LinAlgError, which ended
@@ -306,17 +355,18 @@ def test_suite_hamiltonians_are_centred_at_their_stored_diagonal(monkeypatch):
 
 def test_fluctuation_suite_evolves_every_generator_kind(monkeypatch):
     # every kind the package offers feeds some output: the suite evolves
-    # reduced (per N) and limiting (once) by their generators, and full by
-    # the conjugation identity, once per N, assembling no full generator.
-    # The full generator still serves the moment probe and
+    # every N's reduced state and the limiting state as the columns of one
+    # walk, on the limiting generator plus each reduced column's quartic/N,
+    # and full by the conjugation identity, once per N, assembling no full
+    # generator.  The full generator still serves the moment probe and
     # evolve_fluctuation, which the benchmark's gate and the oracles call
-    kinds, conjugated, assembled = [], [], set()
-    trajectory, route = experiments.fluctuation_trajectory, experiments.conjugated_trajectory
+    walks, conjugated, assembled = [], [], set()
+    trajectories, route = experiments.fluctuation_trajectories, experiments.conjugated_trajectory
     assemble = FluctuationOperators.assemble
 
-    def recording(ops, kind, *args):
-        kinds.append(kind)
-        return trajectory(ops, kind, *args)
+    def recording(ops, columns, *args):
+        walks.append(list(columns))
+        return trajectories(ops, columns, *args)
 
     def recording_route(conjugated_route, n, *args):
         conjugated.append(n)
@@ -326,15 +376,15 @@ def test_fluctuation_suite_evolves_every_generator_kind(monkeypatch):
         assembled.add(kind)
         return assemble(self, kind, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "fluctuation_trajectory", recording)
+    monkeypatch.setattr(experiments, "fluctuation_trajectories", recording)
     monkeypatch.setattr(experiments, "conjugated_trajectory", recording_route)
     monkeypatch.setattr(FluctuationOperators, "assemble", recording_assemble)
     cfg = _config(n_values=[2, 3], t_samples=[0.1], m_max=8)
     result = run_fluctuation_suite(cfg)
     assert result.ok
-    assert kinds == ["limiting", "reduced", "reduced"]
+    assert walks == [[("reduced", 2), ("reduced", 3), ("limiting", 1)]]
     assert conjugated == cfg.n_values
-    assert assembled == {"reduced", "limiting"}
+    assert assembled == {"limiting"}
     basis = build_basis(3, 8)
     budget = PropagationBudget(tol=cfg.propagation_tol, dt=cfg.fluctuation_dt)
     [row] = number_growth_probe("full", cfg.model, 2, cfg.phi0, 1, [0.1], budget, basis=basis)
@@ -342,9 +392,15 @@ def test_fluctuation_suite_evolves_every_generator_kind(monkeypatch):
         FluctuationOperators(cfg.model, basis), "full", 2, HartreeFlow(cfg.phi0, cfg.model, cfg.hartree_dt),
         FockVector.vacuum(basis), 0.0, 0.1, budget,
     )
-    assert assembled == set(GENERATOR_KINDS)
+    assert assembled == {"limiting", "full"}
     # the windowed and the whole-space midpoint routes
     assert abs(row[-1] - number_moment(psi, 1)) < 1e-9
+    # the reduced generator is the limiting one plus quartic/N on its diagonal
+    ops = FluctuationOperators(cfg.model, basis)
+    quartic = diags(ops.quartic_diag[ops.space("reduced").positions])
+    for n in (2, 3):
+        reduced, limiting = (ops.assemble(kind, n, cfg.phi0) for kind in ("reduced", "limiting"))
+        assert abs(reduced - limiting - quartic / n).max() < 1e-14
 
 
 def test_fluctuation_suite_t0_rows_are_exactly_zero():

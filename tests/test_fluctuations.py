@@ -21,12 +21,13 @@ from focklab.fluctuations import (
     WINDOW_STEP,
     evolve_fluctuation,
     conjugation_identity_residual,
+    fluctuation_trajectories,
     fluctuation_trajectory,
     number_growth_probe,
     parity_defect,
 )
 from focklab.hartree import HartreeFlow, energy
-from focklab.model import Potential, build_sector_hamiltonian, kinetic_matrix
+from focklab.model import HamiltonianParts, Potential, build_sector_hamiltonian, kinetic_matrix
 from focklab.propagate import PropagationBudget, StaticPropagator
 from focklab.weyl import weyl_apply
 from oracles import (
@@ -35,6 +36,7 @@ from oracles import (
     conjugated_trajectory_whole_basis,
     conjugation_residual_full_route,
     evolve_whole_basis,
+    fluctuation_trajectory_per_n,
     layout_terms,
     mean_field_phase_simpson,
     term_map_by_counting_sort,
@@ -693,3 +695,85 @@ def test_trajectories_of_one_operators_in_a_thread_pool_match_a_serial_run():
         sys.setswitchinterval(interval)
     for want, got in zip(serial, pooled):
         assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
+@MODELS
+def test_stacked_walk_matches_the_per_n_oracle(model):
+    # reduced at several N and the limiting state walk as the columns of
+    # one stack, on the limiting generator plus each column's quartic/N and
+    # one shared window; each pair evolved alone, under the generator of
+    # its own kind on its own window, agrees within the Krylov budget of
+    # the segments before it (measured <= 2.7e-12 per segment)
+    columns = [("reduced", 1), ("reduced", 3), ("reduced", 12), ("limiting", 1)]
+    times = [0.1, 0.2, 0.4]
+    ops = FluctuationOperators(model, fl.build_basis(3, 24))
+    flow = HartreeFlow(GEOMETRIC, model, 1e-3)
+    budget = PropagationBudget(tol=1e-10, dt=0.02)
+    space = ops.space("reduced")
+    got = list(fluctuation_trajectories(ops, columns, flow, times, budget))
+    assert [t for t, _ in got] == times
+    for j, (kind, n) in enumerate(columns):
+        want = fluctuation_trajectory_per_n(ops, kind, n, flow, times, budget)
+        for segments, ((_, states), (_, ref)) in enumerate(zip(got, want), start=1):
+            assert np.linalg.norm(space.embed(states[j]).amp - ref.amp) <= segments * budget.tol
+
+
+def test_stacked_window_holds_every_column_below_tol(monkeypatch):
+    # alone, reduced at N=1 reaches sector 20 by t=0.2 and the limiting
+    # state sector 24; on their shared window every accepted step leaves at
+    # most tol**2 of each column's squared norm in the window's top sector
+    model = fl.LatticeModel(3, Potential.contact(3, 1.0))
+    ops = FluctuationOperators(model, fl.build_basis(3, 30))
+    flow = HartreeFlow(GEOMETRIC, model, 1e-3)
+    budget = PropagationBudget(tol=1e-10, dt=0.02)
+    columns, times = [("reduced", 1), ("reduced", 12), ("limiting", 1)], [0.05, 0.2]
+    own = [
+        _top_occupied_sector(list(fluctuation_trajectory_per_n(ops, kind, n, flow, times, budget))[-1][1])
+        for kind, n in columns
+    ]
+    assert own[0] < own[2] < ops.basis.m_max
+    accepted = []
+    widen = SectorWindow.widen
+
+    def recording(self, start, end):
+        grown = widen(self, start, end)
+        if grown is None:
+            accepted.append((self.top, end.reshape(self.dim, len(columns))))
+        return grown
+
+    monkeypatch.setattr(SectorWindow, "widen", recording)
+    list(fluctuation_trajectories(ops, columns, flow, times, budget))
+    space = ops.space("reduced")
+    # 3 and 8 steps of at most 0.02, all below the space's top sector
+    assert len(accepted) == 3 + 8 and all(top < space.top for top, _ in accepted)
+    assert {top for top, _ in accepted} > {own[0]}
+    for top, block in accepted:
+        weights = np.sum(np.abs(block[space.offsets[top]:]) ** 2, axis=0)
+        assert np.all(weights <= budget.tol**2 * np.sum(np.abs(block) ** 2, axis=0))
+
+
+def test_columns_must_share_a_generator_family(setup):
+    # reduced and limiting share one family, and full columns one per N;
+    # anything else, an unknown kind or an N below 1, is refused
+    model, _, phi, ops = setup
+    flow = HartreeFlow(phi, model, 1e-3)
+    for columns in ([("full", 2), ("reduced", 2)], [("full", 2), ("full", 3)], [("bogus", 2)], [("reduced", 0)]):
+        with pytest.raises(ValueError):
+            list(fluctuation_trajectories(ops, columns, flow, [0.1], PropagationBudget()))
+
+
+def test_route_parts_carry_the_operators_interaction_diagonal(setup):
+    # the route's H_N parts take the pair-count diagonal the operators
+    # hold, and every H_N filled from them is bit for bit the one from
+    # parts that compute it
+    model, basis, _, ops = setup
+    route = ConjugatedRoute(ops, HartreeFlow(GEOMETRIC, model, 1e-3), [0.2])
+    assert route.parts.interaction is ops.quartic_diag
+    own = HamiltonianParts(model, basis)
+    for n, top in ((2, basis.m_max), (5, 9)):
+        got = fl.build_fock_hamiltonian(model, n, basis, parts=route.parts, top=top).matrix
+        want = fl.build_fock_hamiltonian(model, n, basis, parts=own, top=top).matrix
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    with pytest.raises(ValueError, match="does not match the basis"):
+        HamiltonianParts(model, basis, interaction=ops.quartic_diag[:-1])

@@ -2,9 +2,10 @@
 
 The tracer wraps package functions by name, so a renamed hook raises
 TraceTargetMissing here rather than only when the benchmark runs.  The
-counts pin the shared work: each fluctuation segment evolved once (the full
-kind's by one static apply), two evolutions per remainder probe, and one
-static apply per rate-scan segment.
+counts pin the shared work: each fluctuation segment evolved once (every
+midpoint column in one stacked evolution, the full kind's by one static
+apply), one stacked evolution per remainder probe, and one static apply per
+rate-scan segment.
 """
 
 import importlib.util
@@ -52,12 +53,13 @@ def test_tracer_installs_and_counts_shared_evolutions(tmp_path):
     path = _write_config(tmp_path, n_values, samples, remainder_n)
     m = _traced(path, tmp_path / "out", ("fluctuation-suite", "coeff-suite"))
     segments = len(samples) - 1  # t=0 needs no evolution
-    # reduced per N and limiting once, then the remainder probes; full is
-    # one static apply per N and segment
-    expected = (len(n_values) + 1) * segments + 2 * len(remainder_n)
+    # every N's reduced state and the limiting state walk as the columns of
+    # one stacked evolution per segment, and each remainder probe's two
+    # states as one more; full is one static apply per N and segment
+    expected = segments + len(remainder_n)
     assert m["fluctuations.evolutions"] == expected
     assert m["fluctuations.evolutions_distinct"] == expected
-    assert m["decomposition.remainder_evolutions"] == 2 * len(remainder_n)
+    assert m["decomposition.remainder_evolutions"] == len(remainder_n)
     assert m["propagate.static_applies"] == len(n_values) * segments
     # one Hartree flow per suite, and every ladder built with its basis
     assert m["hartree.flows"] == 2
